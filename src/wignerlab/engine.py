@@ -16,6 +16,10 @@ orthogonal matrix basis, so every map below is an exact linear bijection:
 
 with cell volumes da = pi/L, db = 2L/n. The sample tensor lives on the dual
 lattice P x Q: the a-axis carries momentum values, the b-axis position values.
+
+Every exp(+-i p q) sum runs through one kernel, centered_dft: on this lattice
+p_a q_l = (2 pi/n)(a - n/2)(l - n/2), so each sum is an FFT and a map costs
+n^(2d) log n rather than the n^(2d+1) of dense phase matrices.
 """
 
 import math
@@ -31,13 +35,70 @@ def axis_coords(n, L):
     return q, p, h, dp
 
 
-def _phase(q, p):
-    # exp(-i p_a q_l), rows l, cols a
-    return np.exp(-1j * np.outer(q, p))
+def centered_dft(x, axes, sign):
+    """sum_k x[..k..] exp(sign i p_j q_k) along each of `axes` (even lengths).
+
+    With p_j q_k = (2 pi/n)(j - n/2)(k - n/2), the kernel factors as
+    (-1)^(j + k + n/2) exp(sign 2 pi i jk/n): a plain DFT between two
+    checkerboards (the sign form of fftshift/ifftshift), exact for every even
+    n. The transform runs in place on one complex copy of x.
+    """
+    axes = tuple(axes)
+    shape = np.shape(x)
+    c = np.ones((1,) * len(shape))
+    for ax in axes:
+        s = np.ones(shape[ax])
+        s[1::2] = -1.0
+        c = c * s.reshape([-1 if i == ax else 1 for i in range(len(shape))])
+    y = np.multiply(x, c, dtype=complex)
+    if sign < 0:
+        np.fft.fftn(y, axes=axes, out=y)
+    else:
+        np.fft.ifftn(y, axes=axes, norm="forward", out=y)
+    if sum(shape[ax] // 2 for ax in axes) % 2:
+        c *= -1.0
+    y *= c
+    return y
+
+
+def fourier_matrix(n):
+    """Unitary centered DFT: F[m, j] = exp(-i p_m q_j)/sqrt(n)."""
+    return centered_dft(np.eye(n), (0,), -1) / math.sqrt(n)
+
+
+def _diag_index(n):
+    """Index pair of the (l, beta) <-> (bra, ket) diagonal gather.
+
+    Entry (l, beta) is T[l - (beta - n/2), l], the entry that S_b with
+    b = q_beta connects; the DFT along l then leaves the (a, b) layout.
+    """
+    l = np.arange(n)[:, None]
+    return (l - np.arange(n) + n // 2) % n, l
+
+
+def _cocycle(ndim, i, n, sign):
+    """exp(sign i p_a q_b / 2) on the (a, b) axes (i, ndim/2 + i) of a tensor.
+
+    p_a q_b / 2 = (pi/n)(a - n/2)(b - n/2): the phase is read from a table of
+    the 2n distinct values, not evaluated n^2 times.
+    """
+    j = np.arange(n) - n // 2
+    table = np.exp(sign * 1j * math.pi / n * np.arange(2 * n))
+    shape = [1] * ndim
+    shape[i] = shape[ndim // 2 + i] = n
+    return table[np.outer(j, j) % (2 * n)].reshape(shape)
+
+
+def _cell(axes):
+    """Phase-space cell volume da db = 2 pi/n, multiplied over the axes."""
+    return math.prod(2.0 * math.pi / n for n, _ in axes)
 
 
 def density_to_chi(T, axes):
     """Weyl-function samples of a density tensor.
+
+    Per axis: gather the diagonals T[l - (beta - n/2), l], DFT along l, then
+    multiply by the cocycle exp(i p_a q_b / 2).
 
     Parameters
     ----------
@@ -54,84 +115,45 @@ def density_to_chi(T, axes):
     d = len(axes)
     dims = [n for n, _ in axes]
     X = np.asarray(T, dtype=complex).reshape(dims + dims)
-    for i, (n, L) in enumerate(axes):
-        X = _axis_chi(X, i, d + i, n, L)
-    return X
-
-
-def _axis_chi(X, ax_bra, ax_ket, n, L):
-    q, p, h, dp = axis_coords(n, L)
-    X = np.moveaxis(X, (ax_bra, ax_ket), (0, 1))
-    l = np.arange(n)
-    beta = np.arange(n)[:, None]
-    bra_idx = (l[None, :] - (beta - n // 2)) % n
-    A = X[bra_idx, l[None, :]]                      # (beta, l, rest)
-    E = _phase(q, p)                                # exp(-i p_a q_l), (l, a)
-    chi = np.einsum('bl...,la->ab...', A, E)
-    chi *= np.exp(0.5j * np.outer(p, q)).reshape((n, n) + (1,) * (chi.ndim - 2))
-    return np.moveaxis(chi, (0, 1), (ax_bra, ax_ket))
+    for i, (n, _) in enumerate(axes):
+        A = np.moveaxis(X, (i, d + i), (0, 1))[_diag_index(n)]    # (l, beta, rest)
+        X = np.moveaxis(A, (0, 1), (i, d + i))
+    chi = centered_dft(X, range(d), -1)                           # l -> a
+    for i, (n, _) in enumerate(axes):
+        chi *= _cocycle(2 * d, i, n, +1)
+    return chi
 
 
 def chi_to_density(chi, axes):
     """Inverse of density_to_chi (exact lattice completeness)."""
     d = len(axes)
-    X = np.asarray(chi, dtype=complex)
-    for i, (n, L) in enumerate(axes):
-        X = _axis_density(X, i, d + i, n, L)
-    return X
-
-
-def _axis_density(X, ax_a, ax_b, n, L):
-    q, p, h, dp = axis_coords(n, L)
-    C = np.moveaxis(X, (ax_a, ax_b), (0, 1))
-    C = C * np.exp(-0.5j * np.outer(p, q)).reshape((n, n) + (1,) * (C.ndim - 2))
-    E2 = np.exp(1j * np.outer(q, p))                # exp(+i p_a q_l), (l, a)
-    G = np.einsum('ab...,la->bl...', C, E2) / n     # (beta, l', rest)
-    T = np.zeros_like(G)
-    l = np.arange(n)
-    for b in range(n):
-        k = b - n // 2
-        T[(l - k) % n, l] += G[b, l]
-    return np.moveaxis(T, (0, 1), (ax_a, ax_b))
+    C = np.multiply(chi, 1.0 / math.prod(n for n, _ in axes), dtype=complex)
+    for i, (n, _) in enumerate(axes):
+        C *= _cocycle(2 * d, i, n, -1)
+    G = centered_dft(C, range(d), +1)                             # a -> l
+    del C                       # release it before the scatter allocates T
+    for i, (n, _) in enumerate(axes):
+        G = np.moveaxis(G, (i, d + i), (0, 1))                    # (l, beta, rest)
+        T = np.empty_like(G)
+        T[_diag_index(n)] = G
+        G = np.moveaxis(T, (0, 1), (i, d + i))
+    return G
 
 
 def chi_to_wigner(chi, axes):
-    """Wigner field from Weyl-function samples; exact inverse of wigner_to_chi."""
-    d = len(axes)
-    X = np.asarray(chi, dtype=complex)
-    for i, (n, L) in enumerate(axes):
-        X = _axis_wigner(X, i, d + i, n, L)
-    return X
+    """Wigner field from Weyl-function samples; exact inverse of wigner_to_chi.
 
-
-def _axis_wigner(X, ax_a, ax_b, n, L):
-    q, p, h, dp = axis_coords(n, L)
-    C = np.moveaxis(X, (ax_a, ax_b), (0, 1))
-    P1 = np.exp(1j * np.outer(q, p))                # exp(+i p_a q_u), (u, a)
-    P2 = np.exp(1j * np.outer(q, p))                # exp(+i q_b p_w), (b, w)
-    Y = np.einsum('ab...,ua->ub...', C, P1)
-    W = np.einsum('ub...,bw->uw...', Y, P2)
-    W *= h * dp / (2.0 * math.pi) ** 2
-    return np.moveaxis(W, (0, 1), (ax_a, ax_b))
+    One centered DFT over every axis: a-axes go to q, b-axes go to p.
+    """
+    W = centered_dft(chi, range(2 * len(axes)), +1)
+    W *= _cell(axes) / (2.0 * math.pi) ** (2 * len(axes))
+    return W
 
 
 def wigner_to_chi(W, axes):
-    d = len(axes)
-    X = np.asarray(W, dtype=complex)
-    for i, (n, L) in enumerate(axes):
-        X = _axis_chi_from_wigner(X, i, d + i, n, L)
-    return X
-
-
-def _axis_chi_from_wigner(X, ax_q, ax_p, n, L):
-    q, p, h, dp = axis_coords(n, L)
-    Wm = np.moveaxis(X, (ax_q, ax_p), (0, 1))
-    P1 = np.exp(-1j * np.outer(q, p))               # exp(-i p_a q_u), (u, a)
-    P2 = np.exp(-1j * np.outer(q, p))               # exp(-i q_b p_w), (b, w)
-    Y = np.einsum('uw...,ua->aw...', Wm, P1)
-    C = np.einsum('aw...,bw->ab...', Y, P2)
-    C *= h * dp
-    return np.moveaxis(C, (0, 1), (ax_q, ax_p))
+    C = centered_dft(W, range(2 * len(axes)), -1)
+    C *= _cell(axes)
+    return C
 
 
 def density_to_wigner(T, axes):
@@ -147,7 +169,7 @@ def wigner_to_density(W, axes):
 def weyl_unitary_axis(a, b, n, L):
     """exp(-i(a qhat + b phat)) on one axis, spectral translation by b."""
     q, p, h, dp = axis_coords(n, L)
-    F = np.exp(-1j * np.outer(p, q)) / math.sqrt(n)     # unitary centered DFT
+    F = fourier_matrix(n)
     Sb = F.conj().T @ (np.exp(-1j * p * b)[:, None] * F)
     return np.exp(0.5j * a * b) * (np.exp(-1j * a * q)[:, None] * Sb)
 

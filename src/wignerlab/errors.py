@@ -130,7 +130,3 @@ class UnknownVersion(WignerLabError):
 
 class IoFailure(WignerLabError):
     pass
-
-
-class ToleranceViolation(WignerLabError):
-    """A declared tolerance was exceeded during a CLI run (exit code 2)."""

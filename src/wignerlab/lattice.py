@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import axis_coords, centered_dft, fourier_matrix
 from .errors import (BadGridSize, InsufficientDomain, NonPositiveCovariance,
                      NonSymmetricCovariance)
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -46,11 +47,11 @@ class Grid:
 
     @property
     def positions(self):
-        return _frozen(-self.L + self.h * np.arange(self.n))
+        return _frozen(axis_coords(self.n, self.L)[0])
 
     @property
     def momenta(self):
-        return _frozen((np.arange(self.n) - self.n // 2) * self.dp)
+        return _frozen(axis_coords(self.n, self.L)[1])
 
     @property
     def position_cell(self):
@@ -76,14 +77,15 @@ class Grid:
 
     def fourier_matrix(self):
         """Unitary centered DFT: F[m, j] = exp(-i p_m q_j)/sqrt(n)."""
-        ph = np.outer(self.momenta, self.positions)
-        return np.exp(-1j * ph) / math.sqrt(self.n)
+        return fourier_matrix(self.n)
 
     def to_momentum(self, values):
-        return self.fourier_matrix() @ values
+        """F @ values, along the first axis."""
+        return centered_dft(values, (0,), -1) / math.sqrt(self.n)
 
     def from_momentum(self, values):
-        return self.fourier_matrix().conj().T @ values
+        """F^H @ values, along the first axis."""
+        return centered_dft(values, (0,), +1) / math.sqrt(self.n)
 
 
 @dataclass(frozen=True)

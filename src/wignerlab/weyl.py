@@ -178,7 +178,7 @@ def parse_symbol_terms(raw, d):
 
 def _axis_ops(n, L):
     q, p, h, dp = engine.axis_coords(n, L)
-    F = np.exp(-1j * np.outer(p, q)) / math.sqrt(n)
+    F = engine.fourier_matrix(n)
     qhat = np.diag(q.astype(complex))
     phat = F.conj().T @ (p[:, None] * F)
     return qhat, phat
@@ -274,17 +274,6 @@ def weyl_function(T, h):
         from .hilbert import to_lebesgue_rep
         m = to_lebesgue_rep(T).matrix
     return complex(np.trace(m @ weyl_unitary(h, spec)))
-
-
-def weyl_function_field(T):
-    """All Weyl-function samples on the dual lattice (a-axes momentum-valued)."""
-    from .hilbert import to_lebesgue_rep
-    spec = T.space
-    m = T.matrix if T.rep == "lebesgue" else to_lebesgue_rep(T).matrix
-    axes = spec.axis_geometry() if hasattr(spec, "axis_geometry") else None
-    if axes is None:
-        raise SpecMismatch("weyl_function_field needs a grid space")
-    return engine.density_to_chi(m, axes)
 
 
 def expectation(T, symbol):

@@ -196,19 +196,14 @@ def symplectic_fourier(field_values, axes, sign=+1):
     """Symplectic Fourier transform with kernel exp(sign*i(<p,q'> + <p',q>)).
 
     Normalized by (2 pi)^-d per application; applying with sign and then -sign
-    returns the input exactly (discrete duality of the grids).
+    returns the input exactly (discrete duality of the grids). One centered
+    DFT over every axis, then the q-block and p-block of axes swap places: the
+    input's p-axes become the output's q'-axes and its q-axes the p'-axes.
     """
     d = len(axes)
-    X = np.asarray(field_values, dtype=complex)
-    for i, (n, L) in enumerate(axes):
-        q, p, h, dp = engine.axis_coords(n, L)
-        ker_qp = np.exp(sign * 1j * np.outer(q, p))
-        # q-axis of input pairs with output p'-axis; p-axis with output q'-axis
-        X = np.moveaxis(X, (i, d + i), (0, 1))
-        Y = np.einsum('qp...,up->qu...', X, ker_qp) * dp      # p -> q' (axis u)
-        Z = np.einsum('qu...,qw->uw...', Y, ker_qp) * h       # q -> p' (axis w)
-        X = np.moveaxis(Z / (2.0 * math.pi), (0, 1), (i, d + i))
-    return X
+    X = engine.centered_dft(field_values, range(2 * d), sign)
+    X /= math.prod(n for n, _ in axes)            # (h dp/(2 pi))^d = n^-d
+    return X.transpose([*range(d, 2 * d), *range(d), *range(2 * d, X.ndim)])
 
 
 def eta_density(W):

@@ -1,0 +1,136 @@
+"""The centered-DFT kernel and the lattice maps built on it, checked against
+dense phase matrices and explicit Weyl unitaries at small and odd-half n."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import chi_by_explicit_unitaries
+from wignerlab.engine import (centered_dft, chi_to_density, chi_to_wigner,
+                              density_to_chi, fourier_matrix, wigner_to_chi)
+from wignerlab.lattice import Grid
+from wignerlab.wigner import symplectic_fourier
+
+even_n = st.integers(1, 32).map(lambda k: 2 * k)
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _dense_centered(x, axes, sign, L=1.7):
+    """sum_k x_k exp(sign i p_j q_k) by one dense phase matrix per axis."""
+    for ax in axes:
+        g = Grid(1, x.shape[ax], L)
+        E = np.exp(sign * 1j * np.outer(g.momenta, g.positions))
+        x = np.moveaxis(np.tensordot(E, x, axes=([1], [ax])), 0, ax)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(even_n, min_size=1, max_size=3),
+       batch=st.lists(st.integers(1, 3), max_size=2),
+       sign=st.sampled_from([-1, 1]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_centered_dft_matches_dense_phase_product(dims, batch, sign, seed, data):
+    assume(math.prod(dims) <= 4096)
+    axes = data.draw(st.lists(st.sampled_from(range(len(dims))), min_size=1,
+                              unique=True))
+    x = _complex(np.random.default_rng(seed), dims + batch)
+    got = centered_dft(x, axes, sign)
+    expected = _dense_centered(x, axes, sign)
+    scale = np.abs(x).max() * math.prod(dims[ax] for ax in axes)
+    assert got.shape == x.shape
+    assert np.abs(got - expected).max() < 1e-13 * scale
+
+
+def test_centered_dft_n2_where_half_n_is_odd():
+    # q = (-L, 0), p = (-pi/L, 0): exp(-i p_j q_k) = [[e^{-i pi}, 1], [1, 1]]
+    x = np.array([2.0, 3.0j])
+    assert np.allclose(centered_dft(x, (0,), -1), [-2.0 + 3.0j, 2.0 + 3.0j],
+                       atol=1e-15)
+    assert np.allclose(centered_dft(x, (0,), +1), [-2.0 + 3.0j, 2.0 + 3.0j],
+                       atol=1e-15)
+
+
+def test_centered_dft_leaves_input_untouched(rng):
+    x = _complex(rng, (8, 4))
+    keep = x.copy()
+    centered_dft(x, (0, 1), -1)
+    assert np.array_equal(x, keep)
+
+
+@given(n=even_n)
+@settings(max_examples=10, deadline=None)
+def test_fourier_matrix_is_the_unitary_dense_dft(n):
+    F = fourier_matrix(n)
+    assert np.abs(F - _dense_centered(np.eye(n), (0,), -1) / math.sqrt(n)).max() < 1e-13
+    assert np.abs(F @ F.conj().T - np.eye(n)).max() < 1e-13
+
+
+def test_grid_momentum_maps_act_along_the_first_axis(rng):
+    grid = Grid(1, 16, 5.0)
+    V = _complex(rng, (16, 3))
+    F = grid.fourier_matrix()
+    assert np.abs(grid.to_momentum(V) - F @ V).max() < 1e-13
+    assert np.abs(grid.from_momentum(V) - F.conj().T @ V).max() < 1e-13
+
+
+def _spec_stub(n, L):
+    return SimpleNamespace(n_per_axis=n, grid=Grid(1, n, L))
+
+
+def test_density_to_chi_matches_explicit_unitaries_at_small_n(rng):
+    for n, L in ((2, 3.0), (4, 2.5), (8, 4.0)):
+        T = _complex(rng, (n, n))
+        chi = density_to_chi(T, [(n, L)])
+        oracle = chi_by_explicit_unitaries(T, _spec_stub(n, L))
+        assert np.abs(chi - oracle).max() < 1e-13 * np.abs(T).sum()
+
+
+def test_two_axis_maps_factorize_over_kron(rng):
+    (n1, L1), (n2, L2) = axes = [(8, 4.0), (4, 2.5)]
+    T1, T2 = _complex(rng, (n1, n1)), _complex(rng, (n2, n2))
+    chi = density_to_chi(np.kron(T1, T2), axes)
+    c1 = density_to_chi(T1, [(n1, L1)])
+    c2 = density_to_chi(T2, [(n2, L2)])
+    expected = np.einsum('ab,cd->acbd', c1, c2)
+    assert np.abs(chi - expected).max() < 1e-13 * np.abs(expected).max()
+    W = chi_to_wigner(chi, axes)
+    W1 = chi_to_wigner(c1, [(n1, L1)])
+    W2 = chi_to_wigner(c2, [(n2, L2)])
+    expected_w = np.einsum('ab,cd->acbd', W1, W2)
+    assert np.abs(W - expected_w).max() < 1e-13 * np.abs(expected_w).max()
+
+
+def test_symplectic_fourier_factorizes_over_axes(rng):
+    # fields are laid out (q1, q2, p1, p2); the transform swaps the q and p
+    # blocks axis by axis, so a product field maps to the product of images
+    (n1, L1), (n2, L2) = axes = [(8, 4.0), (4, 2.5)]
+    g1, g2 = _complex(rng, (n1, n1)), _complex(rng, (n2, n2))
+    f = np.einsum('ab,cd->acbd', g1, g2)
+    for sign in (-1, 1):
+        F1 = symplectic_fourier(g1, [(n1, L1)], sign)
+        F2 = symplectic_fourier(g2, [(n2, L2)], sign)
+        expected = np.einsum('ab,cd->acbd', F1, F2)
+        got = symplectic_fourier(f, axes, sign)
+        assert np.abs(got - expected).max() < 1e-14 * np.abs(f).sum()
+        back = symplectic_fourier(got, axes, -sign)
+        assert np.abs(back - f).max() < 1e-13 * np.abs(f).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=2),
+       L=st.floats(0.5, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_maps_are_exact_inverses_on_arbitrary_matrices(dims, L, seed):
+    axes = [(n, L) for n in dims]
+    N = math.prod(dims)
+    T = _complex(np.random.default_rng(seed), (N, N))
+    chi = density_to_chi(T, axes)
+    back = chi_to_density(chi, axes).reshape(N, N)
+    assert np.abs(back - T).max() < 1e-13 * np.abs(T).max() * N
+    again = wigner_to_chi(chi_to_wigner(chi, axes), axes)
+    assert np.abs(again - chi).max() < 1e-13 * np.abs(chi).max() * N
