@@ -14,7 +14,7 @@ import numpy as np
 from wignerlab import (HamiltonianSymbol, make_phase_space, pure_density,
                        wigner_from_density)
 from wignerlab.moyal import EvolutionRun, MoyalGenerator, evolve, \
-    von_neumann_oracle
+    pair_snapshots, von_neumann_oracle
 from wignerlab.serialize import save_diagnostics_csv, save_series_csv
 from wignerlab.states import displaced_state
 
@@ -37,7 +37,7 @@ def main():
     oracle = von_neumann_oracle(T0, osc, run)
 
     rows = {"t": [], "max_abs_error": []}
-    for (t, f), (_, Tt) in zip(res.snapshots, oracle):
+    for t, f, Tt in pair_snapshots(res.snapshots, oracle):
         rows["t"].append(t)
         rows["max_abs_error"].append(
             float(np.abs(f.values - wigner_from_density(Tt).values).max()))

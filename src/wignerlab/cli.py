@@ -9,6 +9,7 @@ time-seeded randomness; every run writes a manifest with the config hash).
 import argparse
 import os
 import sys
+import warnings
 
 from . import runners, serialize, verify
 from .config import parse_config
@@ -85,11 +86,17 @@ def _run_verify(args, cfg_text, level, out_dir):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     _apply_threads(args.threads)
+    with warnings.catch_warnings():
+        if args.strict:
+            warnings.simplefilter("error")
+        try:
+            return _run(args)
+        except Warning as exc:      # a warning raised as an error by --strict
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_TOLERANCE
 
-    import warnings
-    if args.strict:
-        warnings.simplefilter("error")
 
+def _run(args):
     cfg_text = "{}"
     cfg = None
     if args.config:

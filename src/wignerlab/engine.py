@@ -179,6 +179,19 @@ def wavenumbers(n, spacing):
     return 2.0 * math.pi * np.fft.fftfreq(n, d=spacing)
 
 
+def derivative_multiplier(n, spacing, order):
+    """(i k)^order on numpy's rfft layout (k = 0 .. pi/spacing, even n).
+
+    The Nyquist bin of a real field's rfft is real, so an odd-order
+    derivative would make it purely imaginary: it is set to zero, which is
+    what taking `.real` of a full complex inverse transform does.
+    """
+    m = (1j * 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)) ** order
+    if order % 2:
+        m[-1] = 0.0
+    return m
+
+
 class SpectralDifferentiator:
     """Mixed partial derivatives of a periodic field via one cached FFT."""
 
@@ -211,18 +224,3 @@ def fd4_derivative(field, axis, spacing, order):
             acc += w * np.roll(out, -shift, axis=axis)
         out = acc / spacing
     return out
-
-
-class FiniteDifferenceDifferentiator:
-    """4th-order periodic finite differences; cross-check scheme."""
-
-    def __init__(self, field, spacings):
-        self.field = np.asarray(field, dtype=float)
-        self.spacings = spacings
-
-    def derivative(self, orders):
-        out = self.field
-        for ax, o in enumerate(orders):
-            if o:
-                out = fd4_derivative(out, ax, self.spacings[ax], o)
-        return out

@@ -91,6 +91,10 @@ class UnstableStep(WignerLabError):
         self.diagnostics = diagnostics
 
 
+class SnapshotMismatch(WignerLabError):
+    """Two snapshot lists that should be paired were taken at different times."""
+
+
 class EscapeDetected(WignerLabError):
     """Significant mass within one cell of the grid boundary."""
 

@@ -22,9 +22,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .engine import (FiniteDifferenceDifferentiator, SpectralDifferentiator,
-                     axis_coords)
-from .errors import EscapeDetected, OrderOverflow, UnstableStep
+from .engine import (SpectralDifferentiator, axis_coords,
+                     derivative_multiplier, fd4_derivative)
+from .errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
+                     SpecMismatch, UnstableStep)
 from .hilbert import DensityOperator, LEBESGUE, to_lebesgue_rep
 from .tolerances import DEFAULT_TOL
 from .wigner import ETA, WIGNER, PhaseSpaceField
@@ -139,24 +140,125 @@ def bracket_pairs(n, d):
         yield k, m, mult, (-1) ** sum(m)
 
 
+def _spacings(spec):
+    """Grid spacing per phase axis: h on the q-axes, dp on the p-axes."""
+    q, p, h, dp = axis_coords(spec.n_per_axis, spec.half_width)
+    return [h] * spec.d + [dp] * spec.d
+
+
 def _h_field(symbol, spec, dq, dp, sampled_diff=None):
-    """Grid field of d_q^dq d_p^dp H, or None when identically zero."""
+    """Grid field of d_q^dq d_p^dp H, or None when identically zero.
+
+    The polynomial part keeps its natural broadcast shape (a field of q_1
+    alone is (n, 1, ...)); a sampled part is full size.
+    """
     part = symbol.derivative(dq, dp)
     poly = None
     if part.terms:
         mesh = spec.grid.phase_mesh()
         poly = np.asarray(part.evaluate(mesh[:spec.d], mesh[spec.d:]), float)
-        poly = np.broadcast_to(poly, (spec.n_per_axis,) * (2 * spec.d))
     if symbol.sampled is not None and sampled_diff is not None:
         samp = sampled_diff.derivative(tuple(dq) + tuple(dp))
         poly = samp if poly is None else poly + samp
     return poly
 
 
+def _derivative_fields(symbol, spec, orders):
+    """{(k, m): d_q^m d_p^k H} over the bracket pairs of the given orders.
+
+    Identically zero fields are pruned. A sampled part is differentiated
+    through one SpectralDifferentiator shared by every order.
+    """
+    sampled_diff = None
+    if symbol.sampled is not None:
+        sampled_diff = SpectralDifferentiator(symbol.sampled, _spacings(spec))
+    fields = {}
+    for n in orders:
+        for k, m, _, _ in bracket_pairs(n, spec.d):
+            f = _h_field(symbol, spec, m, k, sampled_diff)
+            if f is not None:
+                fields[(k, m)] = f
+    return fields
+
+
 def sine_coefficient(j):
     """Coefficient of {W, H}^(2j-1) in the sine series (alternating)."""
     n = 2 * j - 1
     return 2.0 * (-1) ** j * 0.5 ** n / factorial(n)
+
+
+def _accumulate(weights, orders, field):
+    weights[orders] = field if orders not in weights else weights[orders] + field
+
+
+class BracketPlan:
+    """rhs = sum_o D^o(field) * F_o for a fixed set of derivative orders o.
+
+    `weights` maps an order tuple (q-axes, then p-axes) to its weight field
+    F_o, kept in its natural broadcast shape; the all-zero order multiplies
+    the field itself. Every derivative runs along its own axes only, grouped
+    by the first axis it differentiates. The spectral scheme takes one rfft of
+    the field per such axis and one irfft per order with the multiplier
+    (i k)^o; single-axis orders whose F_o is constant along that axis (all of
+    them for H = T(p) + V(q)) are summed into one spectral multiplier
+    sum_o (i k)^o F_o and share a single irfft. A mixed order continues with
+    one rfft/irfft pair per further axis. The fourth-order finite-difference
+    scheme applies fd4_derivative along the same axes.
+    """
+
+    def __init__(self, weights, spec, scheme=SPECTRAL):
+        self.n = spec.n_per_axis
+        self.scheme = scheme
+        self.spacings = _spacings(spec)
+        ndim = 2 * spec.d
+        self.zero = None
+        self.multipliers = {}
+        self.axes = {}          # first axis -> [folded multiplier, terms]
+        for orders, w in weights.items():
+            w = np.asarray(w)
+            if not w.any():
+                continue
+            steps = [(ax, o) for ax, o in enumerate(orders) if o]
+            if not steps:
+                self.zero = w
+                continue
+            for ax, o in steps:
+                shape = [1] * ndim
+                shape[ax] = -1
+                self.multipliers[ax, o] = derivative_multiplier(
+                    self.n, self.spacings[ax], o).reshape(shape)
+            (ax, o), rest = steps[0], steps[1:]
+            group = self.axes.setdefault(ax, [None, []])
+            if scheme != FD4 and not rest and (w.ndim == 0 or w.shape[ax] == 1):
+                folded = self.multipliers[ax, o] * w
+                group[0] = folded if group[0] is None else group[0] + folded
+            else:
+                group[1].append((o, rest, w))
+
+    def _derivative(self, x, ax, o, hat=None):
+        """D_ax^o x; `hat` is x's rfft along ax when already taken."""
+        if self.scheme == FD4:
+            return fd4_derivative(x, ax, self.spacings[ax], o)
+        if hat is None:
+            hat = np.fft.rfft(x, axis=ax)
+        return np.fft.irfft(hat * self.multipliers[ax, o], self.n, axis=ax)
+
+    def apply(self, values):
+        if self.zero is None:
+            out = np.zeros(np.shape(values))
+        else:
+            out = values * self.zero
+        for ax, (folded, terms) in self.axes.items():
+            hat = np.fft.rfft(values, axis=ax) if self.scheme != FD4 else None
+            if folded is not None:
+                out += np.fft.irfft(hat * folded, self.n, axis=ax)
+            for o, rest, weight in terms:
+                dv = self._derivative(values, ax, o, hat)
+                for ax2, o2 in rest:
+                    dv = self._derivative(dv, ax2, o2)
+                dv *= weight
+                out += dv
+        return out
 
 
 @dataclass
@@ -166,6 +268,8 @@ class MoyalGenerator:
     K counts the odd-order terms (term j uses bracket order 2j-1). For a
     polynomial symbol of degree deg, orders above deg vanish identically and
     the stored derivative fields are pruned to the exactly nonzero ones.
+    Every (re)build of the fields also builds the Wigner-route bracket plan;
+    the eta-route plan is built from the same fields on first use.
     """
 
     symbol: object
@@ -186,34 +290,90 @@ class MoyalGenerator:
 
     def _rebuild(self, terms):
         from .weyl import HamiltonianSymbol
-        sym = HamiltonianSymbol(terms, sampled=self.symbol.sampled, d=self.spec.d)
-        sampled_diff = None
+        d = self.spec.d
+        sym = HamiltonianSymbol(terms, sampled=self.symbol.sampled, d=d)
+        orders = [2 * j - 1 for j in range(1, self.effective_truncation(sym) + 1)]
+        self._fields = _derivative_fields(sym, self.spec, orders)
+        mesh = self.spec.grid.phase_mesh()
+        energy = np.asarray(sym.evaluate(mesh[:d], mesh[d:]), float)
         if sym.sampled is not None:
-            sampled_diff = SpectralDifferentiator(sym.sampled, self._spacings())
-        self._fields.clear()
-        for j in range(1, self.effective_truncation(sym) + 1):
-            n = 2 * j - 1
-            for k, m, mult, sign in bracket_pairs(n, self.spec.d):
-                f = _h_field(sym, self.spec, m, k, sampled_diff)
-                if f is not None:
-                    self._fields[(k, m)] = f
+            energy = energy + sym.sampled
+        self._energy = energy
+        weights = {}
+        for k, m, c, hf in self._bracket_terms():
+            _accumulate(weights, k + m, c * hf)
+        self._plan = BracketPlan(weights, self.spec, self.scheme)
+        self._eta_plan = None
         self._static_terms = terms
 
-    def effective_truncation(self, sym=None):
-        sym = sym if sym is not None else self.symbol
+    def _bracket_terms(self):
+        """(k, m, coefficient * multiplicity * sign, H-field) per nonzero term."""
+        for j in range(1, self.truncation + 1):
+            coef = sine_coefficient(j)
+            for k, m, mult, sign in bracket_pairs(2 * j - 1, self.spec.d):
+                hf = self._fields.get((k, m))
+                if hf is not None:
+                    yield k, m, coef * mult * sign, hf
+
+    def eta_plan(self):
+        """Bracket plan on Phi: the Leibniz rule over Phi g with Wick fields.
+
+        d_q^k d_p^m (Phi g) / g = sum over sub-indices (bk, bm) of
+        C(k, bk) C(m, bm) D^(bk, bm) Phi * w(k - bk, m - bm), so each term
+        adds its Wick-weighted H-field into the weight of order (bk, bm).
+        """
+        if self._eta_plan is None:
+            weights = {}
+            for k, m, c, hf in self._bracket_terms():
+                for bk in _sub_multi(k):
+                    for bm in _sub_multi(m):
+                        cmul = 1
+                        for a, b in zip(k + m, bk + bm):
+                            cmul *= comb(a, b)
+                        rest_q = tuple(a - b for a, b in zip(k, bk))
+                        rest_p = tuple(a - b for a, b in zip(m, bm))
+                        _accumulate(weights, bk + bm, (c * cmul)
+                                    * self._wick_field(rest_q, rest_p) * hf)
+            self._eta_plan = BracketPlan(weights, self.spec, self.scheme)
+        return self._eta_plan
+
+    def _wick_field(self, dq, dp):
+        """Field w with d_q^dq d_p^dp g = g w for the spec's mu x nu density g."""
+        key = (dq, dp)
+        if key not in self._wick:
+            spec = self.spec
+            d = spec.d
+            directions = []
+            for ax, count in enumerate(dq + dp):
+                e = [0.0] * (2 * d)
+                e[ax] = 1.0
+                directions.extend([e] * count)
+            poly = wick_polynomial(spec.mu_nu.precision, directions)
+            mesh = spec.grid.phase_mesh()
+            vals = 0.0
+            for alpha, c in poly.items():
+                term = c
+                for i, a in enumerate(alpha):
+                    if a:
+                        term = term * mesh[i] ** a
+                vals = vals + term
+            self._wick[key] = np.asarray(vals, float)
+        return self._wick[key]
+
+    def effective_truncation(self, sym):
+        """K capped at the last nonzero order of `sym` (a segment's symbol)."""
         if sym.sampled is not None:
             return self.truncation
         deg = sym.degree
         return min(self.truncation, max(1, (deg + 1) // 2))
 
-    def _spacings(self):
-        n, L = self.spec.n_per_axis, self.spec.half_width
-        q, p, h, dp = axis_coords(n, L)
-        return [h] * self.spec.d + [dp] * self.spec.d
-
     def derivative_field(self, k, m):
         """Stored field of d_q^m d_p^k H (zero fields are pruned to None)."""
         return self._fields.get((tuple(k), tuple(m)))
+
+    def energy_field(self):
+        """H of the active schedule segment on the phase grid (broadcastable)."""
+        return self._energy
 
     def set_time(self, t):
         """Rebuild the derivative fields for the schedule segment at time t."""
@@ -230,42 +390,20 @@ class MoyalGenerator:
 
     def gradient_max(self):
         """max over the grid of |grad H| (used by the CFL guard)."""
-        from .weyl import HamiltonianSymbol
         d = self.spec.d
-        sym = HamiltonianSymbol(self._static_terms, sampled=self.symbol.sampled,
-                                d=d)
-        sampled_diff = None
-        if sym.sampled is not None:
-            sampled_diff = SpectralDifferentiator(sym.sampled, self._spacings())
-        grad_sq = 0.0
         zero = (0,) * d
+        grad_sq = 0.0
         for ax in range(d):
             e = tuple(1 if i == ax else 0 for i in range(d))
-            fq = _h_field(sym, self.spec, e, zero, sampled_diff)
-            fp = _h_field(sym, self.spec, zero, e, sampled_diff)
-            if fq is not None:
-                grad_sq = grad_sq + fq ** 2
-            if fp is not None:
-                grad_sq = grad_sq + fp ** 2
-        if np.ndim(grad_sq) == 0:
-            return math.sqrt(float(grad_sq))
-        return math.sqrt(float(grad_sq.max()))
+            for key in ((zero, e), (e, zero)):      # d_q H, then d_p H
+                f = self._fields.get(key)
+                if f is not None:
+                    grad_sq = grad_sq + f ** 2
+        return math.sqrt(float(np.max(grad_sq)))
 
     def min_spacing(self):
         q, p, h, dp = axis_coords(self.spec.n_per_axis, self.spec.half_width)
         return min(h, dp)
-
-
-def classical_generator(symbol, spec, scheme=SPECTRAL, tol=DEFAULT_TOL):
-    """Classical Liouville mode: the sine series truncated at its first term."""
-    return MoyalGenerator(symbol, spec, truncation=1, scheme=scheme, tol=tol)
-
-
-def _differentiator(values, gen):
-    spac = gen._spacings()
-    if gen.scheme == FD4:
-        return FiniteDifferenceDifferentiator(values, spac)
-    return SpectralDifferentiator(values, spac)
 
 
 def poisson_power(psi, symbol, n, spec=None, scheme=SPECTRAL):
@@ -278,60 +416,48 @@ def poisson_power(psi, symbol, n, spec=None, scheme=SPECTRAL):
     """
     if n > MAX_BRACKET_ORDER:
         raise OrderOverflow(f"bracket order {n} exceeds {MAX_BRACKET_ORDER}")
-    if hasattr(psi, "terms"):
-        out = np.zeros((spec.n_per_axis,) * (2 * spec.d))
-        sampled_diff = None
-        if symbol.sampled is not None:
-            q, p, h, dp = axis_coords(spec.n_per_axis, spec.half_width)
-            sampled_diff = SpectralDifferentiator(
-                symbol.sampled, [h] * spec.d + [dp] * spec.d)
-        for k, m, mult, sign in bracket_pairs(n, spec.d):
-            pf = _h_field(psi, spec, k, m)
-            hf = _h_field(symbol, spec, m, k, sampled_diff)
-            if pf is None or hf is None:
-                continue
-            out = out + (mult * sign) * pf * hf
-        return out
     if isinstance(psi, PhaseSpaceField):
         spec = psi.space
-        values = psi.values
-    else:
-        values = np.asarray(psi, float)
-    d = spec.d
-    q, p, h, dp = axis_coords(spec.n_per_axis, spec.half_width)
-    diff = (FiniteDifferenceDifferentiator(values, [h] * d + [dp] * d)
-            if scheme == FD4 else
-            SpectralDifferentiator(values, [h] * d + [dp] * d))
-    sampled_diff = None
-    if symbol.sampled is not None:
-        sampled_diff = SpectralDifferentiator(
-            symbol.sampled, [h] * d + [dp] * d)
-    out = np.zeros_like(values, dtype=float)
-    for k, m, mult, sign in bracket_pairs(n, d):
-        hf = _h_field(symbol, spec, m, k, sampled_diff)
-        if hf is None:
-            continue
-        dpsi = diff.derivative(tuple(k) + tuple(m))
-        out = out + (mult * sign) * dpsi * hf
+    fields = _derivative_fields(symbol, spec, (n,))
+    terms = [(k, m, mult * sign, fields[(k, m)])
+             for k, m, mult, sign in bracket_pairs(n, spec.d) if (k, m) in fields]
+    if hasattr(psi, "terms"):
+        out = np.zeros((spec.n_per_axis,) * (2 * spec.d))
+        for k, m, c, hf in terms:
+            pf = _h_field(psi, spec, k, m)
+            if pf is not None:
+                out = out + c * pf * hf
+        return out
+    weights = {}
+    for k, m, c, hf in terms:
+        _accumulate(weights, k + m, c * hf)
+    values = psi.values if isinstance(psi, PhaseSpaceField) else psi
+    out = BracketPlan(weights, spec, scheme).apply(np.asarray(values, float))
     if isinstance(psi, PhaseSpaceField):
         return PhaseSpaceField(out, "symbol", spec, "lebesgue", psi.tol)
     return out
 
 
+def _grid_values(field, gen, measure):
+    """Values of a field on the generator's grid, else SpecMismatch."""
+    spec = gen.spec
+    if isinstance(field, PhaseSpaceField):
+        if field.space is not spec and field.space != spec:
+            raise SpecMismatch("field lives on another phase space than the "
+                               "generator")
+        if field.measure != measure:
+            raise SpecMismatch(f"field measure {field.measure!r} != {measure!r}")
+        return field.values
+    values = np.asarray(field, float)
+    if values.shape != (spec.n_per_axis,) * (2 * spec.d):
+        raise SpecMismatch(f"field shape {values.shape} does not match the "
+                           "generator's grid")
+    return values
+
+
 def moyal_rhs(W, gen):
     """Truncated sine-series right-hand side on a Wigner-density field."""
-    values = W.values if isinstance(W, PhaseSpaceField) else np.asarray(W, float)
-    diff = _differentiator(values, gen)
-    out = np.zeros_like(values, dtype=float)
-    for j in range(1, gen.effective_truncation() + 1):
-        n = 2 * j - 1
-        coef = sine_coefficient(j)
-        for k, m, mult, sign in bracket_pairs(n, gen.spec.d):
-            hf = gen.derivative_field(k, m)
-            if hf is None:
-                continue
-            dpsi = diff.derivative(tuple(k) + tuple(m))
-            out = out + (coef * mult * sign) * dpsi * hf
+    out = gen._plan.apply(_grid_values(W, gen, LEBESGUE))
     if isinstance(W, PhaseSpaceField):
         return PhaseSpaceField(out, W.role, W.space, W.measure, W.tol)
     return out
@@ -345,36 +471,7 @@ def eta_moyal_rhs(phi, gen):
     never multiplies or divides by the density itself. Equals
     eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic.
     """
-    values = phi.values if isinstance(phi, PhaseSpaceField) else np.asarray(phi)
-    spec = phi.space if isinstance(phi, PhaseSpaceField) else gen.spec
-    d = gen.spec.d
-    diff = _differentiator(values, gen)
-    prec2 = spec.mu_nu.precision if hasattr(spec, "mu_nu") else None
-    if prec2 is None:
-        raise OrderOverflow("eta_moyal_rhs needs a single grid spec")
-    out = np.zeros_like(values, dtype=float)
-    for j in range(1, gen.effective_truncation() + 1):
-        n = 2 * j - 1
-        coef = sine_coefficient(j)
-        for k, m, mult, sign in bracket_pairs(n, d):
-            hf = gen.derivative_field(k, m)
-            if hf is None:
-                continue
-            # Leibniz expansion of d_q^k d_p^m (Phi g) / g over sub-indices
-            tot = np.zeros_like(values, dtype=float)
-            for bk in _sub_multi(k):
-                for bm in _sub_multi(m):
-                    dphi = diff.derivative(tuple(bk) + tuple(bm))
-                    rest_q = tuple(a - b for a, b in zip(k, bk))
-                    rest_p = tuple(a - b for a, b in zip(m, bm))
-                    wf = _wick_field(gen, spec, rest_q, rest_p)
-                    cmul = 1
-                    for a, b in zip(k, bk):
-                        cmul *= comb(a, b)
-                    for a, b in zip(m, bm):
-                        cmul *= comb(a, b)
-                    tot = tot + cmul * dphi * wf
-            out = out + (coef * mult * sign) * tot * hf
+    out = gen.eta_plan().apply(_grid_values(phi, gen, "mu_nu"))
     if isinstance(phi, PhaseSpaceField):
         return PhaseSpaceField(out, phi.role, phi.space, phi.measure, phi.tol)
     return out
@@ -386,33 +483,6 @@ def _sub_multi(alpha):
         yield ()
         return
     yield from itertools.product(*ranges)
-
-
-def _wick_field(gen, spec, dq, dp):
-    key = (tuple(dq), tuple(dp))
-    if key not in gen._wick:
-        d = spec.d
-        directions = []
-        for ax, count in enumerate(dq):
-            e = [0.0] * (2 * d)
-            e[ax] = 1.0
-            directions.extend([e] * count)
-        for ax, count in enumerate(dp):
-            e = [0.0] * (2 * d)
-            e[d + ax] = 1.0
-            directions.extend([e] * count)
-        poly = wick_polynomial(spec.mu_nu.precision, directions)
-        mesh = spec.grid.phase_mesh()
-        shape = (spec.n_per_axis,) * (2 * d)
-        vals = np.zeros(shape)
-        for alpha, c in poly.items():
-            term = np.ones((1,) * (2 * d)) * c
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * mesh[i] ** a
-            vals = vals + np.broadcast_to(term, shape)
-        gen._wick[key] = vals
-    return gen._wick[key]
 
 
 # --- time integration ---------------------------------------------------------
@@ -448,6 +518,21 @@ class EvolutionResult:
     final_field: object
 
 
+def pair_snapshots(left, right):
+    """Pair two (t, x) snapshot lists by time: [(t, x_left, x_right), ...].
+
+    Raises SnapshotMismatch unless both lists hold the same times (to 1e-12),
+    so a cross-check never compares fields taken at different times.
+    """
+    lt = [t for t, _ in left]
+    rt = [t for t, _ in right]
+    if len(lt) != len(rt) or any(abs(a - b) > 1e-12 for a, b in zip(lt, rt)):
+        raise SnapshotMismatch(
+            "snapshot times differ: [" + ", ".join(f"{t:.6g}" for t in lt)
+            + "] vs [" + ", ".join(f"{t:.6g}" for t in rt) + "]")
+    return [(t, x, y) for (t, x), (_, y) in zip(left, right)]
+
+
 def _rk4_step(values, rhs, dt):
     k1 = rhs(values)
     k2 = rhs(values + 0.5 * dt * k1)
@@ -470,15 +555,19 @@ def _boundary_mask(shape):
 def evolve(field0, gen, run):
     """Integrate a Wigner or eta field with fixed-step RK4.
 
-    Snapshots are immutable copies taken every `stride` steps and at t_end
-    (a final fractional step lands exactly on t_end). Aborts with
-    UnstableStep on per-step mass drift and EscapeDetected on boundary mass.
+    Snapshots are immutable copies taken at run.snapshot_times(), every
+    `stride` steps and at t_end. The steps land exactly on every snapshot time
+    and schedule breakpoint (a fractional step closes the gap when one lies
+    off the dt lattice), and t is set to that event time on arrival. Aborts
+    with UnstableStep on per-step mass drift and EscapeDetected on boundary
+    mass.
     """
     role = field0.role
     spec = field0.space
     tol = field0.tol
     cell = field0.cell_volume()
     g = field0.reference_density() if role == ETA else None
+    gen.set_time(0.0)
 
     limit = gen.min_spacing() / (4.0 * max(gen.gradient_max(), 1e-300))
     if run.dt > limit:
@@ -491,7 +580,7 @@ def evolve(field0, gen, run):
     bmask = _boundary_mask(field0.values.shape)
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w", "purity_est")}
     snapshots = []
-    hfield = _energy_field(gen)
+    hfield = gen.energy_field()
 
     def rhs(vals):
         if role == WIGNER:
@@ -523,45 +612,34 @@ def evolve(field0, gen, run):
 
     values = np.array(field0.values, dtype=float)
     t = 0.0
-    gen.set_time(0.0)
     record(0.0, values)
     snapshots.append((0.0, field0))
 
-    breakpoints = sorted(b for b in gen.segment_starts() if 0.0 < b < run.t_end)
-    events = breakpoints + [run.t_end]
-    step_index = 0
-    for target in events:
+    times = run.snapshot_times()
+    breakpoints = {b for b in gen.segment_starts() if 0.0 < b < times[-1]}
+    for target in sorted(breakpoints.union(times[1:])):
+        start, steps = t, 0
         while t < target - 1e-12:
-            dt = min(run.dt, target - t)
-            values = _rk4_step(values, rhs, dt)
-            t = t + dt
-            step_index += 1
+            # t counts full steps from the last event instead of summing dt,
+            # so it does not drift; a step ending within 1e-12 of the target
+            # lands on it
+            gap = target - t
+            values = _rk4_step(values, rhs,
+                               run.dt if gap > run.dt - 1e-12 else gap)
+            steps += 1
+            t = start + steps * run.dt
+            if t > target - 1e-12:
+                t = target
             w = record(t, values)
             check(t, w)
-            is_snapshot = (abs(dt - run.dt) < 1e-15 and step_index % run.stride == 0)
-            if is_snapshot and abs(t - run.t_end) > 1e-12:
-                snapshots.append((t, PhaseSpaceField(values.copy(), role, spec,
-                                                     field0.measure, tol)))
-        gen.set_time(t + 1e-12)
-        hfield = _energy_field(gen)
-
-    snapshots.append((run.t_end, PhaseSpaceField(values.copy(), role, spec,
+        if target in breakpoints:
+            gen.set_time(t + 1e-12)
+            hfield = gen.energy_field()
+        if target in times:
+            snapshots.append((t, PhaseSpaceField(values.copy(), role, spec,
                                                  field0.measure, tol)))
     diags = {k: np.asarray(v) for k, v in diags.items()}
     return EvolutionResult(snapshots, diags, snapshots[-1][1])
-
-
-def _energy_field(gen):
-    spec = gen.spec
-    mesh = spec.grid.phase_mesh()
-    from .weyl import HamiltonianSymbol
-    sym = HamiltonianSymbol(gen._static_terms, sampled=gen.symbol.sampled,
-                            d=spec.d)
-    vals = np.asarray(sym.evaluate(mesh[:spec.d], mesh[spec.d:]), float)
-    vals = np.broadcast_to(vals, (spec.n_per_axis,) * (2 * spec.d)).copy()
-    if sym.sampled is not None:
-        vals = vals + sym.sampled
-    return vals
 
 
 def von_neumann_oracle(T0, hamiltonian, run):

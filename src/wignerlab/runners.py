@@ -12,7 +12,8 @@ from .feedback import (CouplingSpec, SubsystemLayout,
                        run_scenario)
 from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
                       tensor_many)
-from .moyal import EvolutionRun, MoyalGenerator, evolve, von_neumann_oracle
+from .moyal import (EvolutionRun, MoyalGenerator, evolve, pair_snapshots,
+                    von_neumann_oracle)
 from .states import (cat_state, displaced_state, ground_state, level_coherent,
                      level_ground, level_thermal, random_mixed, thermal_state)
 from .weyl import weyl_quantize
@@ -208,10 +209,10 @@ def cmd_compare(cfg, out_dir):
     oracle = von_neumann_oracle(T0, cfg.hamiltonian, run)
     rows = {"t": [], "max_abs_error": []}
     worst = 0.0
-    for (t1, f), (t2, Tt) in zip(res.snapshots, oracle):
+    for t, f, Tt in pair_snapshots(res.snapshots, oracle):
         Wo = wigner_from_density(Tt)
         err = float(np.abs(f.values - Wo.values).max())
-        rows["t"].append(t1)
+        rows["t"].append(t)
         rows["max_abs_error"].append(err)
         worst = max(worst, err)
     serialize.save_series_csv(rows, os.path.join(out_dir, "compare.csv"))

@@ -15,7 +15,7 @@ from .hilbert import LevelSpace, partial_trace, pure_density, tensor
 from .hilbert import CompositeSystem
 from .lattice import make_phase_space
 from .moyal import (EvolutionRun, MoyalGenerator, evolve, moyal_rhs,
-                    von_neumann_oracle)
+                    pair_snapshots, von_neumann_oracle)
 from .states import (analytic_gaussian_eta, displaced_state, ground_state,
                      random_mixed)
 from .weyl import HamiltonianSymbol, expectation
@@ -130,7 +130,7 @@ def check_oracle_agreement(n, L, t_end, dt):
     res = evolve(W0, gen, run)
     oracle = von_neumann_oracle(T0, _osc_symbol(), run)
     worst = 0.0
-    for (t1, f), (t2, Tt) in zip(res.snapshots, oracle):
+    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
         Wo = wigner_from_density(Tt)
         worst = max(worst, float(np.abs(f.values - Wo.values).max()))
     return worst
@@ -145,7 +145,7 @@ def check_eta_route(n, L, t_end, dt):
     resW = evolve(W0, gen, run)
     resP = evolve(phi0, MoyalGenerator(_osc_symbol(), spec, truncation=1), run)
     worst = 0.0
-    for (t1, fW), (t2, fP) in zip(resW.snapshots, resP.snapshots):
+    for _, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots):
         worst = max(worst, total_variation(fP, eta_density(fW)))
     return worst
 

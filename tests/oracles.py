@@ -2,9 +2,12 @@
 Weyl unitaries, permutation-matrix embeddings. Deliberately written with
 different machinery than the library paths they check."""
 
+import math
+
 import numpy as np
 
-from wignerlab.moyal import bracket_pairs
+from wignerlab.engine import SpectralDifferentiator, axis_coords
+from wignerlab.moyal import bracket_pairs, sine_coefficient, wick_polynomial
 
 
 def fd_partial(fun, point, orders, eps):
@@ -42,6 +45,47 @@ def fd_bracket(psi_fun, h_fun, n, d, points, eps=0.015):
             total += mult * sign * dpsi * dh
         out.append(total)
     return np.asarray(out)
+
+
+def term_by_term_rhs(values, gen, eta=False):
+    """The Moyal right-hand side one bracket term at a time.
+
+    One full complex fftn of the field, then one full ifftn per derivative
+    (SpectralDifferentiator), summed term by term; with eta=True every
+    derivative of Phi g / g is expanded by the Leibniz rule with Wick fields
+    evaluated from their polynomials. No bracket plan is involved.
+    """
+    spec = gen.spec
+    d = spec.d
+    q, p, h, dp = axis_coords(spec.n_per_axis, spec.half_width)
+    diff = SpectralDifferentiator(np.asarray(values, float),
+                                  [h] * d + [dp] * d)
+    mesh = spec.grid.phase_mesh()
+
+    def wick(rest):
+        directions = []
+        for ax, count in enumerate(rest):
+            directions += [list(np.eye(2 * d)[ax])] * count
+        poly = wick_polynomial(spec.mu_nu.precision, directions)
+        return sum(c * math.prod(x ** a for x, a in zip(mesh, alpha))
+                   for alpha, c in poly.items())
+
+    out = np.zeros(np.shape(values))
+    for j in range(1, gen.truncation + 1):
+        for k, m, mult, sign in bracket_pairs(2 * j - 1, d):
+            hf = gen.derivative_field(k, m)
+            if hf is None:
+                continue
+            if not eta:
+                dpsi = diff.derivative(k + m)
+            else:
+                dpsi = 0.0
+                for sub in np.ndindex(*[a + 1 for a in k + m]):
+                    cmul = np.prod([math.comb(a, b) for a, b in zip(k + m, sub)])
+                    rest = tuple(a - b for a, b in zip(k + m, sub))
+                    dpsi = dpsi + cmul * diff.derivative(sub) * wick(rest)
+            out = out + sine_coefficient(j) * mult * sign * dpsi * hf
+    return out
 
 
 def chi_by_explicit_unitaries(T, spec):

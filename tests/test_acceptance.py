@@ -24,7 +24,7 @@ from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK
 from wignerlab.hilbert import DensityOperator, LEBESGUE, tensor_many
 from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
                              gaussian_measure_derivative, moyal_rhs,
-                             von_neumann_oracle)
+                             pair_snapshots, von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, displaced_state,
                               ground_state, random_mixed)
 from wignerlab.wigner import WEYL_SAMPLES, PhaseSpaceField
@@ -136,7 +136,7 @@ def test_criterion_07_oracle_agreement(lab64, lab_quartic):
     res = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
     oracle = von_neumann_oracle(T0, OSC, run)
     worst = 0.0
-    for (t1, f), (t2, Tt) in zip(res.snapshots, oracle):
+    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
         Wo = wigner_from_density(Tt)
         worst = max(worst, float(np.abs(f.values - Wo.values).max()))
     elapsed = time.time() - t0
@@ -155,7 +155,7 @@ def test_criterion_07_oracle_agreement(lab64, lab_quartic):
                       runq)
     oracleq = von_neumann_oracle(Tq, QUARTIC, runq)
     worstq = 0.0
-    for (t1, f), (t2, Tt) in zip(resq.snapshots, oracleq):
+    for _, f, Tt in pair_snapshots(resq.snapshots, oracleq):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             Wo = wigner_from_density(Tt)
@@ -170,7 +170,7 @@ def test_criterion_08_eta_route(lab64):
     resW = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
     resP = evolve(phi0, MoyalGenerator(OSC, lab64, truncation=1), run)
     worst = 0.0
-    for (t1, fW), (t2, fP) in zip(resW.snapshots, resP.snapshots):
+    for _, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots):
         worst = max(worst, total_variation(fP, eta_density(fW)))
     _report("8 eta-evolution vs eta-division of W-evolution (TV metric)",
             worst, 1e-7)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -86,6 +87,22 @@ def test_compare_tolerance_violation_exit_code(tmp_path):
     path = _write(tmp_path, cfg)
     out = str(tmp_path / "c2")
     assert main(["compare", "--config", path, "--out", out]) == 2
+
+
+def test_strict_warning_exit_code(tmp_path, capsys):
+    # dt = 0.05 exceeds the CFL guard; enforce_cfl = false makes it a warning
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "harmonic.json")) as f:
+        cfg = json.load(f)
+    cfg["run"].update(dt=0.05, enforce_cfl=False)
+    path = _write(tmp_path, cfg)
+    filters = list(warnings.filters)
+    rc = main(["evolve", "--config", path, "--out", str(tmp_path / "s1"),
+               "--strict"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: RuntimeWarning") and "CFL" in err
+    assert warnings.filters == filters      # --strict does not leak
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -4,15 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import fd_bracket
-from wignerlab import (GaussianMeasure, HamiltonianSymbol, pure_density,
-                       wigner_from_density)
-from wignerlab.errors import EscapeDetected, OrderOverflow, UnstableStep
+from oracles import fd_bracket, term_by_term_rhs
+from wignerlab import (GaussianMeasure, HamiltonianSymbol, make_phase_space,
+                       pure_density, wigner_from_density)
+from wignerlab.errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
+                              SpecMismatch, UnstableStep)
 from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
                              gaussian_measure_derivative, moyal_rhs,
-                             poisson_power, eta_moyal_rhs, von_neumann_oracle)
+                             pair_snapshots, poisson_power, eta_moyal_rhs,
+                             von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, analytic_gaussian_wigner,
                               cat_state, displaced_state, ground_state)
+from wignerlab.tolerances import TolerancePolicy
 from wignerlab.wigner import (PhaseSpaceField, eta_density, eta_to_wigner,
                               total_variation)
 
@@ -27,6 +30,10 @@ def q_symbol():
 
 def p_symbol():
     return HamiltonianSymbol((((0,), (1,), 1.0),), d=1)
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
 
 
 # --- bracket powers -----------------------------------------------------------
@@ -135,6 +142,46 @@ def test_fd_scheme_cross_checks_spectral(lab64):
     assert np.abs(a - b).max() > 0
 
 
+def _plan_case(case, lab64):
+    """(symbol, K, spec, Wigner field) of one bracket-plan check."""
+    W64 = wigner_from_density(pure_density(displaced_state(lab64, 1.0, 0.5)))
+    if case == "harmonic":
+        return OSC, 1, lab64, W64
+    if case == "quartic":
+        return QUARTIC, 2, lab64, W64
+    if case == "sampled":
+        # every third-order term, mixed (q, p) orders included, is nonzero
+        q, p = lab64.grid.phase_mesh()
+        bump = 0.2 * np.exp(-((q - 0.5) ** 2 + p ** 2) / 3.0) * np.ones((64, 64))
+        return HamiltonianSymbol(FREE.terms, sampled=bump, d=1), 2, lab64, W64
+    # the classical-feedback scenario: two oscillators, q1 q2 coupling
+    tol = TolerancePolicy(imaginary_residue=1e-5, domain_tail_mass=1e-9,
+                          boundary_mass=1e-4)
+    spec = make_phase_space(2, 32, 7.2, np.eye(2), tol)
+    sym = HamiltonianSymbol(
+        (((2, 0), (0, 0), 0.5), ((0, 2), (0, 0), 0.5),
+         ((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5),
+         ((1, 1), (0, 0), 0.3)), d=2)
+    return sym, 1, spec, analytic_gaussian_wigner(spec, [1.0, 0.0], [0.0, 0.2])
+
+
+@pytest.mark.parametrize("case", ["harmonic", "quartic", "sampled",
+                                  "coupled_d2"])
+def test_plan_matches_term_by_term(case, lab64):
+    sym, K, spec, W = _plan_case(case, lab64)
+    gen = MoyalGenerator(sym, spec, truncation=K)
+    assert _rel(moyal_rhs(W, gen).values, term_by_term_rhs(W.values, gen)) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("sym,K", [(OSC, 1), (QUARTIC, 2)])
+def test_eta_plan_matches_term_by_term(lab64, sym, K):
+    phi = analytic_gaussian_eta(lab64, 1.0, 0.4)
+    gen = MoyalGenerator(sym, lab64, truncation=K)
+    got = eta_moyal_rhs(phi, gen).values
+    assert _rel(got, term_by_term_rhs(phi.values, gen, eta=True)) <= 1e-12
+
+
 # --- eta-density route ----------------------------------------------------------
 
 def test_eta_rhs_stationary_reference(lab64):
@@ -153,6 +200,38 @@ def test_eta_rhs_route_equivalence(lab64):
         a = eta_moyal_rhs(phi, gen).values * g
         b = moyal_rhs(W, gen).values
         assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-8
+
+
+def test_eta_rhs_is_eta_density_of_wigner_rhs(lab64):
+    # pointwise division by the reference density amplifies round-off at the
+    # corners, so the two routes are compared in the TV metric (criterion 08)
+    phi = analytic_gaussian_eta(lab64, 1.0, 0.4)
+    for sym, K in ((OSC, 1), (QUARTIC, 2)):
+        gen = MoyalGenerator(sym, lab64, truncation=K)
+        via_w = eta_density(moyal_rhs(eta_to_wigner(phi), gen))
+        assert total_variation(eta_moyal_rhs(phi, gen), via_w) < 1e-7
+
+
+def test_eta_fd_scheme_cross_checks_spectral(lab64):
+    phi = analytic_gaussian_eta(lab64, 1.0, 0.0)
+    a = eta_moyal_rhs(phi, MoyalGenerator(OSC, lab64, truncation=1)).values
+    b = eta_moyal_rhs(phi, MoyalGenerator(
+        OSC, lab64, truncation=1, scheme="finite_difference_4th")).values
+    assert total_variation(PhaseSpaceField(a, "eta_density", lab64, "mu_nu"),
+                           PhaseSpaceField(b, "eta_density", lab64, "mu_nu")) \
+        < 5e-2
+    assert np.abs(a - b).max() > 0
+
+
+def test_eta_rhs_rejects_other_grid_or_measure(lab64, lab32):
+    gen = MoyalGenerator(OSC, lab64, truncation=1)
+    with pytest.raises(SpecMismatch):
+        eta_moyal_rhs(analytic_gaussian_eta(lab32, 1.0, 0.0), gen)
+    W = analytic_gaussian_wigner(lab64, 1.0, 0.0)
+    with pytest.raises(SpecMismatch):
+        eta_moyal_rhs(W, gen)                   # Lebesgue, not mu x nu
+    with pytest.raises(SpecMismatch):
+        eta_moyal_rhs(np.ones((32, 32)), gen)
 
 
 # --- Wick formulas ------------------------------------------------------------
@@ -307,8 +386,7 @@ def test_moyal_matches_oracle_interior_time(lab64):
     run = EvolutionRun(dt=1e-3, t_end=1.0, stride=500)
     res = evolve(W0, gen, run)
     oracle = von_neumann_oracle(T0, OSC, run)
-    for (t1, f), (t2, Tt) in zip(res.snapshots, oracle):
-        assert abs(t1 - t2) < 1e-12
+    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
         Wo = wigner_from_density(Tt)
         assert np.abs(f.values - Wo.values).max() < 1e-6
 
@@ -333,5 +411,31 @@ def test_eta_evolution_matches_wigner_route(lab64):
     run = EvolutionRun(dt=1e-3, t_end=1.0, stride=500)
     resW = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
     resP = evolve(phi0, MoyalGenerator(OSC, lab64, truncation=1), run)
-    for (t1, fW), (t2, fP) in zip(resW.snapshots, resP.snapshots):
+    for _, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots):
         assert total_variation(fP, eta_density(fW)) < 1e-7
+
+
+def test_snapshots_after_off_lattice_breakpoint(lab64):
+    # the quench at 0.0105 lies between two dt steps: a fractional step lands
+    # on it, and the next one lands back on the snapshot lattice
+    sym = HamiltonianSymbol(schedule=((0.0, FREE.terms), (0.0105, OSC.terms)),
+                            d=1)
+    T0 = pure_density(displaced_state(lab64, 1.0, 0.0))
+    run = EvolutionRun(dt=1e-3, t_end=0.05, stride=5)
+    res = evolve(wigner_from_density(T0), MoyalGenerator(sym, lab64,
+                                                          truncation=2), run)
+    oracle = von_neumann_oracle(T0, sym, run)
+    assert [t for t, _ in res.snapshots] == pytest.approx(
+        [0.005 * i for i in range(11)], abs=1e-15)
+    assert 0.0105 in res.diagnostics["t"]
+    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
+        assert np.abs(f.values - wigner_from_density(Tt).values).max() < 1e-6
+
+
+def test_pair_snapshots_rejects_other_times():
+    a = [(0.0, "x"), (0.1, "y")]
+    assert pair_snapshots(a, a) == [(0.0, "x", "x"), (0.1, "y", "y")]
+    with pytest.raises(SnapshotMismatch):
+        pair_snapshots(a, [(0.0, "x"), (0.0995, "y")])
+    with pytest.raises(SnapshotMismatch):
+        pair_snapshots(a, a[:1])
