@@ -25,6 +25,7 @@ RUN_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "stride": 10, "truncation_k": 3,
 
 OUTPUT_DEFAULTS = {"directory": "out", "formats": ["csv"],
                    "write_plot_script": False}
+OUTPUT_FORMATS = ("csv",)      # optional extras; binary fields are always written
 
 STATE_KINDS = ("ground", "displaced", "cat", "thermal", "product",
                "random_mixed")
@@ -256,7 +257,16 @@ def parse_config(text, tol=DEFAULT_TOL):
     cfg.run = run
 
     out = dict(OUTPUT_DEFAULTS)
-    out.update(raw.get("output", {}))
+    section = raw.get("output", {})
+    if isinstance(section, dict):
+        out.update(section)
+    else:
+        violations.append(("output", "must be an object"))
+    formats = out["formats"]
+    if (not isinstance(formats, list)
+            or any(f not in OUTPUT_FORMATS for f in formats)):
+        violations.append(("output.formats",
+                           f"must be a list of format names from {OUTPUT_FORMATS}"))
     cfg.output = out
     cfg.seed = int(raw.get("seed", 0))
     cfg.verify_level = raw.get("verify", {}).get("level", "quick")

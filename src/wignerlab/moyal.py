@@ -558,18 +558,25 @@ def evolve(field0, gen, run):
     Snapshots are immutable copies taken at run.snapshot_times(), every
     `stride` steps and at t_end. The steps land exactly on every snapshot time
     and schedule breakpoint (a fractional step closes the gap when one lies
-    off the dt lattice), and t is set to that event time on arrival. Aborts
-    with UnstableStep on per-step mass drift and EscapeDetected on boundary
-    mass.
+    off the dt lattice), and t is set to that event time on arrival. Raises
+    UnstableStep when dt exceeds the CFL guard of any schedule segment the
+    run reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
+    on per-step mass drift and EscapeDetected on boundary mass.
     """
     role = field0.role
     spec = field0.space
     tol = field0.tol
     cell = field0.cell_volume()
     g = field0.reference_density() if role == ETA else None
-    gen.set_time(0.0)
+    times = run.snapshot_times()
+    breakpoints = {b for b in gen.segment_starts() if 0.0 < b < times[-1]}
 
-    limit = gen.min_spacing() / (4.0 * max(gen.gradient_max(), 1e-300))
+    grad = 0.0
+    for start in (0.0, *sorted(breakpoints)):
+        gen.set_time(start)
+        grad = max(grad, gen.gradient_max())
+    gen.set_time(0.0)
+    limit = gen.min_spacing() / (4.0 * max(grad, 1e-300))
     if run.dt > limit:
         msg = (f"dt = {run.dt:g} exceeds the CFL guard {limit:g} "
                f"(= min spacing / (4 max|grad H|))")
@@ -615,8 +622,6 @@ def evolve(field0, gen, run):
     record(0.0, values)
     snapshots.append((0.0, field0))
 
-    times = run.snapshot_times()
-    breakpoints = {b for b in gen.segment_starts() if 0.0 < b < times[-1]}
     for target in sorted(breakpoints.union(times[1:])):
         start, steps = t, 0
         while t < target - 1e-12:

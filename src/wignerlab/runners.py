@@ -112,7 +112,6 @@ def cmd_transform(cfg, out_dir):
     T = build_state(cfg.initial_state, spec, rng)
     W = wigner_from_density(T)
     phi = eta_density(W)
-    serialize.save_field_csv(W, os.path.join(out_dir, "wigner.csv"))
     serialize.save_field_binary(W, os.path.join(out_dir, "wigner"))
     serialize.save_field_binary(phi, os.path.join(out_dir, "eta"))
     serialize.save_density(T, os.path.join(out_dir, "density"))
@@ -125,9 +124,11 @@ def cmd_transform(cfg, out_dir):
         "max_w": [float(W.values.max())],
     }
     serialize.save_series_csv(stats, os.path.join(out_dir, "summary.csv"))
-    if cfg.output.get("write_plot_script") and spec.d == 1:
-        serialize.gnuplot_script(os.path.join(out_dir, "wigner.csv"),
-                                 os.path.join(out_dir, "wigner.gp"))
+    if "csv" in cfg.output["formats"]:
+        csv = os.path.join(out_dir, "wigner.csv")
+        serialize.save_field_csv(W, csv)
+        if cfg.output.get("write_plot_script") and spec.d == 1:
+            serialize.gnuplot_script(csv, os.path.join(out_dir, "wigner.gp"))
     failures = []
     if abs(mass - 1.0) > spec.tol.field_mass:
         failures.append(f"wigner mass deviates: {mass}")
@@ -160,7 +161,7 @@ def cmd_evolve(cfg, out_dir):
     for i, (t, f) in enumerate(res.snapshots):
         base = os.path.join(out_dir, f"snapshot_{i:04d}")
         serialize.save_field_binary(f, base)
-        if "csv" in cfg.output.get("formats", []):
+        if "csv" in cfg.output["formats"]:
             serialize.save_field_csv(f, base + ".csv")
             if cfg.output.get("write_plot_script") and spec.d == 1:
                 serialize.gnuplot_script(base + ".csv", base + ".gp",

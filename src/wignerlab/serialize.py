@@ -3,6 +3,12 @@
 Binary snapshots are raw little-endian buffers (complex128 for operators,
 float64 or complex128 for fields) with a JSON sidecar holding shape, dtype,
 role and grid geometry. CSV floats use %.17g so reruns are byte-identical.
+
+Field CSV contract (`save_field_csv`): a header `q1,..,qd,p1,..,pd,value`,
+then one row per grid point in C order over the field axes (q1..qd, p1..pd),
+so the last p axis varies fastest. Every cell is %.17g (`-0`, `nan`, `inf`
+and `-inf` as Python prints them); a complex value is `re+imj`, which reads
+`re+-imj` when the imaginary part is negative.
 """
 
 import hashlib
@@ -19,6 +25,10 @@ from .wigner import PhaseSpaceField
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+def _fmt_all(xs):
+    return [f"{x:.17g}" for x in xs]
 
 
 def _spec_meta(space):
@@ -88,43 +98,48 @@ def load_field_binary(path_base, space, tol):
 
 
 def save_field_csv(field, path):
-    """One row per grid point: q-coordinates, p-coordinates, value."""
+    """One row per grid point: q-coordinates, p-coordinates, value.
+
+    Written one block of rows along the last axis at a time: each coordinate
+    is formatted once per file, the block's leading coordinates once per
+    block, and the block goes out as one string, so the file is never held
+    in memory whole.
+    """
     from .engine import axis_coords
     d = len(field.axes)
     coords = [axis_coords(n, L) for n, L in field.axes]
-    qs = [c[0] for c in coords]
-    ps = [c[1] for c in coords]
+    # q1..qd, then p1..pd: the field's axis order
+    labels = [_fmt_all(c[k].tolist()) for k in (0, 1) for c in coords]
     header = ",".join([f"q{i + 1}" for i in range(d)]
                       + [f"p{i + 1}" for i in range(d)] + ["value"])
     vals = np.asarray(field.values)
+    n = vals.shape[-1]
+    # row j of a block is pieces[4j:4j+4]: leading coordinates, last
+    # coordinate, value, newline. "".join sizes the block string exactly; a
+    # %-template grown by reallocation raised peak RSS by ~1.5 MB.
+    pieces = [None] * (4 * n)
+    pieces[1::4] = [c + "," for c in labels[-1]]
+    pieces[3::4] = ["\n"] * n
     try:
         with open(path, "w") as f:
             f.write(header + "\n")
-            for idx in np.ndindex(vals.shape):
-                row = [qs[i][idx[i]] for i in range(d)]
-                row += [ps[i][idx[d + i]] for i in range(d)]
-                v = vals[idx]
-                cells = [_fmt(x) for x in row]
-                if np.iscomplexobj(vals):
-                    cells.append(_fmt(v.real) + "+" + _fmt(v.imag) + "j")
+            for idx in np.ndindex(vals.shape[:-1]):
+                prefix = "".join(labels[a][i] + "," for a, i in enumerate(idx))
+                pieces[0::4] = [prefix] * n
+                row = vals[idx]
+                if np.iscomplexobj(row):
+                    pieces[2::4] = [f"{r:.17g}+{m:.17g}j" for r, m in
+                                    zip(row.real.tolist(), row.imag.tolist())]
                 else:
-                    cells.append(_fmt(v))
-                f.write(",".join(cells) + "\n")
+                    pieces[2::4] = _fmt_all(row.tolist())
+                f.write("".join(pieces))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
 def save_diagnostics_csv(diagnostics, path):
     cols = ["t", "mass", "l2", "energy", "min_w", "purity_est"]
-    try:
-        with open(path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            n = len(diagnostics["t"])
-            for i in range(n):
-                f.write(",".join(_fmt(float(diagnostics[c][i])) for c in cols)
-                        + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    save_series_csv({c: diagnostics[c] for c in cols}, path)
 
 
 def save_series_csv(columns, path):

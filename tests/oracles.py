@@ -128,3 +128,44 @@ def embed_by_permutation(op, positions, dims):
     P = np.zeros((D, D))
     P[np.arange(D), perm] = 1.0
     return P @ big @ P.T
+
+
+def _fmt(x):
+    return f"{x:.17g}"
+
+
+def field_csv_by_cells(field, path):
+    """The field CSV written one grid cell at a time (`np.ndindex` over every
+    cell, each coordinate formatted again on every row): the reference for the
+    row-block writer's bytes."""
+    d = len(field.axes)
+    coords = [axis_coords(n, L) for n, L in field.axes]
+    qs = [c[0] for c in coords]
+    ps = [c[1] for c in coords]
+    header = ",".join([f"q{i + 1}" for i in range(d)]
+                      + [f"p{i + 1}" for i in range(d)] + ["value"])
+    vals = np.asarray(field.values)
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for idx in np.ndindex(vals.shape):
+            row = [qs[i][idx[i]] for i in range(d)]
+            row += [ps[i][idx[d + i]] for i in range(d)]
+            v = vals[idx]
+            cells = [_fmt(x) for x in row]
+            if np.iscomplexobj(vals):
+                cells.append(_fmt(v.real) + "+" + _fmt(v.imag) + "j")
+            else:
+                cells.append(_fmt(v))
+            f.write(",".join(cells) + "\n")
+
+
+def diagnostics_csv_by_rows(diagnostics, path):
+    """The evolution diagnostics CSV written by its own row loop, in its
+    fixed column order: the reference for the series writer's bytes."""
+    cols = ["t", "mass", "l2", "energy", "min_w", "purity_est"]
+    with open(path, "w") as f:
+        f.write(",".join(cols) + "\n")
+        n = len(diagnostics["t"])
+        for i in range(n):
+            f.write(",".join(_fmt(float(diagnostics[c][i])) for c in cols)
+                    + "\n")

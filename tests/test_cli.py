@@ -52,6 +52,23 @@ def test_transform_command(harmonic_cfg, tmp_path):
     assert meta["command"] == "transform"
 
 
+def test_transform_honours_output_formats(tmp_path, capsys):
+    cfg = json.loads(HARMONIC_JSON)
+    cfg["phase_space"] = {"d": 1, "n_per_axis": 64, "half_width": 10.0,
+                          "covariance": [[1.0]]}
+    cfg["output"]["formats"] = []
+    out = tmp_path / "t0"
+    assert main(["transform", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    names = os.listdir(out)
+    assert "wigner.bin" in names and "summary.csv" in names
+    assert "wigner.csv" not in names and "wigner.gp" not in names
+    cfg["output"]["formats"] = ["CSV"]
+    assert main(["transform", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "t1")]) == 1
+    assert "config error at output.formats" in capsys.readouterr().err
+
+
 def test_evolve_and_rerun_byte_identical(harmonic_cfg, tmp_path):
     out1, out2 = str(tmp_path / "e1"), str(tmp_path / "e2")
     assert main(["evolve", "--config", harmonic_cfg, "--out", out1]) == 0

@@ -318,6 +318,21 @@ def test_cfl_guard_raises_and_overrides(lab_quartic):
         evolve(W0, gen, run2)
 
 
+def test_cfl_guard_checks_every_schedule_segment(lab_quartic):
+    # the free segment active at t = 0 passes the guard at dt = 1e-3; the
+    # quartic segment from t = 0.005 on does not
+    sym = HamiltonianSymbol(schedule=((0.0, FREE.terms), (0.005, QUARTIC.terms)),
+                            d=1)
+    W0 = wigner_from_density(pure_density(displaced_state(lab_quartic, 1.0, 0.0)))
+    gen = MoyalGenerator(sym, lab_quartic, truncation=2)
+    with pytest.raises(UnstableStep, match="CFL"):
+        evolve(W0, gen, EvolutionRun(dt=1e-3, t_end=0.01, stride=10))
+    run = EvolutionRun(dt=1e-3, t_end=0.01, stride=10, enforce_cfl=False)
+    with pytest.warns(RuntimeWarning, match="CFL"):
+        res = evolve(W0, gen, run)
+    assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 0.01])
+
+
 def test_escape_detection():
     from wignerlab import make_phase_space
     from wignerlab.tolerances import TolerancePolicy
