@@ -4,6 +4,8 @@ Commands: transform, evolve, oracle, compare, feedback, verify.
 Exit codes: 0 pass, 2 declared tolerance violated, 1 error. Outputs are
 deterministic for a fixed config and platform (fixed iteration orders, no
 time-seeded randomness; every run writes a manifest with the config hash).
+The BLAS thread count is fixed when numpy loads, so it is set in the
+environment (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS) before launching.
 """
 
 import argparse
@@ -19,24 +21,6 @@ from .tolerances import DEFAULT_TOL
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TOLERANCE = 2
-
-THREADS_ENV = "WIGNERLAB_THREADS"
-
-
-def _apply_threads(n):
-    if n is None:
-        n = os.environ.get(THREADS_ENV)
-    if n is None:
-        return
-    n = str(int(n))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(n))
-    except ImportError:
-        pass
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; keep 2 reserved for tolerance failures
@@ -55,8 +39,6 @@ def build_parser():
     p.add_argument("--config", help="path to a JSON scenario config")
     p.add_argument("--out", help="output directory (overrides the config)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--threads", type=int,
-                   help=f"BLAS thread budget (env {THREADS_ENV})")
     p.add_argument("--strict", action="store_true",
                    help="treat warnings as failures")
     p.add_argument("--level", choices=["quick", "full"],
@@ -85,7 +67,6 @@ def _run_verify(args, cfg_text, level, out_dir):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     with warnings.catch_warnings():
         if args.strict:
             warnings.simplefilter("error")

@@ -5,6 +5,7 @@ so a bad config reports all its problems at once.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +48,47 @@ class ScenarioConfig:
     verify_level: str = "quick"
 
 
+def _real(x):
+    """A JSON number as a finite float, else None (booleans are not numbers)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _integer(x):
+    """A JSON integer (or integral float) as an int, else None."""
+    if isinstance(x, bool):
+        return None
+    if isinstance(x, int):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    return None
+
+
+def _object(value, path, violations):
+    """value when it is a JSON object, else {} and a violation at path."""
+    if isinstance(value, dict):
+        return value
+    violations.append((path, "must be an object"))
+    return {}
+
+
+def _array(value, path, violations):
+    """value when it is a JSON array, else [] and a violation at path."""
+    if isinstance(value, list):
+        return value
+    violations.append((path, "must be a list"))
+    return []
+
+
 def _check_symbol_terms(raw_terms, d, path, violations):
     terms = []
-    for i, item in enumerate(raw_terms):
+    for i, item in enumerate(_array(raw_terms, path, violations)):
         here = f"{path}[{i}]"
         if not isinstance(item, dict):
             violations.append((here, "term must be an object"))
@@ -59,22 +98,28 @@ def _check_symbol_terms(raw_terms, d, path, violations):
             violations.append((here, f"missing key(s) {sorted(missing)}"))
             continue
         pq, pp = item["powers_q"], item["powers_p"]
+        if not (isinstance(pq, list) and isinstance(pp, list)):
+            violations.append((here, "powers must be lists"))
+            continue
         if len(pq) != d or len(pp) != d:
             violations.append((here, f"powers must have length d={d}"))
             continue
-        if any(int(x) < 0 for x in pq + pp):
-            violations.append((here, "powers must be nonnegative"))
+        powers = [_integer(x) for x in pq + pp]
+        if any(x is None or x < 0 for x in powers):
+            violations.append((here, "powers must be nonnegative integers"))
             continue
-        try:
-            coeff = float(item["coeff"])
-        except (TypeError, ValueError):
+        coeff = _real(item["coeff"])
+        if coeff is None:
             violations.append((here + ".coeff", "not a real number"))
             continue
-        terms.append((tuple(int(x) for x in pq), tuple(int(x) for x in pp), coeff))
+        terms.append((tuple(powers[:d]), tuple(powers[d:]), coeff))
     return tuple(terms)
 
 
 def _build_phase_space(section, path, violations, tol):
+    if not isinstance(section, dict):
+        violations.append((path, "must be an object"))
+        return None
     missing = [k for k in ("d", "n_per_axis", "half_width", "covariance")
                if k not in section]
     if missing:
@@ -91,16 +136,19 @@ def _build_phase_space(section, path, violations, tol):
         violations.append((f"{path}.half_width", str(exc)))
     except BadGridSize as exc:
         violations.append((f"{path}.n_per_axis", str(exc)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         violations.append((path, f"malformed section: {exc}"))
     return None
 
 
 def _build_factor(section, path, violations, tol):
+    if not isinstance(section, dict):
+        violations.append((path, "must be an object"))
+        return None
     kind = section.get("kind", "grid")
     if kind == "levels":
-        dim = section.get("dim")
-        if not isinstance(dim, int) or dim < 2:
+        dim = _integer(section.get("dim"))
+        if dim is None or dim < 2:
             violations.append((f"{path}.dim", "level factor needs integer dim >= 2"))
             return None
         return LevelSpace(dim)
@@ -108,6 +156,11 @@ def _build_factor(section, path, violations, tol):
         return _build_phase_space(section, path, violations, tol)
     violations.append((f"{path}.kind", f"unknown factor kind {kind!r}"))
     return None
+
+
+# recipe parameters read by the state builders, by kind of value
+RECIPE_REALS = ("dq", "dp", "a", "beta")
+RECIPE_COUNTS = ("rank", "max_quanta")
 
 
 def _check_state(section, path, violations, labels=None):
@@ -118,6 +171,21 @@ def _check_state(section, path, violations, labels=None):
     if kind not in STATE_KINDS:
         violations.append((f"{path}.type", f"unknown recipe {kind!r}"))
         return None
+    for key in RECIPE_REALS:
+        if key in section and _real(section[key]) is None:
+            violations.append((f"{path}.{key}", "not a real number"))
+    for key in RECIPE_COUNTS:
+        if key in section and (_integer(section[key]) or 0) < 1:
+            violations.append((f"{path}.{key}", "must be an integer >= 1"))
+    if "alpha" in section:
+        try:
+            complex(section["alpha"])
+        except (TypeError, ValueError, OverflowError):
+            violations.append((f"{path}.alpha", "not a number"))
+    if kind == "thermal" and "beta" not in section:
+        violations.append((f"{path}.beta", "thermal recipe needs beta"))
+    if kind == "cat" and section.get("parity", "even") not in ("even", "odd"):
+        violations.append((f"{path}.parity", "must be 'even' or 'odd'"))
     if kind == "product":
         factors = section.get("factors")
         if not isinstance(factors, dict):
@@ -137,11 +205,52 @@ def _check_state(section, path, violations, labels=None):
     return section
 
 
+def _check_run(section, violations):
+    run = dict(RUN_DEFAULTS)
+    run.update(_object(section, "run", violations))
+    for key in ("dt", "t_end", "compare_tolerance"):
+        x = _real(run[key])
+        if x is None or x <= 0:
+            violations.append((f"run.{key}", "must be a positive number"))
+    for key in ("stride", "truncation_k"):
+        x = _integer(run[key])
+        if x is None or x < 1:
+            violations.append((f"run.{key}", "must be an integer >= 1"))
+    if run["derivative_scheme"] not in ("spectral", "finite_difference_4th"):
+        violations.append(("run.derivative_scheme", "unknown scheme"))
+    if not isinstance(run["enforce_cfl"], bool):
+        violations.append(("run.enforce_cfl", "must be true or false"))
+    return run
+
+
+def _check_output(section, violations):
+    out = dict(OUTPUT_DEFAULTS)
+    out.update(_object(section, "output", violations))
+    if not isinstance(out["directory"], str):
+        violations.append(("output.directory", "must be a path string"))
+    formats = out["formats"]
+    if (not isinstance(formats, list)
+            or any(f not in OUTPUT_FORMATS for f in formats)):
+        violations.append(("output.formats",
+                           f"must be a list of format names from {OUTPUT_FORMATS}"))
+    if not isinstance(out["write_plot_script"], bool):
+        violations.append(("output.write_plot_script", "must be true or false"))
+    return out
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_config(text, tol=DEFAULT_TOL):
-    """Parse and validate a JSON scenario config; collects all violations."""
+    """Parse and validate a JSON scenario config; collects all violations.
+
+    Every malformed value is reported as a (path, reason) violation of one
+    SchemaViolation; an unsupported version raises UnknownVersion.
+    """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise SchemaViolation([("$", f"not valid JSON: {exc}")])
     if not isinstance(raw, dict):
         raise SchemaViolation([("$", "top level must be an object")])
@@ -175,101 +284,95 @@ def parse_config(text, tol=DEFAULT_TOL):
                 if need not in lay:
                     violations.append((f"layout.{need}", "required role missing"))
 
-    ham = raw.get("hamiltonian", {})
+    ham = _object(raw.get("hamiltonian", {}), "hamiltonian", violations)
     if has_ps:
         # validate symbol terms even when the phase-space section is bad,
         # so one parse reports every violation
         try:
             d = int(raw["phase_space"].get("d", 1))
-        except (TypeError, ValueError, AttributeError):
+        except (TypeError, ValueError, AttributeError, OverflowError):
             d = 1
         terms = _check_symbol_terms(ham.get("terms", []), d, "hamiltonian.terms",
                                     violations)
         schedule = None
         if "schedule" in ham:
             schedule = []
-            for i, seg in enumerate(ham["schedule"]):
+            for i, seg in enumerate(_array(ham["schedule"], "hamiltonian.schedule",
+                                           violations)):
+                here = f"hamiltonian.schedule[{i}]"
+                seg = _object(seg, here, violations)
                 segterms = _check_symbol_terms(
-                    seg.get("terms", []), d, f"hamiltonian.schedule[{i}].terms",
-                    violations)
-                schedule.append((float(seg.get("t_start", 0.0)), segterms))
+                    seg.get("terms", []), d, f"{here}.terms", violations)
+                t_start = _real(seg.get("t_start", 0.0))
+                if t_start is None:
+                    violations.append((f"{here}.t_start", "not a real number"))
+                    continue
+                schedule.append((t_start, segterms))
             schedule = tuple(schedule)
         try:
             cfg.hamiltonian = HamiltonianSymbol(terms, schedule=schedule, d=d)
         except WignerLabError as exc:
             violations.append(("hamiltonian", str(exc)))
     if has_layout:
+        factors = cfg.layout_factors
         cfg.factor_hamiltonians = {}
-        for role, sub in ham.get("factors", {}).items():
-            if cfg.layout_factors is not None and role not in cfg.layout_factors:
-                violations.append((f"hamiltonian.factors.{role}",
-                                   f"unknown subsystem label {role!r}"))
+        for role, sub in _object(ham.get("factors", {}), "hamiltonian.factors",
+                                 violations).items():
+            path = f"hamiltonian.factors.{role}"
+            if role not in factors:
+                violations.append((path, f"unknown subsystem label {role!r}"))
                 continue
-            space = cfg.layout_factors.get(role)
-            d = space.d if hasattr(space, "d") else 1
-            terms = _check_symbol_terms(sub.get("terms", []), d,
-                                        f"hamiltonian.factors.{role}.terms",
-                                        violations)
+            d = getattr(factors[role], "d", 1)
+            terms = _check_symbol_terms(_object(sub, path, violations).get(
+                "terms", []), d, f"{path}.terms", violations)
             cfg.factor_hamiltonians[role] = HamiltonianSymbol(terms, d=d)
         cfg.couplings = []
-        for i, cterm in enumerate(ham.get("couplings", [])):
+        for i, cterm in enumerate(_array(ham.get("couplings", []),
+                                         "hamiltonian.couplings", violations)):
             path = f"hamiltonian.couplings[{i}]"
+            cterm = _object(cterm, path, violations)
             labels = cterm.get("factors")
-            if not labels:
+            if not labels or not isinstance(labels, list) \
+                    or not all(isinstance(lab, str) for lab in labels):
                 violations.append((path + ".factors", "missing factor labels"))
                 continue
-            bad = [lab for lab in labels
-                   if cfg.layout_factors is not None
-                   and lab not in cfg.layout_factors]
+            bad = [lab for lab in labels if lab not in factors]
             if bad:
                 violations.append((path + ".factors",
                                    f"unknown subsystem label(s) {bad}"))
                 continue
+            symbols = _object(cterm.get("symbols", {}), path + ".symbols",
+                              violations)
             syms = {}
             for lab in labels:
-                sub = cterm.get("symbols", {}).get(lab)
+                sub = symbols.get(lab)
                 if sub is None:
                     violations.append((path + f".symbols.{lab}",
                                        "missing per-factor symbol"))
                     continue
-                space = cfg.layout_factors.get(lab)
-                d = space.d if hasattr(space, "d") else 1
+                d = getattr(factors[lab], "d", 1)
                 terms = _check_symbol_terms(sub, d, path + f".symbols.{lab}",
                                             violations)
                 syms[lab] = HamiltonianSymbol(terms, d=d)
-            coeff = float(cterm.get("coeff", 1.0))
+            coeff = _real(cterm.get("coeff", 1.0))
+            if coeff is None:
+                violations.append((path + ".coeff", "not a real number"))
+                continue
             cfg.couplings.append((tuple(labels), syms, coeff))
 
     labels = tuple(cfg.layout_factors) if cfg.layout_factors else None
     cfg.initial_state = _check_state(raw.get("initial_state", {"type": "ground"}),
                                      "initial_state", violations, labels)
-
-    run = dict(RUN_DEFAULTS)
-    run.update(raw.get("run", {}))
-    if run["dt"] <= 0:
-        violations.append(("run.dt", "must be positive"))
-    if run["t_end"] <= 0:
-        violations.append(("run.t_end", "must be positive"))
-    if int(run["stride"]) < 1:
-        violations.append(("run.stride", "must be >= 1"))
-    if run["derivative_scheme"] not in ("spectral", "finite_difference_4th"):
-        violations.append(("run.derivative_scheme", "unknown scheme"))
-    cfg.run = run
-
-    out = dict(OUTPUT_DEFAULTS)
-    section = raw.get("output", {})
-    if isinstance(section, dict):
-        out.update(section)
-    else:
-        violations.append(("output", "must be an object"))
-    formats = out["formats"]
-    if (not isinstance(formats, list)
-            or any(f not in OUTPUT_FORMATS for f in formats)):
-        violations.append(("output.formats",
-                           f"must be a list of format names from {OUTPUT_FORMATS}"))
-    cfg.output = out
-    cfg.seed = int(raw.get("seed", 0))
-    cfg.verify_level = raw.get("verify", {}).get("level", "quick")
+    cfg.run = _check_run(raw.get("run", {}), violations)
+    cfg.output = _check_output(raw.get("output", {}), violations)
+    seed = _integer(raw.get("seed", 0))
+    if seed is None:
+        violations.append(("seed", "must be an integer"))
+    cfg.seed = seed
+    cfg.verify_level = _object(raw.get("verify", {}), "verify",
+                               violations).get("level", "quick")
+    if cfg.verify_level not in ("quick", "full"):
+        violations.append(("verify.level", "must be 'quick' or 'full'"))
 
     if violations:
         raise SchemaViolation(violations)

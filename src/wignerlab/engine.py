@@ -184,7 +184,8 @@ def derivative_multiplier(n, spacing, order):
 
     The Nyquist bin of a real field's rfft is real, so an odd-order
     derivative would make it purely imaginary: it is set to zero, which is
-    what taking `.real` of a full complex inverse transform does.
+    what taking `.real` of a full complex inverse transform does (irfft
+    discards that imaginary part too, so the zero only states the rule).
     """
     m = (1j * 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)) ** order
     if order % 2:
@@ -211,16 +212,41 @@ class SpectralDifferentiator:
         return np.fft.ifftn(out_hat).real
 
 
-_FD4_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+def derivative_matrix(n, spacing, order):
+    """Real n x n matrix D with D @ x the spectral order-th derivative of x.
+
+    Column j is the derivative of the unit vector e_j through rfft, the
+    multiplier (i k)^order and irfft, so D applies the same linear operator as
+    that transform pair, Nyquist rule included.
+    """
+    hat = np.fft.rfft(np.eye(n), axis=0)
+    return np.fft.irfft(derivative_multiplier(n, spacing, order)[:, None] * hat,
+                        n, axis=0)
 
 
-def fd4_derivative(field, axis, spacing, order):
-    """Repeated 4th-order periodic central first differences along one axis."""
-    out = np.asarray(field, dtype=float)
-    for _ in range(order):
-        acc = np.zeros_like(out)
-        for shift, w in zip((-2, -1, 1, 2), (_FD4_STENCIL[0], _FD4_STENCIL[1],
-                                             _FD4_STENCIL[3], _FD4_STENCIL[4])):
-            acc += w * np.roll(out, -shift, axis=axis)
-        out = acc / spacing
-    return out
+_FD4_STENCIL = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
+
+
+def fd4_matrix(n, spacing, order):
+    """The periodic 4th-order central first difference, to the power order.
+
+    Row i holds (x[i-2] - 8 x[i-1] + 8 x[i+1] - x[i+2]) / (12 spacing), the
+    indices taken mod n (stencil entries that wrap onto one index add up).
+    """
+    S = sum(w * np.roll(np.eye(n), shift, axis=1)
+            for shift, w in _FD4_STENCIL.items())
+    return np.linalg.matrix_power(S / spacing, order)
+
+
+def apply_along_axis(M, x, axis):
+    """M applied to every 1-D slice of x along `axis`: one (batched) GEMM.
+
+    The last axis is one product x.reshape(-1, n) @ M.T; any other axis is
+    M @ x.reshape(pre, n, post), a single GEMM when the axis is the first.
+    """
+    shape = np.shape(x)
+    n = shape[axis]
+    if axis == len(shape) - 1:
+        return (np.reshape(x, (-1, n)) @ M.T).reshape(shape)
+    pre = math.prod(shape[:axis])
+    return np.matmul(M, np.reshape(x, (pre, n, -1))).reshape(shape)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DimensionCap, FactorMismatch, NonHermitianInput,
                      SpecMismatch, UnknownSubsystem)
 from .hilbert import (CompositeSystem, DensityOperator, LEBESGUE,
-                      partial_trace, space_dim)
+                      exact_propagate, partial_trace, space_dim)
 from .lattice import PhaseSpaceSpec
 from .moyal import MoyalGenerator, evolve
 from .tolerances import DEFAULT_TOL
@@ -314,8 +314,8 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
     purity, energy, states, wigners, squares = [], [], [], [], []
     T0m = T0.matrix
     for t in times:
-        U = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        Tt = DensityOperator(U @ T0m @ U.conj().T, LEBESGUE, system, T0.tol)
+        Tt = DensityOperator(exact_propagate(T0m, evals, evecs, t), LEBESGUE,
+                             system, T0.tol)
         TP = partial_trace(Tt, plant)
         states.append((t, TP))
         purity.append(TP.purity())

@@ -216,6 +216,18 @@ class DensityOperator:
         return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
+def exact_propagate(T, evals, evecs, t):
+    """e^{-iHt} T e^{iHt} for H = evecs diag(evals) evecs^H.
+
+    U = (V e^{-i Lambda t}) V^H, then U T U^H. At t == 0 this is T itself:
+    a copy is returned without the three matrix products.
+    """
+    if t == 0:
+        return np.array(T)
+    U = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    return U @ T @ U.conj().T
+
+
 def _gauss_adjoint(T):
     g = T.space.mu_density_grid().ravel()
     return (T.matrix.conj().T * g[None, :]) / g[:, None]

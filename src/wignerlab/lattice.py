@@ -199,10 +199,13 @@ def make_phase_space(d, n_per_axis, half_width, covariance, tol=DEFAULT_TOL):
     B = np.atleast_2d(np.asarray(covariance, dtype=float))
     if B.shape != (d, d):
         raise NonSymmetricCovariance(f"covariance must be {d}x{d}, got {B.shape}")
+    if not np.isfinite(B).all():
+        raise NonPositiveCovariance("covariance entries must be finite numbers")
     scale = max(np.abs(B).max(), 1.0)
-    if np.abs(B - B.T).max() > tol.covariance_symmetry * scale:
+    # halved first, so that entries near the float maximum cannot overflow
+    if np.abs(0.5 * B - 0.5 * B.T).max() > 0.5 * tol.covariance_symmetry * scale:
         raise NonSymmetricCovariance("covariance is not symmetric")
-    B = 0.5 * (B + B.T)
+    B = 0.5 * B + 0.5 * B.T
     eigs = np.linalg.eigvalsh(B)
     if eigs.min() <= 0:
         raise NonPositiveCovariance(

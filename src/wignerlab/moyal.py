@@ -22,11 +22,12 @@ from math import comb, factorial
 
 import numpy as np
 
-from .engine import (SpectralDifferentiator, axis_coords,
-                     derivative_multiplier, fd4_derivative)
+from .engine import (SpectralDifferentiator, apply_along_axis, axis_coords,
+                     derivative_matrix, fd4_matrix)
 from .errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
                      SpecMismatch, UnstableStep)
-from .hilbert import DensityOperator, LEBESGUE, to_lebesgue_rep
+from .hilbert import (DensityOperator, LEBESGUE, exact_propagate,
+                      to_lebesgue_rep)
 from .tolerances import DEFAULT_TOL
 from .wigner import ETA, WIGNER, PhaseSpaceField
 from .weyl import weyl_quantize
@@ -196,24 +197,20 @@ class BracketPlan:
 
     `weights` maps an order tuple (q-axes, then p-axes) to its weight field
     F_o, kept in its natural broadcast shape; the all-zero order multiplies
-    the field itself. Every derivative runs along its own axes only, grouped
-    by the first axis it differentiates. The spectral scheme takes one rfft of
-    the field per such axis and one irfft per order with the multiplier
-    (i k)^o; single-axis orders whose F_o is constant along that axis (all of
-    them for H = T(p) + V(q)) are summed into one spectral multiplier
-    sum_o (i k)^o F_o and share a single irfft. A mixed order continues with
-    one rfft/irfft pair per further axis. The fourth-order finite-difference
-    scheme applies fd4_derivative along the same axes.
+    the field itself. Each one-axis derivative D_ax^o is a real n x n matrix
+    built once here (engine.derivative_matrix, or engine.fd4_matrix for the
+    fourth-order finite-difference scheme) and applied along its axis as one
+    (batched) GEMM; a mixed order applies one matrix per axis it
+    differentiates.
     """
 
     def __init__(self, weights, spec, scheme=SPECTRAL):
-        self.n = spec.n_per_axis
-        self.scheme = scheme
-        self.spacings = _spacings(spec)
-        ndim = 2 * spec.d
+        n = spec.n_per_axis
+        spacings = _spacings(spec)
+        kernel = fd4_matrix if scheme == FD4 else derivative_matrix
+        matrices = {}
         self.zero = None
-        self.multipliers = {}
-        self.axes = {}          # first axis -> [folded multiplier, terms]
+        self.terms = []         # ([(axis, matrix), ...], weight)
         for orders, w in weights.items():
             w = np.asarray(w)
             if not w.any():
@@ -223,41 +220,21 @@ class BracketPlan:
                 self.zero = w
                 continue
             for ax, o in steps:
-                shape = [1] * ndim
-                shape[ax] = -1
-                self.multipliers[ax, o] = derivative_multiplier(
-                    self.n, self.spacings[ax], o).reshape(shape)
-            (ax, o), rest = steps[0], steps[1:]
-            group = self.axes.setdefault(ax, [None, []])
-            if scheme != FD4 and not rest and (w.ndim == 0 or w.shape[ax] == 1):
-                folded = self.multipliers[ax, o] * w
-                group[0] = folded if group[0] is None else group[0] + folded
-            else:
-                group[1].append((o, rest, w))
-
-    def _derivative(self, x, ax, o, hat=None):
-        """D_ax^o x; `hat` is x's rfft along ax when already taken."""
-        if self.scheme == FD4:
-            return fd4_derivative(x, ax, self.spacings[ax], o)
-        if hat is None:
-            hat = np.fft.rfft(x, axis=ax)
-        return np.fft.irfft(hat * self.multipliers[ax, o], self.n, axis=ax)
+                if (ax, o) not in matrices:
+                    matrices[ax, o] = kernel(n, spacings[ax], o)
+            self.terms.append(([(ax, matrices[ax, o]) for ax, o in steps], w))
 
     def apply(self, values):
         if self.zero is None:
             out = np.zeros(np.shape(values))
         else:
             out = values * self.zero
-        for ax, (folded, terms) in self.axes.items():
-            hat = np.fft.rfft(values, axis=ax) if self.scheme != FD4 else None
-            if folded is not None:
-                out += np.fft.irfft(hat * folded, self.n, axis=ax)
-            for o, rest, weight in terms:
-                dv = self._derivative(values, ax, o, hat)
-                for ax2, o2 in rest:
-                    dv = self._derivative(dv, ax2, o2)
-                dv *= weight
-                out += dv
+        for steps, weight in self.terms:
+            dv = values
+            for ax, M in steps:
+                dv = apply_along_axis(M, dv, ax)
+            dv *= weight
+            out += dv
         return out
 
 
@@ -655,39 +632,34 @@ def von_neumann_oracle(T0, hamiltonian, run):
     Trace and purity are conserved to eigensolver accuracy.
     """
     Tl = T0 if T0.rep == LEBESGUE else to_lebesgue_rep(T0)
-    if hasattr(hamiltonian, "terms"):
-        H = weyl_quantize(hamiltonian, T0.space)
-        schedule = hamiltonian.schedule
-    else:
-        H = np.asarray(hamiltonian, dtype=complex)
-        schedule = None
-    out = []
-    if schedule is None:
-        evals, evecs = np.linalg.eigh(H)
-        for t in run.snapshot_times():
-            U = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-            Tt = U @ Tl.matrix @ U.conj().T
-            out.append((t, DensityOperator(Tt, LEBESGUE, T0.space, T0.tol)))
-        return out
-    # piecewise-constant schedule: exact propagator per segment
-    from .weyl import HamiltonianSymbol
     times = run.snapshot_times()
-    bounds = sorted({t0 for t0, _ in schedule if 0.0 < t0 < run.t_end})
-    events = sorted(set(times) | set(bounds))
-    U_total = np.eye(H.shape[0], dtype=complex)
-    t_prev = 0.0
-    out.append((0.0, DensityOperator(Tl.matrix.copy(), LEBESGUE, T0.space, T0.tol)))
-    for t in events:
-        if t <= 0.0:
-            continue
-        seg_sym = HamiltonianSymbol(hamiltonian.terms_at(0.5 * (t_prev + t)),
-                                    d=hamiltonian.d)
-        Hseg = weyl_quantize(seg_sym, T0.space)
-        evals, evecs = np.linalg.eigh(Hseg)
-        U = (evecs * np.exp(-1j * evals * (t - t_prev))) @ evecs.conj().T
-        U_total = U @ U_total
+    schedule = getattr(hamiltonian, "schedule", None)
+
+    def snapshot(t, T):
+        return t, DensityOperator(T, LEBESGUE, T0.space, T0.tol)
+
+    if schedule is None:
+        if hasattr(hamiltonian, "terms"):
+            H = weyl_quantize(hamiltonian, T0.space)
+        else:
+            H = np.asarray(hamiltonian, dtype=complex)
+        evals, evecs = np.linalg.eigh(H)
+        return [snapshot(t, exact_propagate(Tl.matrix, evals, evecs, t))
+                for t in times]
+    # piecewise-constant schedule: exact propagation from event to event,
+    # one eigendecomposition per segment
+    from .weyl import HamiltonianSymbol
+    bounds = {t0 for t0, _ in schedule if 0.0 < t0 < run.t_end}
+    out = []
+    T, t_prev, terms = Tl.matrix, 0.0, None
+    for t in sorted(set(times) | bounds):
+        active = hamiltonian.terms_at(0.5 * (t_prev + t))
+        if active != terms:
+            terms = active
+            evals, evecs = np.linalg.eigh(weyl_quantize(
+                HamiltonianSymbol(terms, d=hamiltonian.d), T0.space))
+        T = exact_propagate(T, evals, evecs, t - t_prev)
         t_prev = t
         if t in times:
-            Tt = U_total @ Tl.matrix @ U_total.conj().T
-            out.append((t, DensityOperator(Tt, LEBESGUE, T0.space, T0.tol)))
+            out.append(snapshot(t, T))
     return out

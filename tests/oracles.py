@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from wignerlab.engine import SpectralDifferentiator, axis_coords
-from wignerlab.moyal import bracket_pairs, sine_coefficient, wick_polynomial
+from wignerlab.moyal import (FD4, bracket_pairs, sine_coefficient,
+                             wick_polynomial)
 
 
 def fd_partial(fun, point, orders, eps):
@@ -51,15 +52,25 @@ def term_by_term_rhs(values, gen, eta=False):
     """The Moyal right-hand side one bracket term at a time.
 
     One full complex fftn of the field, then one full ifftn per derivative
-    (SpectralDifferentiator), summed term by term; with eta=True every
+    (SpectralDifferentiator), summed term by term; on the finite-difference
+    scheme each derivative is fd4_by_rolls, axis by axis. With eta=True every
     derivative of Phi g / g is expanded by the Leibniz rule with Wick fields
     evaluated from their polynomials. No bracket plan is involved.
     """
     spec = gen.spec
     d = spec.d
     q, p, h, dp = axis_coords(spec.n_per_axis, spec.half_width)
-    diff = SpectralDifferentiator(np.asarray(values, float),
-                                  [h] * d + [dp] * d)
+    spacings = [h] * d + [dp] * d
+    if gen.scheme == FD4:
+        def derivative(orders):
+            out = np.asarray(values, float)
+            for ax, o in enumerate(orders):
+                if o:
+                    out = fd4_by_rolls(out, ax, spacings[ax], o)
+            return out
+    else:
+        derivative = SpectralDifferentiator(np.asarray(values, float),
+                                            spacings).derivative
     mesh = spec.grid.phase_mesh()
 
     def wick(rest):
@@ -77,14 +88,45 @@ def term_by_term_rhs(values, gen, eta=False):
             if hf is None:
                 continue
             if not eta:
-                dpsi = diff.derivative(k + m)
+                dpsi = derivative(k + m)
             else:
                 dpsi = 0.0
                 for sub in np.ndindex(*[a + 1 for a in k + m]):
                     cmul = np.prod([math.comb(a, b) for a, b in zip(k + m, sub)])
                     rest = tuple(a - b for a, b in zip(k + m, sub))
-                    dpsi = dpsi + cmul * diff.derivative(sub) * wick(rest)
+                    dpsi = dpsi + cmul * derivative(sub) * wick(rest)
             out = out + sine_coefficient(j) * mult * sign * dpsi * hf
+    return out
+
+
+def rfft_derivative(x, axis, spacing, order):
+    """One-axis spectral derivative by an rfft/irfft pair: the multiplier
+    (i k)^order on the rfft layout, its Nyquist bin zeroed for odd orders.
+    This is the bracket plan's derivative from before it became a dense
+    matrix, kept as the reference for engine.derivative_matrix."""
+    n = np.shape(x)[axis]
+    m = (1j * 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)) ** order
+    if order % 2:
+        m[-1] = 0.0
+    shape = [1] * np.ndim(x)
+    shape[axis] = -1
+    return np.fft.irfft(np.fft.rfft(x, axis=axis) * m.reshape(shape), n,
+                        axis=axis)
+
+
+_FD4_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+
+
+def fd4_by_rolls(field, axis, spacing, order):
+    """Repeated 4th-order periodic central first differences along one axis,
+    one np.roll per stencil entry: the reference for engine.fd4_matrix."""
+    out = np.asarray(field, dtype=float)
+    for _ in range(order):
+        acc = np.zeros_like(out)
+        for shift, w in zip((-2, -1, 1, 2), (_FD4_STENCIL[0], _FD4_STENCIL[1],
+                                             _FD4_STENCIL[3], _FD4_STENCIL[4])):
+            acc += w * np.roll(out, -shift, axis=axis)
+        out = acc / spacing
     return out
 
 

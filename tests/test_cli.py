@@ -1,10 +1,11 @@
 import json
 import os
+import re
 import warnings
 
 import pytest
 
-from wignerlab.cli import main
+from wignerlab.cli import build_parser, main
 
 HARMONIC = {
     "version": "1",
@@ -129,6 +130,29 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["transform", "--config", path]) == 1
     assert main(["transform", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["transform"]) == 1
+
+
+def test_malformed_value_exits_1_with_its_path(tmp_path, capsys):
+    cfg = json.loads(HARMONIC_JSON)
+    cfg["run"]["dt"] = "x"
+    cfg["hamiltonian"]["terms"][0]["powers_q"] = 2
+    assert main(["evolve", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "m1")]) == 1
+    err = capsys.readouterr().err
+    assert "config error at run.dt: must be a positive number" in err
+    assert "config error at hamiltonian.terms[0]: powers must be lists" in err
+    assert not (tmp_path / "m1").exists()
+
+
+def test_readme_flags_match_parser():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    flags = readme.split("Flags: ", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", flags))
+    parsed = {opt for action in build_parser()._actions
+              for opt in action.option_strings if opt != "--help"
+              and opt.startswith("--")}
+    assert documented == parsed
 
 
 def test_feedback_command(tmp_path):

@@ -1,9 +1,15 @@
 import json
+import os
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerlab.config import parse_config
-from wignerlab.errors import SchemaViolation, UnknownVersion
+from wignerlab.errors import SchemaViolation, UnknownVersion, WignerLabError
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 MINIMAL = {
     "version": "1",
@@ -119,3 +125,100 @@ def test_schedule_parses():
     assert cfg.hamiltonian.schedule is not None
     assert cfg.hamiltonian.terms_at(0.1) == ((((0,), (2,), 0.5),))
     assert cfg.hamiltonian.terms_at(0.9) == ((((2,), (0,), 0.5),))
+
+
+def _harmonic():
+    with open(os.path.join(CONFIGS, "harmonic.json")) as f:
+        return json.load(f)
+
+
+# (replaced value as a dotted path, new value, expected violation path)
+MALFORMED = {
+    "powers_q_scalar": ("hamiltonian.terms.0.powers_q", 2, "hamiltonian.terms[0]"),
+    "powers_q_string": ("hamiltonian.terms.0.powers_q", ["a"],
+                        "hamiltonian.terms[0]"),
+    "powers_q_fraction": ("hamiltonian.terms.0.powers_q", [2.5],
+                          "hamiltonian.terms[0]"),
+    "coeff_overflow": ("hamiltonian.terms.0.coeff", 10 ** 400,
+                       "hamiltonian.terms[0].coeff"),
+    "terms_scalar": ("hamiltonian.terms", 5, "hamiltonian.terms"),
+    "hamiltonian_list": ("hamiltonian", [], "hamiltonian"),
+    "dt_string": ("run.dt", "x", "run.dt"),
+    "stride_fraction": ("run.stride", 0.5, "run.stride"),
+    "truncation_null": ("run.truncation_k", None, "run.truncation_k"),
+    "enforce_cfl_string": ("run.enforce_cfl", "yes", "run.enforce_cfl"),
+    "run_scalar": ("run", 3, "run"),
+    "half_width_overflow": ("phase_space.half_width", 10 ** 400, "phase_space"),
+    "covariance_null": ("phase_space.covariance", None, "phase_space.covariance"),
+    "phase_space_scalar": ("phase_space", 5, "phase_space"),
+    "dq_string": ("initial_state.dq", "far", "initial_state.dq"),
+    "directory_number": ("output.directory", 7, "output.directory"),
+    "seed_string": ("seed", "x", "seed"),
+    "verify_list": ("verify", [], "verify"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_values_are_schema_violations(case):
+    where, value, path = MALFORMED[case]
+    raw = _harmonic()
+    keys = [int(k) if k.isdigit() else k for k in where.split(".")]
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(SchemaViolation) as err:
+        parse_config(json.dumps(raw))
+    assert path in [p for p, _ in err.value.violations]
+
+
+def test_non_finite_numbers_are_rejected():
+    text = json.dumps(_harmonic()).replace('"dt": 0.001', '"dt": NaN')
+    assert "NaN" in text
+    with pytest.raises(SchemaViolation):
+        parse_config(text)
+    with pytest.raises(SchemaViolation) as err:
+        parse_config(text.replace("NaN", "1e400"))
+    assert [p for p, _ in err.value.violations] == ["run.dt"]
+
+
+def _node_paths(node, path=()):
+    """Paths to every value below the top level: scalars, lists, objects."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("name", ["harmonic.json", "feedback_levels.json"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_config_raises_only_library_errors(name, data):
+    # replace one to three values of a shipped config with arbitrary JSON
+    with open(os.path.join(CONFIGS, name)) as f:
+        raw = json.load(f)
+    paths = data.draw(st.lists(st.sampled_from(list(_node_paths(raw))),
+                               min_size=1, max_size=3, unique=True))
+    for path in paths:
+        node = raw
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = data.draw(JSON_VALUES)
+        except (KeyError, IndexError, TypeError):
+            pass                # an earlier replacement removed this path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # as under the CLI's --strict
+        try:
+            parse_config(json.dumps(raw))
+        except WignerLabError:
+            pass

@@ -8,9 +8,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import chi_by_explicit_unitaries
-from wignerlab.engine import (centered_dft, chi_to_density, chi_to_wigner,
-                              density_to_chi, fourier_matrix, wigner_to_chi)
+from oracles import chi_by_explicit_unitaries, fd4_by_rolls, rfft_derivative
+from wignerlab.engine import (apply_along_axis, centered_dft, chi_to_density,
+                              chi_to_wigner, density_to_chi, derivative_matrix,
+                              fd4_matrix, fourier_matrix, wigner_to_chi)
 from wignerlab.lattice import Grid
 from wignerlab.wigner import symplectic_fourier
 
@@ -134,3 +135,79 @@ def test_maps_are_exact_inverses_on_arbitrary_matrices(dims, L, seed):
     assert np.abs(back - T).max() < 1e-13 * np.abs(T).max() * N
     again = wigner_to_chi(chi_to_wigner(chi, axes), axes)
     assert np.abs(again - chi).max() < 1e-13 * np.abs(chi).max() * N
+
+
+# --- one-axis derivative matrices -------------------------------------------
+
+ORDERS = range(1, 8)
+EVEN_N = range(2, 65, 2)
+
+
+def _spacing(n, L=4.0):
+    return 2.0 * L / n
+
+
+def _rel_err(got, expected, x):
+    return np.abs(got - expected).max() / max(np.abs(expected).max(),
+                                               np.abs(x).max())
+
+
+def test_spectral_matrix_matches_rfft_pair(rng):
+    for n in EVEN_N:
+        x = rng.normal(size=(n, 3))
+        for o in ORDERS:
+            D = derivative_matrix(n, _spacing(n), o)
+            assert D.shape == (n, n) and D.dtype == np.float64
+            expected = rfft_derivative(x, 0, _spacing(n), o)
+            assert _rel_err(D @ x, expected, x) <= 1e-12, (n, o)
+
+
+def test_spectral_matrix_on_every_axis_of_a_d2_field(rng):
+    # (q1, q2, p1, p2) at n = 16, the p-axes on their own spacing
+    n = 16
+    x = rng.normal(size=(n,) * 4)
+    spacings = [_spacing(n)] * 2 + [math.pi / 4.0] * 2
+    for ax, h in enumerate(spacings):
+        for o in ORDERS:
+            got = apply_along_axis(derivative_matrix(n, h, o), x, ax)
+            expected = rfft_derivative(x, ax, h, o)
+            assert _rel_err(got, expected, x) <= 1e-12, (ax, o)
+
+
+def test_spectral_matrix_keeps_the_nyquist_rule():
+    # the Nyquist mode (-1)^j: odd orders drop it, even orders scale it by
+    # the real (i k_N)^o
+    for n in (2, 8, 64):
+        h = _spacing(n)
+        nyq = (-1.0) ** np.arange(n)
+        for o in ORDERS:
+            got = derivative_matrix(n, h, o) @ nyq
+            expected = 0.0 if o % 2 else (1j * math.pi / h) ** o * nyq
+            assert np.abs(got - expected).max() <= 1e-12 * (math.pi / h) ** o
+
+
+def test_fd4_matrix_matches_roll_stencil(rng):
+    for n in EVEN_N:
+        x = rng.normal(size=(n, 3))
+        for o in ORDERS:
+            D = fd4_matrix(n, _spacing(n), o)
+            expected = fd4_by_rolls(x, 0, _spacing(n), o)
+            assert _rel_err(D @ x, expected, x) <= 1e-12, (n, o)
+    x = rng.normal(size=(8,) * 4)
+    for ax in range(4):
+        got = apply_along_axis(fd4_matrix(8, 0.7, 3), x, ax)
+        assert _rel_err(got, fd4_by_rolls(x, ax, 0.7, 3), x) <= 1e-12
+
+
+def test_matrix_symmetry_follows_order_parity_and_mass_is_kept():
+    for build in (derivative_matrix, fd4_matrix):
+        for n in (2, 4, 16, 64):
+            for o in ORDERS:
+                D = build(n, _spacing(n), o)
+                scale = np.abs(D).max() * n
+                # every column sums to zero: sum_i (D x)_i = 0 for every x
+                assert np.abs(D.sum(axis=0)).max() <= 1e-13 * scale
+                if o % 2:
+                    assert np.abs(D + D.T).max() <= 1e-13 * scale, (build, n, o)
+                else:
+                    assert np.abs(D - D.T).max() <= 1e-13 * scale, (build, n, o)

@@ -182,6 +182,19 @@ def test_eta_plan_matches_term_by_term(lab64, sym, K):
     assert _rel(got, term_by_term_rhs(phi.values, gen, eta=True)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["harmonic", "quartic", "coupled_d2"])
+def test_fd4_plan_matches_term_by_term(case, lab64):
+    # the stencil matrices against the np.roll stencil, term by term
+    sym, K, spec, W = _plan_case(case, lab64)
+    gen = MoyalGenerator(sym, spec, truncation=K, scheme="finite_difference_4th")
+    assert _rel(moyal_rhs(W, gen).values, term_by_term_rhs(W.values, gen)) \
+        <= 1e-12
+    if case != "coupled_d2":
+        phi = analytic_gaussian_eta(lab64, 1.0, 0.4)
+        assert _rel(eta_moyal_rhs(phi, gen).values,
+                    term_by_term_rhs(phi.values, gen, eta=True)) <= 1e-12
+
+
 # --- eta-density route ----------------------------------------------------------
 
 def test_eta_rhs_stationary_reference(lab64):
