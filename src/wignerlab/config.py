@@ -20,6 +20,8 @@ from .weyl import HamiltonianSymbol
 
 SUPPORTED_VERSIONS = ("1",)
 
+MAX_WIGNER_CELLS = 2 ** 24     # n^(2d): d = 1 up to n = 4096, d = 2 up to n = 64
+
 RUN_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "stride": 10, "truncation_k": 3,
                 "derivative_scheme": "spectral", "enforce_cfl": True,
                 "compare_tolerance": 1e-3}
@@ -127,9 +129,16 @@ def _build_phase_space(section, path, violations, tol):
         return None
     try:
         d = int(section["d"])
+        n = int(section["n_per_axis"])
+        # checked on the numbers alone, before any grid is built
+        if (d >= 1 and n >= 2
+                and 2 * d * math.log2(n) > math.log2(MAX_WIGNER_CELLS)):
+            violations.append((f"{path}.n_per_axis",
+                               f"n_per_axis={n} with d={d} gives n^(2d) Wigner "
+                               f"cells, above the cap {MAX_WIGNER_CELLS} (2^24)"))
+            return None
         cov = np.asarray(section["covariance"], dtype=float)
-        return make_phase_space(d, int(section["n_per_axis"]),
-                                float(section["half_width"]), cov, tol)
+        return make_phase_space(d, n, float(section["half_width"]), cov, tol)
     except (NonSymmetricCovariance, NonPositiveCovariance) as exc:
         violations.append((f"{path}.covariance", str(exc)))
     except InsufficientDomain as exc:

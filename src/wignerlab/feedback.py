@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionCap, FactorMismatch, NonHermitianInput,
-                     SpecMismatch, UnknownSubsystem)
+                     SpecMismatch, UnknownSubsystem, WrongRepresentation)
 from .hilbert import (CompositeSystem, DensityOperator, LEBESGUE,
-                      exact_propagate, partial_trace, space_dim)
+                      chebyshev_propagate, chebyshev_terms, exact_propagate,
+                      partial_trace, space_dim, spectral_interval)
 from .lattice import PhaseSpaceSpec
 from .moyal import MoyalGenerator, evolve
 from .tolerances import DEFAULT_TOL
@@ -24,6 +25,7 @@ from .wigner import reduce_wigner, wigner_from_density
 
 LAYOUT_DIM_CAP = 65536
 RUN_DIM_CAP = 4096
+EIGH_COST = 10     # one D x D eigh ~ 10 D x D matrix products (9-17 measured)
 
 ROLE_ORDER = ("P1", "P2", "C1", "C2", "W")
 PLANT_ROLES = ("P1", "P2")
@@ -286,13 +288,14 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
                  classical_feedback=False, hamiltonian_symbol=None):
     """Evolve the composite and observe the plant through reduction.
 
-    The composite is propagated by the exact density-operator route
-    (eigendecomposition; dimension cap 4096). When every factor is grid-based
-    with total d <= 2, reduced plant Wigner snapshots are produced and the
-    reduction commuting square (composite reduction vs reduced transform) is
-    cross-checked at every snapshot. classical_feedback=True instead evolves
-    the composite Wigner field with the first-order (Liouville) generator
-    built from `hamiltonian_symbol`.
+    The composite is propagated exactly, by the cheaper of two routes (see
+    `_propagated`); T0 must be a Lebesgue-representation operator. The
+    dimension cap is 4096. When every factor is grid-based with total
+    d <= 2, reduced plant Wigner snapshots are produced and the reduction
+    commuting square (composite reduction vs reduced transform) is
+    cross-checked at every snapshot.
+    classical_feedback=True instead evolves the composite Wigner field with
+    the first-order (Liouville) generator built from `hamiltonian_symbol`.
     """
     D = layout.dim
     if D > RUN_DIM_CAP:
@@ -310,12 +313,12 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
                 "and a Hamiltonian symbol")
         return _run_classical(layout, hamiltonian_symbol, T0, run, h_plant)
 
-    evals, evecs = np.linalg.eigh(H)
+    if T0.rep != LEBESGUE:
+        raise WrongRepresentation(
+            f"the exact scenario needs a lebesgue T0, got {T0.rep}")
     purity, energy, states, wigners, squares = [], [], [], [], []
-    T0m = T0.matrix
-    for t in times:
-        Tt = DensityOperator(exact_propagate(T0m, evals, evecs, t), LEBESGUE,
-                             system, T0.tol)
+    for t, Tm in zip(times, _propagated(H, T0, times)):
+        Tt = DensityOperator(Tm, LEBESGUE, system, T0.tol)
         TP = partial_trace(Tt, plant)
         states.append((t, TP))
         purity.append(TP.purity())
@@ -329,6 +332,36 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
             squares.append(float(np.abs(Wred.values - WP.values).max()))
     return ScenarioResult(times, np.asarray(purity), np.asarray(energy),
                           states, wigners, np.asarray(squares), None)
+
+
+def _propagated(H, T0, times):
+    """T(t) = e^{-iHt} T0 e^{iHt} at each of `times`, by the cheaper route.
+
+    Costs are counted in H-column products (D^2 complex multiply-adds each).
+    Factor route, when T0 records factors T0 = F diag(w) F^H of rank r:
+    X = e^{-iHt} F by a Chebyshev series stepped from one snapshot to the
+    next, then T(t) = X diag(w) X^H, r (terms + snapshots) in all. Eigh route:
+    one eigh of H, about EIGH_COST D, then `exact_propagate`'s three D x D
+    products per snapshot at t != 0. The series wins for low rank over short
+    horizons; a full-rank product or a long horizon takes the eigh route, and
+    so does a T0 without recorded factors, which would need an eigh of its
+    own to be factored.
+    """
+    D = H.shape[0]
+    steps = np.diff(times, prepend=0.0)
+    if T0.factors is not None:
+        X, w = T0.factors
+        interval = spectral_interval(H)
+        terms = sum(chebyshev_terms(interval, dt) for dt in steps)
+        eigh_cost = D * (EIGH_COST + 3 * np.count_nonzero(times))
+        if w.size * (terms + len(times)) <= eigh_cost:
+            for dt in steps:
+                X = chebyshev_propagate(H, X, dt, interval)
+                yield (X * w) @ X.conj().T
+            return
+    evals, evecs = np.linalg.eigh(H)
+    for t in times:
+        yield exact_propagate(T0.matrix, evals, evecs, t)
 
 
 def _run_classical(layout, symbol, T0, run, h_plant):

@@ -12,7 +12,7 @@ All values are immutable after construction; operations are pure functions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .tolerances import DEFAULT_TOL
 
 LEBESGUE = "lebesgue"
 GAUSSIAN = "gaussian"
+
+FACTOR_DROP = 1e-15     # relative eigenvalue size below which a factor is dropped
+CHEB_TAIL = 1e-16       # Chebyshev coefficient size that ends the series
 
 
 def _frozen(a):
@@ -84,12 +87,6 @@ class CompositeSystem:
     @property
     def dim(self):
         return int(np.prod(self.dims))
-
-    def space_of(self, label):
-        for lab, s in self.factors:
-            if lab == label:
-                return s
-        raise UnknownSubsystem(f"no subsystem {label!r} in {self.labels}")
 
     def index_of(self, label):
         for i, (lab, _) in enumerate(self.factors):
@@ -170,12 +167,17 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian PSD trace-one matrix over the position basis."""
+    """Hermitian PSD trace-one matrix over the position basis.
+
+    `factors`, when recorded, is (F, w) with F of shape (D, r) and w a real
+    r-vector such that matrix == F diag(w) F^H (see `factorization`).
+    """
 
     matrix: np.ndarray
     rep: str
     space: object
     tol: object = DEFAULT_TOL
+    factors: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -183,6 +185,13 @@ class DensityOperator:
         if m.shape != (N, N):
             raise SpecMismatch(f"matrix shape {m.shape} != ({N}, {N})")
         object.__setattr__(self, "matrix", _frozen(m))
+        if self.factors is not None:
+            F = np.asarray(self.factors[0], dtype=complex)
+            w = np.asarray(self.factors[1], dtype=float)
+            if F.ndim != 2 or F.shape[0] != N or w.shape != (F.shape[1],):
+                raise SpecMismatch(
+                    f"factors of shapes {F.shape}, {w.shape} do not fit dim {N}")
+            object.__setattr__(self, "factors", (_frozen(F), _frozen(w)))
 
     def validate(self):
         """Check Hermiticity, unit trace, PSD floor; raise on violation."""
@@ -226,6 +235,91 @@ def exact_propagate(T, evals, evecs, t):
         return np.array(T)
     U = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     return U @ T @ U.conj().T
+
+
+def factorization(T):
+    """(F, w) with T.matrix == F diag(w) F^H for a Lebesgue-representation T.
+
+    Returns the recorded factors, else factors T once by eigh. Eigenpairs
+    with |lambda| <= FACTOR_DROP * max|lambda| are dropped; the kept weights
+    keep their sign, so a Hermitian T that is not PSD is factored exactly.
+    """
+    if T.rep != LEBESGUE:
+        raise WrongRepresentation(
+            f"factors need a lebesgue operator, got {T.rep}")
+    if T.factors is not None:
+        return T.factors
+    lam, V = np.linalg.eigh(T.matrix)
+    keep = np.abs(lam) > FACTOR_DROP * np.abs(lam).max(initial=0.0)
+    return V[:, keep], lam[keep]
+
+
+def spectral_interval(H):
+    """Gershgorin bounds (lo, hi) that contain the spectrum of a Hermitian H."""
+    centre = np.diagonal(H).real
+    radius = np.abs(H).sum(axis=1) - np.abs(np.diagonal(H))
+    return float((centre - radius).min()), float((centre + radius).max())
+
+
+def _chebyshev_coefficients(tau):
+    """c_k with exp(-i tau x) = sum_k c_k T_k(x) on [-1, 1].
+
+    The coefficients are the DCT of exp(-i tau cos theta), taken as an FFT
+    over the whole circle (the integrand is even in theta), so no Bessel
+    function is needed: c_k = 2 (-i)^k J_k(tau) for k >= 1. The series is
+    cut at the first k >= tau with |c_k| < CHEB_TAIL * max(1, tau): past
+    k = tau the |J_k(tau)| decrease monotonically, and the samples carry a
+    phase error of order eps * tau, which sets the floor of the computed
+    tail. 2 * (2 tau + 64) samples alias no kept coefficient above that floor.
+    """
+    m = 2 * (2 * int(math.ceil(tau)) + 64)
+    c = np.fft.fft(np.exp(-1j * tau * np.cos(2 * np.pi * np.arange(m) / m))) / m
+    c = c[:m // 2]
+    c[1:] *= 2
+    start = int(tau)
+    tail = np.flatnonzero(np.abs(c[start:]) < CHEB_TAIL * max(1.0, tau))
+    k = start + int(tail[0]) if tail.size else c.size
+    return c[:max(k, 2)]
+
+
+def _scaling(interval):
+    """(a, b) with H = a Hs + b and Hs on [-1, 1]."""
+    lo, hi = interval
+    return 0.5 * (hi - lo) or 1.0, 0.5 * (hi + lo)   # hi == lo: H == b I
+
+
+def chebyshev_terms(interval, t):
+    """Number of H @ X products `chebyshev_propagate` makes for a step t."""
+    if t == 0:
+        return 0
+    return len(_chebyshev_coefficients(_scaling(interval)[0] * t)) - 1
+
+
+def chebyshev_propagate(H, X, t, interval):
+    """e^{-iHt} X for a Hermitian H whose spectrum lies in `interval`.
+
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984): with H = a Hs + b,
+    Hs on [-1, 1], e^{-iHt} = e^{-ibt} sum_k c_k T_k(Hs), and T_k(Hs) X
+    follows the three-term recurrence T_{k+1} = 2 Hs T_k - T_{k-1}. Each
+    term costs one H @ X product; about a t + O((a t)^(1/3)) terms are kept.
+    H itself is neither copied nor shifted. At t == 0, X is returned as a
+    copy.
+    """
+    X = np.asarray(X, dtype=complex)
+    if t == 0:
+        return X.copy()
+    a, b = _scaling(interval)
+
+    def scaled(Y):
+        return (H @ Y - b * Y) / a
+
+    c = _chebyshev_coefficients(a * t)
+    prev, cur = X, scaled(X)
+    out = c[0] * prev + c[1] * cur
+    for ck in c[2:]:
+        prev, cur = cur, 2 * scaled(cur) - prev
+        out += ck * cur
+    return np.exp(-1j * b * t) * out
 
 
 def _gauss_adjoint(T):
@@ -284,22 +378,39 @@ def tensor(a, b, sys):
     """Kronecker product of two density operators in the system's order."""
     if len(sys.factors) != 2:
         raise SpecMismatch("tensor(a, b, sys) needs a two-factor system")
-    for op, (lab, s) in zip((a, b), sys.factors):
-        if space_dim(op.space) != space_dim(s):
-            raise SpecMismatch(f"operator does not match factor {lab!r}")
-    if a.rep != b.rep:
-        raise RepresentationMismatch(f"{a.rep} vs {b.rep}")
-    return DensityOperator(np.kron(a.matrix, b.matrix), a.rep, sys, a.tol)
+    return tensor_many((a, b), sys)
 
 
 def tensor_many(ops, sys):
+    """Kronecker product of one density operator per factor, in order.
+
+    Every operator must match its factor's dimension and the first operator's
+    representation; the result keeps the first operator's tolerances. A
+    Lebesgue product of rank r <= D/2 records its factors: the kron of each
+    operator's `factorization`. A higher rank records none: F would cost as
+    much memory as the matrix, and `feedback.run_scenario` propagates such a
+    state by the eigh route, which needs no factors.
+    """
     if len(ops) != len(sys.factors):
         raise SpecMismatch("one operator per factor required")
-    m = ops[0].matrix if hasattr(ops[0], "matrix") else ops[0]
+    first = ops[0]
+    for op, (lab, s) in zip(ops, sys.factors):
+        if space_dim(op.space) != space_dim(s):
+            raise SpecMismatch(f"operator does not match factor {lab!r}")
+        if op.rep != first.rep:
+            raise RepresentationMismatch(f"{first.rep} vs {op.rep}")
+    m = first.matrix
     for op in ops[1:]:
-        m = np.kron(m, op.matrix if hasattr(op, "matrix") else op)
-    rep = getattr(ops[0], "rep", LEBESGUE)
-    return DensityOperator(m, rep, sys, DEFAULT_TOL)
+        m = np.kron(m, op.matrix)
+    factors = None
+    if first.rep == LEBESGUE:
+        parts = [factorization(op) for op in ops]
+        if 2 * math.prod(w.size for _, w in parts) <= sys.dim:
+            F, w = parts[0]
+            for Fo, wo in parts[1:]:
+                F, w = np.kron(F, Fo), np.kron(w, wo)
+            factors = (F, w)
+    return DensityOperator(m, first.rep, sys, first.tol, factors)
 
 
 def partial_trace(T, keep):

@@ -61,10 +61,6 @@ class Grid:
     def momentum_cell(self):
         return self.dp ** self.d
 
-    @property
-    def phase_cell(self):
-        return self.position_cell * self.momentum_cell
-
     def position_mesh(self):
         """d arrays broadcastable over the position grid (q1, ..., qd)."""
         axes = [self.positions] * self.d

@@ -59,14 +59,6 @@ def build_composite_state(recipe, system, rng):
     raise SpecMismatch("composite initial states must be product recipes")
 
 
-def _axis_ops_for(space):
-    from .weyl import _axis_ops
-    if isinstance(space, LevelSpace):
-        return [(space.position_op().astype(complex),
-                 space.momentum_op().astype(complex))]
-    return [_axis_ops(space.n_per_axis, space.half_width)] * space.d
-
-
 def assemble_layout(cfg):
     from .hilbert import space_dim
     layout = SubsystemLayout(dict(cfg.layout_factors))

@@ -165,15 +165,6 @@ class HamiltonianSymbol:
         return vals
 
 
-def parse_symbol_terms(raw, d):
-    """Terms from the config syntax [{powers_q, powers_p, coeff}, ...]."""
-    terms = []
-    for item in raw:
-        terms.append((tuple(item["powers_q"]), tuple(item["powers_p"]),
-                      float(item["coeff"])))
-    return HamiltonianSymbol(tuple(terms), d=d)
-
-
 # --- grid operators ---------------------------------------------------------
 
 def _axis_ops(n, L):
@@ -182,22 +173,6 @@ def _axis_ops(n, L):
     qhat = np.diag(q.astype(complex))
     phat = F.conj().T @ (p[:, None] * F)
     return qhat, phat
-
-
-def position_operator(spec, axis=0):
-    return _embed_axis_op(spec, axis, _axis_ops(spec.n_per_axis, spec.half_width)[0])
-
-
-def momentum_operator(spec, axis=0):
-    return _embed_axis_op(spec, axis, _axis_ops(spec.n_per_axis, spec.half_width)[1])
-
-
-def _embed_axis_op(spec, axis, op):
-    n, d = spec.n_per_axis, spec.d
-    m = np.eye(1, dtype=complex)
-    for ax in range(d):
-        m = np.kron(m, op if ax == axis else np.eye(n, dtype=complex))
-    return m
 
 
 def _mccoy_axis(a, b, qhat, phat):

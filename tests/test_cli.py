@@ -195,6 +195,17 @@ def test_feedback_command(tmp_path):
     assert lines[0].startswith("t,plant_purity")
 
 
+def test_feedback_rerun_byte_identical(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "feedback_levels.json")
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["feedback", "--config", path, "--out", str(out)]) == 0
+    first, second = [(out / "scenario.csv").read_bytes() for out in outs]
+    assert len(first.splitlines()) == 12
+    assert first == second
+
+
 def test_feedback_form_verdict(tmp_path):
     cfg = json.loads(json.dumps({
         "version": "1",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import config
 from wignerlab.config import parse_config
 from wignerlab.errors import SchemaViolation, UnknownVersion, WignerLabError
 
@@ -41,6 +42,50 @@ def test_nonsymmetric_covariance_reported_at_path():
         parse_config(json.dumps(raw))
     paths = [p for p, _ in err.value.violations]
     assert any("covariance" in p for p in paths)
+
+
+@pytest.mark.parametrize("d, n", [(1, 8192), (2, 128), (3, 32), (10 ** 6, 2)])
+def test_grid_above_wigner_cell_cap_rejected(d, n, monkeypatch):
+    # the cap is checked on the numbers alone: no grid is ever built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("make_phase_space called for an over-cap grid")
+    monkeypatch.setattr(config, "make_phase_space", no_grid)
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["phase_space"].update(d=d, n_per_axis=n)
+    with pytest.raises(SchemaViolation) as err:
+        parse_config(json.dumps(raw))
+    [(path, reason)] = [v for v in err.value.violations
+                        if v[0] == "phase_space.n_per_axis"]
+    assert f"n_per_axis={n}" in reason and f"d={d}" in reason
+    assert str(config.MAX_WIGNER_CELLS) in reason
+
+
+@pytest.mark.parametrize("d, n", [(1, 4096), (2, 64)])
+def test_grid_at_wigner_cell_cap_accepted(d, n):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["phase_space"] = {"d": d, "n_per_axis": n, "half_width": 10.0,
+                          "covariance": [[float(i == j) for j in range(d)]
+                                         for i in range(d)]}
+    raw["hamiltonian"] = {"terms": []}
+    raw["initial_state"] = {"type": "ground"}
+    assert parse_config(json.dumps(raw)).phase_space.n_per_axis == n
+
+
+def test_layout_grid_factor_above_cap_rejected():
+    raw = {
+        "version": "1",
+        "layout": {
+            "P1": {"kind": "grid", "d": 1, "n_per_axis": 8192,
+                   "half_width": 10.0, "covariance": [[1.0]]},
+            "C1": {"kind": "levels", "dim": 4},
+        },
+        "hamiltonian": {"factors": {}},
+        "initial_state": {"type": "product", "factors": {
+            "P1": {"type": "ground"}, "C1": {"type": "ground"}}},
+    }
+    with pytest.raises(SchemaViolation) as err:
+        parse_config(json.dumps(raw))
+    assert "layout.P1.n_per_axis" in [p for p, _ in err.value.violations]
 
 
 def test_unknown_coupling_label_reported():

@@ -1,22 +1,30 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import embed_by_permutation
+from wignerlab import feedback
 from wignerlab import (DensityOperator, HamiltonianSymbol, LevelSpace,
                        RefinedParts, SubsystemLayout,
                        build_feedback_hamiltonian, build_general_hamiltonian,
                        build_refined_hamiltonian, classify_coupling,
                        embed_operator, partial_trace, pure_density,
-                       run_scenario, tensor, weyl_quantize,
+                       run_scenario, tensor, to_gaussian_rep, weyl_quantize,
                        wigner_from_density)
 from wignerlab.errors import (DimensionCap, FactorMismatch, NonHermitianInput,
-                              UnknownSubsystem)
+                              UnknownSubsystem, WrongRepresentation)
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK
-from wignerlab.hilbert import LEBESGUE, tensor_many
+from wignerlab.config import parse_config
+from wignerlab.hilbert import (LEBESGUE, exact_propagate, spectral_interval,
+                               tensor_many)
 from wignerlab.moyal import EvolutionRun
-from wignerlab.states import displaced_state, ground_state
+from wignerlab.runners import _make_run, assemble_layout, build_composite_state
+from wignerlab.states import displaced_state, ground_state, level_thermal
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 LV3 = LevelSpace(3)
 LV4 = LevelSpace(4)
@@ -379,3 +387,86 @@ def test_classifier_generator_set(axis_op):
     assert classify_coupling(other, layout).kind == NO_FEEDBACK
     crossed = np.kron(block, block)
     assert classify_coupling(crossed, layout).kind == GENERAL
+
+
+def _feedback_levels():
+    """configs/feedback_levels.json as the CLI builds it: D = 256, t = 0..3."""
+    with open(os.path.join(CONFIGS, "feedback_levels.json")) as f:
+        cfg = parse_config(f.read())
+    layout, hp, hc, K = assemble_layout(cfg)
+    H = build_general_hamiltonian(hp, hc, K, layout)
+    T0 = build_composite_state(cfg.initial_state, layout.system(),
+                               np.random.default_rng(cfg.seed))
+    return layout, H, hp, T0, _make_run(cfg)
+
+
+def _assert_matches_eigh_route(layout, H, T0, res):
+    evals, evecs = np.linalg.eigh(H)
+    for t, TP in res.plant_states:
+        Tt = DensityOperator(exact_propagate(T0.matrix, evals, evecs, t),
+                             LEBESGUE, layout.system())
+        ref = partial_trace(Tt, layout.plant_labels())
+        assert np.abs(TP.matrix - ref.matrix).max() <= 1e-12
+
+
+def _only_route(monkeypatch, route):
+    """Make the route that run_scenario should not take raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"run_scenario left the {route} route")
+    other = "exact_propagate" if route == "chebyshev" else "chebyshev_propagate"
+    monkeypatch.setattr(feedback, other, refuse)
+
+
+def test_scenario_on_factors_matches_eigh_route_feedback_levels(monkeypatch):
+    layout, H, hp, T0, run = _feedback_levels()
+    assert T0.factors is not None and T0.factors[0].shape == (256, 1)
+    _only_route(monkeypatch, "chebyshev")
+    res = run_scenario(layout, H, T0, run, h_plant=hp)
+    assert len(res.plant_states) == 11 and res.times[-1] == 3.0
+    _assert_matches_eigh_route(layout, H, T0, res)
+
+
+def test_scenario_long_horizon_takes_eigh_route(monkeypatch):
+    # rank 1, but the series would need more H-column products than an eigh
+    # (about 10 D) plus three D x D products per snapshot
+    layout, H, hp, T0, _ = _feedback_levels()
+    lo, hi = spectral_interval(H)
+    t_end = 2 * 256 * (feedback.EIGH_COST + 6) / (0.5 * (hi - lo))
+    run = EvolutionRun(dt=t_end, t_end=t_end, stride=1)
+    _only_route(monkeypatch, "eigh")
+    res = run_scenario(layout, H, T0, run, h_plant=hp)
+    assert len(res.plant_states) == 2
+
+
+def test_scenario_full_rank_product_takes_eigh_route(monkeypatch):
+    # a thermal product of full rank D records no factors
+    layout, H, hp, _, run = _feedback_levels()
+    ops = [DensityOperator(level_thermal(LV4, 0.5), LEBESGUE, LV4)] * 4
+    T0 = tensor_many(ops, layout.system())
+    assert T0.factors is None
+    _only_route(monkeypatch, "eigh")
+    res = run_scenario(layout, H, T0, run, h_plant=hp)
+    _assert_matches_eigh_route(layout, H, T0, res)
+
+
+def test_scenario_without_recorded_factors_takes_eigh_route(rng, monkeypatch):
+    # an entangled rank-3 state, built directly: no factors, so no eigh of T0
+    layout, H, hp, _, run = _feedback_levels()
+    D = layout.dim
+    V = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
+    V /= np.linalg.norm(V, axis=0)
+    T0 = DensityOperator((V * [0.5, 0.3, 0.2]) @ V.conj().T, LEBESGUE,
+                         layout.system())
+    assert T0.factors is None
+    _only_route(monkeypatch, "eigh")
+    res = run_scenario(layout, H, T0, run, h_plant=hp)
+    assert len(res.plant_states) == 11
+
+
+def test_scenario_rejects_gaussian_representation(spec32c):
+    layout = SubsystemLayout({"P1": spec32c, "C1": spec32c})
+    g = to_gaussian_rep(pure_density(ground_state(spec32c)))
+    T0 = tensor(g, g, layout.system())
+    run = EvolutionRun(dt=0.1, t_end=0.1, stride=1)
+    with pytest.raises(WrongRepresentation):
+        run_scenario(layout, np.zeros((layout.dim, layout.dim)), T0, run)

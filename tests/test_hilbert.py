@@ -10,9 +10,12 @@ from wignerlab.errors import (NonPositiveOperator, RepresentationMismatch,
                               SpecMismatch, UnknownSubsystem,
                               UnnormalizedState, WrongRepresentation)
 from wignerlab.hilbert import (LEBESGUE, RHO1, RHO2, StateVector,
-                               apply_operator)
-from wignerlab.states import displaced_state, ground_state, random_mixed, \
-    random_pure
+                               apply_operator, chebyshev_propagate,
+                               chebyshev_terms, exact_propagate, factorization,
+                               spectral_interval, tensor_many)
+from wignerlab.states import displaced_state, ground_state, level_thermal, \
+    random_mixed, random_pure
+from wignerlab.tolerances import TolerancePolicy
 from wignerlab.weyl import HamiltonianSymbol, weyl_quantize
 
 
@@ -171,3 +174,177 @@ def test_psd_floor_reported(lab64):
     with pytest.raises(NonPositiveOperator):
         op.validate()
     assert op.min_eigenvalue() < -1e-8
+
+
+# --- tensor products and their factors -----------------------------------------
+
+def test_tensor_many_checks_each_factor_dimension():
+    # a 2 (x) 8 product has the right total dimension for 4 (x) 4
+    sys = CompositeSystem((("A", LevelSpace(4)), ("B", LevelSpace(4))))
+    two = DensityOperator(np.eye(2) / 2, LEBESGUE, LevelSpace(2))
+    eight = DensityOperator(np.eye(8) / 8, LEBESGUE, LevelSpace(8))
+    with pytest.raises(SpecMismatch):
+        tensor_many([two, eight], sys)
+
+
+def test_tensor_many_checks_representations(sys2, spec32c):
+    a = pure_density(ground_state(spec32c))
+    g = to_gaussian_rep(a)
+    with pytest.raises(RepresentationMismatch):
+        tensor_many([a, g], sys2)
+    with pytest.raises(RepresentationMismatch):
+        tensor_many([g, a], sys2)
+
+
+def test_tensor_many_keeps_first_tolerances(sys2, spec32c):
+    tol = TolerancePolicy(trace_one=1e-6, psd_floor=1e-7)
+    a = DensityOperator(pure_density(ground_state(spec32c)).matrix, LEBESGUE,
+                        spec32c, tol)
+    assert tensor_many([a, a], sys2).tol is tol
+    assert tensor(a, a, sys2).tol is tol
+
+
+def _product_case(case, sys2, spec32c, rng):
+    """(operators, system, expected rank) of a product state."""
+    if case == "pure_grid":
+        return ([pure_density(displaced_state(spec32c, 1.0, 0.3)),
+                 pure_density(ground_state(spec32c))], sys2, 1)
+    if case == "mixed_grid":
+        return ([random_mixed(spec32c, rng, 4, max_quanta=3),
+                 pure_density(ground_state(spec32c))], sys2, 4)
+    lv = LevelSpace(4)
+    e0 = np.eye(4)[:, 0]
+    sys4 = CompositeSystem(tuple((lab, lv) for lab in ("P1", "P2", "C1", "C2")))
+    ops = [DensityOperator(level_thermal(lv, 0.7), LEBESGUE, lv)] + \
+        [DensityOperator(np.outer(e0, e0), LEBESGUE, lv)] * 3
+    return ops, sys4, 4
+
+
+@pytest.mark.parametrize("case", ["pure_grid", "mixed_grid", "levels"])
+def test_recorded_factors_reproduce_the_product(case, sys2, spec32c, rng):
+    ops, sys, rank = _product_case(case, sys2, spec32c, rng)
+    T = tensor_many(ops, sys)
+    F, w = T.factors
+    assert F.shape == (sys.dim, rank) and w.shape == (rank,)
+    assert np.abs((F * w) @ F.conj().T - T.matrix).max() <= 1e-14
+    assert abs(w.sum() - 1.0) <= 1e-14
+    if len(ops) == 2:
+        T2 = tensor(*ops, sys)
+        assert np.array_equal(T2.matrix, T.matrix)
+        assert np.array_equal(T2.factors[0], F)
+
+
+def test_tensor_many_records_factors_up_to_half_rank():
+    sys = CompositeSystem((("A", LevelSpace(2)), ("B", LevelSpace(4))))
+    e0 = np.eye(2)[:, 0]
+    pure = DensityOperator(np.outer(e0, e0), LEBESGUE, LevelSpace(2))
+    hot2 = DensityOperator(level_thermal(LevelSpace(2), 0.5), LEBESGUE,
+                           LevelSpace(2))
+    hot4 = DensityOperator(level_thermal(LevelSpace(4), 0.5), LEBESGUE,
+                           LevelSpace(4))
+    half = tensor_many([pure, hot4], sys)          # r = 4 = D/2
+    F, w = half.factors
+    assert np.abs((F * w) @ F.conj().T - half.matrix).max() <= 1e-14
+    full = tensor_many([hot2, hot4], sys)          # r = 8 = D
+    assert full.factors is None
+    assert np.array_equal(full.matrix, np.kron(hot2.matrix, hot4.matrix))
+
+
+def test_factorization_without_recorded_factors(spec32c, rng):
+    T = random_mixed(spec32c, rng, 3)
+    assert T.factors is None
+    F, w = factorization(T)
+    assert F.shape == (spec32c.hilbert_dim, 3)
+    assert np.abs((F * w) @ F.conj().T - T.matrix).max() <= 1e-14
+    # a Hermitian operator that is not PSD keeps its negative weight
+    S = DensityOperator(np.diag([0.75, 0.5, -0.25]), LEBESGUE, LevelSpace(3))
+    assert sorted(factorization(S)[1]) == [-0.25, 0.5, 0.75]
+
+
+def test_gaussian_operators_carry_no_factors(sys2, spec32c):
+    g = to_gaussian_rep(pure_density(ground_state(spec32c)))
+    assert tensor(g, g, sys2).factors is None
+    with pytest.raises(WrongRepresentation):
+        factorization(g)
+
+
+# --- exact propagation on factors ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def coupled_two_mode(spec32c):
+    """The feedback_d2 shape: two n = 32 oscillators, qq + pp coupled (D = 1024)."""
+    n = spec32c.n_per_axis
+    osc = weyl_quantize(HamiltonianSymbol((((2,), (0,), 0.5),
+                                           ((0,), (2,), 0.5)), d=1), spec32c)
+    qh = weyl_quantize(HamiltonianSymbol((((1,), (0,), 1.0),), d=1), spec32c)
+    ph = weyl_quantize(HamiltonianSymbol((((0,), (1,), 1.0),), d=1), spec32c)
+    eye = np.eye(n)
+    H = np.kron(osc, eye) + np.kron(eye, osc) + 0.4 * np.kron(qh, qh) \
+        + 0.1 * np.kron(ph, ph)
+    evals, evecs = np.linalg.eigh(H)
+    return H, evals, evecs
+
+
+@pytest.mark.parametrize("case, t", [("pure_grid", 0.1), ("mixed_grid", 0.1),
+                                     ("mixed_grid", 1.3)])
+def test_chebyshev_on_factors_matches_eigh_route(case, t, coupled_two_mode,
+                                                 sys2, spec32c, rng):
+    H, evals, evecs = coupled_two_mode
+    ops, _, rank = _product_case(case, sys2, spec32c, rng)
+    T0 = tensor_many(ops, sys2)
+    F, w = T0.factors
+    X = chebyshev_propagate(H, F, t, spectral_interval(H))
+    assert X.shape == (sys2.dim, rank)
+    ref = exact_propagate(T0.matrix, evals, evecs, t)
+    assert np.abs((X * w) @ X.conj().T - ref).max() <= 1e-12
+
+
+def test_chebyshev_trace_and_purity_drift(coupled_two_mode, sys2, spec32c, rng):
+    H, _, _ = coupled_two_mode
+    T0 = tensor(random_mixed(spec32c, rng, 4, max_quanta=3),
+                pure_density(ground_state(spec32c)), sys2)
+    X, w = T0.factors
+    interval = spectral_interval(H)
+
+    def trace_purity(X):
+        G = X.conj().T @ X
+        return float(w @ G.diagonal().real), float(w @ np.abs(G) ** 2 @ w)
+
+    tr0, pu0 = trace_purity(X)
+    for _ in range(10):             # t = 0.3, 0.6, ..., 3.0
+        X = chebyshev_propagate(H, X, 0.3, interval)
+        tr, pu = trace_purity(X)
+        assert abs(tr - tr0) <= 1e-13
+        assert abs(pu - pu0) <= 1e-13
+
+
+def test_chebyshev_interval_and_edge_cases(coupled_two_mode, rng):
+    H, evals, _ = coupled_two_mode
+    lo, hi = spectral_interval(H)
+    assert lo <= evals[0] and evals[-1] <= hi
+    X = rng.standard_normal((H.shape[0], 2)) + 0j
+    same = chebyshev_propagate(H, X, 0.0, (lo, hi))
+    assert np.array_equal(same, X) and same is not X
+    # H = c I: a degenerate interval, the propagator is a phase
+    c = 2.5
+    Hc = c * np.eye(4)
+    out = chebyshev_propagate(Hc, X[:4], 0.7, spectral_interval(Hc))
+    assert np.abs(out - np.exp(-1j * c * 0.7) * X[:4]).max() <= 1e-14
+
+
+def test_chebyshev_terms_counts_the_products(coupled_two_mode, rng):
+    class Counting:
+        def __init__(self, H):
+            self.H, self.products = H, 0
+
+        def __matmul__(self, Y):
+            self.products += 1
+            return self.H @ Y
+
+    H, _, _ = coupled_two_mode
+    interval = spectral_interval(H)
+    X = rng.standard_normal((H.shape[0], 1)) + 0j
+    for t in (0.0, 0.1, 1.3):
+        counting = Counting(H)
+        chebyshev_propagate(counting, X, t, interval)
+        assert counting.products == chebyshev_terms(interval, t)
