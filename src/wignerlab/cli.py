@@ -46,7 +46,7 @@ def build_parser():
     return p
 
 
-def _run_verify(args, cfg_text, level, out_dir):
+def _run_verify(cfg_text, level, out_dir):
     results = verify.run_suite(level)
     lines = []
     ok = True
@@ -106,7 +106,7 @@ def _run(args):
 
     if args.command == "verify":
         level = args.level or (cfg.verify_level if cfg else "quick")
-        return _run_verify(args, cfg_text, level, out_dir)
+        return _run_verify(cfg_text, level, out_dir)
 
     handler = {
         "transform": runners.cmd_transform,

@@ -127,18 +127,26 @@ def _build_phase_space(section, path, violations, tol):
     if missing:
         violations.append((path, f"missing key(s) {missing}"))
         return None
+    d = _integer(section["d"])
+    n = _integer(section["n_per_axis"])
+    half_width = _real(section["half_width"])
+    for key, value, reason in (
+            ("d", d, "not an integer"), ("n_per_axis", n, "not an integer"),
+            ("half_width", half_width, "not a real number")):
+        if value is None:
+            violations.append((f"{path}.{key}", reason))
+    if None in (d, n, half_width):
+        return None
+    # checked on the numbers alone, before any grid is built
+    if (d >= 1 and n >= 2
+            and 2 * d * math.log2(n) > math.log2(MAX_WIGNER_CELLS)):
+        violations.append((f"{path}.n_per_axis",
+                           f"n_per_axis={n} with d={d} gives n^(2d) Wigner "
+                           f"cells, above the cap {MAX_WIGNER_CELLS} (2^24)"))
+        return None
     try:
-        d = int(section["d"])
-        n = int(section["n_per_axis"])
-        # checked on the numbers alone, before any grid is built
-        if (d >= 1 and n >= 2
-                and 2 * d * math.log2(n) > math.log2(MAX_WIGNER_CELLS)):
-            violations.append((f"{path}.n_per_axis",
-                               f"n_per_axis={n} with d={d} gives n^(2d) Wigner "
-                               f"cells, above the cap {MAX_WIGNER_CELLS} (2^24)"))
-            return None
         cov = np.asarray(section["covariance"], dtype=float)
-        return make_phase_space(d, n, float(section["half_width"]), cov, tol)
+        return make_phase_space(d, n, half_width, cov, tol)
     except (NonSymmetricCovariance, NonPositiveCovariance) as exc:
         violations.append((f"{path}.covariance", str(exc)))
     except InsufficientDomain as exc:

@@ -12,10 +12,10 @@ from .feedback import (CouplingSpec, SubsystemLayout,
                        run_scenario)
 from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
                       tensor_many)
-from .moyal import (EvolutionRun, MoyalGenerator, evolve, pair_snapshots,
-                    von_neumann_oracle)
+from .moyal import EvolutionRun, MoyalGenerator, evolve, von_neumann_oracle
 from .states import (cat_state, displaced_state, ground_state, level_coherent,
                      level_ground, level_thermal, random_mixed, thermal_state)
+from .verify import check_oracle_agreement
 from .weyl import weyl_quantize
 from .wigner import eta_density, purity_estimate, wigner_from_density
 
@@ -191,24 +191,14 @@ def cmd_compare(cfg, out_dir):
     """Twin run: Moyal vs density-operator oracle, machine-readable report."""
     out_dir = _ensure_out(out_dir)
     rng = np.random.default_rng(cfg.seed)
-    spec = cfg.phase_space
-    T0 = build_state(cfg.initial_state, spec, rng)
-    W0 = wigner_from_density(T0)
-    gen = MoyalGenerator(cfg.hamiltonian, spec,
-                         truncation=int(cfg.run["truncation_k"]),
-                         scheme=cfg.run["derivative_scheme"])
-    run = _make_run(cfg)
-    res = evolve(W0, gen, run)
-    oracle = von_neumann_oracle(T0, cfg.hamiltonian, run)
-    rows = {"t": [], "max_abs_error": []}
-    worst = 0.0
-    for t, f, Tt in pair_snapshots(res.snapshots, oracle):
-        Wo = wigner_from_density(Tt)
-        err = float(np.abs(f.values - Wo.values).max())
-        rows["t"].append(t)
-        rows["max_abs_error"].append(err)
-        worst = max(worst, err)
+    T0 = build_state(cfg.initial_state, cfg.phase_space, rng)
+    errors, _ = check_oracle_agreement(
+        T0, cfg.hamiltonian, int(cfg.run["truncation_k"]), _make_run(cfg),
+        scheme=cfg.run["derivative_scheme"])
+    rows = {"t": [t for t, _ in errors],
+            "max_abs_error": [e for _, e in errors]}
     serialize.save_series_csv(rows, os.path.join(out_dir, "compare.csv"))
+    worst = max(rows["max_abs_error"])
     tolerance = float(cfg.run["compare_tolerance"])
     report = {"max_abs_error": worst, "tolerance": tolerance,
               "pass": bool(worst <= tolerance)}

@@ -1,8 +1,22 @@
-"""Named invariant suite behind the `verify` CLI command.
+"""Named invariant checks behind the `verify` CLI command and the tests.
 
-Each check returns (name, residual, tolerance); a check passes when
-residual < tolerance. The quick level runs small sizes in a few seconds,
-the full level runs the acceptance-sized geometries.
+Each `check_*` function is the one implementation of its invariant. It
+takes what its callers vary and returns the worst residual it saw:
+
+- the random-state checks take a spec, a state count and a
+  `np.random.Generator` (states are drawn with `random_mixed`, in order) and
+  return a float, or a dict of named floats when one loop measures several
+  things (mass and peak, mass and pairing);
+- the series check takes a Wigner field, the reduction check a composite
+  density operator, the Wick check a generator;
+- the evolution checks take the initial state, symbol, truncation and
+  `EvolutionRun` and return [(t, error)] over the snapshots paired by time;
+  `check_oracle_agreement` also returns the `EvolutionResult`.
+
+`run_suite` calls every check at the quick or full size and folds it into a
+(name, residual, tolerance) triple that passes when residual < tolerance.
+The acceptance criteria (tests/test_acceptance.py) call the same checks at
+their own sizes, seeds and bounds.
 """
 
 import math
@@ -10,194 +24,178 @@ import math
 import numpy as np
 
 from .feedback import (FEEDBACK, GENERAL, NO_FEEDBACK, SubsystemLayout,
-                       build_feedback_hamiltonian, classify_coupling)
-from .hilbert import LevelSpace, partial_trace, pure_density, tensor
-from .hilbert import CompositeSystem
-from .lattice import make_phase_space
-from .moyal import (EvolutionRun, MoyalGenerator, evolve, moyal_rhs,
-                    pair_snapshots, von_neumann_oracle)
+                       classify_coupling, embed_operator)
+from .hilbert import (CompositeSystem, LevelSpace, partial_trace,
+                      pure_density, tensor)
+from .lattice import GaussianMeasure, make_phase_space
+from .moyal import (EvolutionRun, MoyalGenerator, evolve,
+                    gaussian_measure_derivative, moyal_rhs, pair_snapshots,
+                    von_neumann_oracle)
 from .states import (analytic_gaussian_eta, displaced_state, ground_state,
                      random_mixed)
-from .weyl import HamiltonianSymbol, expectation
+from .tolerances import TolerancePolicy
+from .weyl import HamiltonianSymbol, expectation, weyl_quantize
 from .wigner import (eta_density, eta_to_wigner, inverse_wigner,
-                     pair_expectation, purity_estimate, reduce_wigner,
-                     total_variation, weyl_samples_field, wigner_from_density,
+                     pair_expectation, reduce_wigner, total_variation,
+                     weyl_samples_field, wigner_from_density,
                      wigner_from_weyl_function)
 
+OSC = HamiltonianSymbol((((2,), (0,), 0.5), ((0,), (2,), 0.5)), d=1)
+QUARTIC = HamiltonianSymbol((((0,), (2,), 0.5), ((4,), (0,), 0.25)), d=1)
 
-from .tolerances import TolerancePolicy
-
+# n = 32 boxes carry lattice tails above the strict defaults
 _QUICK_TOL = TolerancePolicy(domain_tail_mass=1e-10, imaginary_residue=1e-5)
 
 
-def _lab(n=32, L=8.0):
-    tol = _QUICK_TOL if n < 64 else None
-    if tol is None:
-        return make_phase_space(1, n, L, [[1.0]])
-    return make_phase_space(1, n, L, [[1.0]], tol)
+def check_normalization_and_bound(spec, count, rng):
+    """Worst |integral W - 1| ("mass") and max |W| ("peak")."""
+    mass = peak = 0.0
+    for _ in range(count):
+        W = wigner_from_density(random_mixed(spec, rng))
+        mass = max(mass, abs(W.integrate().real - 1.0))
+        peak = max(peak, float(np.abs(W.values).max()))
+    return {"mass": mass, "peak": peak}
 
 
-def _osc_symbol():
-    return HamiltonianSymbol((((2,), (0,), 0.5), ((0,), (2,), 0.5)), d=1)
-
-
-def check_normalization_and_bound(n, L, count, seed=0):
-    spec = _lab(n, L)
-    rng = np.random.default_rng(seed)
+def check_pairing(spec, count, rng):
+    """Worst |<q^a p^b, W> - tr(T Op(q^a p^b))| over a + b <= 4."""
+    symbols = [HamiltonianSymbol((((a,), (b,), 1.0),), d=1)
+               for a in range(5) for b in range(5 - a)]
+    ops = [weyl_quantize(sym, spec) for sym in symbols]
     worst = 0.0
     for _ in range(count):
         T = random_mixed(spec, rng)
         W = wigner_from_density(T)
-        worst = max(worst, abs(W.integrate().real - 1.0))
-        worst = max(worst, max(0.0, float(np.abs(W.values).max()) - 1 / math.pi))
+        for sym, op in zip(symbols, ops):
+            worst = max(worst, abs(pair_expectation(W, sym)
+                                   - float(np.trace(T.matrix @ op).real)))
     return worst
 
 
-def check_pairing(n, L, count, seed=1):
-    spec = _lab(n, L)
-    rng = np.random.default_rng(seed)
+def check_route_equivalence(spec, count, rng, samples=weyl_samples_field):
+    """Worst max |W - W from the Weyl samples| (kernel vs Weyl route).
+
+    `samples(T)` builds the Weyl-sample field of T.
+    """
     worst = 0.0
     for _ in range(count):
         T = random_mixed(spec, rng)
-        W = wigner_from_density(T)
-        for a in range(5):
-            for b in range(5 - a):
-                sym = HamiltonianSymbol((((a,), (b,), 1.0),), d=1)
-                worst = max(worst, abs(pair_expectation(W, sym)
-                                       - expectation(T, sym)))
+        W2 = wigner_from_weyl_function(samples(T))
+        worst = max(worst, float(np.abs(wigner_from_density(T).values
+                                        - W2.values).max()))
     return worst
 
 
-def check_route_equivalence(n, L, count, seed=2):
-    spec = _lab(n, L)
-    rng = np.random.default_rng(seed)
+def check_roundtrip(spec, count, rng):
+    """Worst relative Frobenius error of inverse_wigner(W[T]) against T."""
     worst = 0.0
     for _ in range(count):
         T = random_mixed(spec, rng)
-        W1 = wigner_from_density(T)
-        W2 = wigner_from_weyl_function(weyl_samples_field(T))
-        worst = max(worst, float(np.abs(W1.values - W2.values).max()))
-    return worst
-
-
-def check_roundtrip(n, L, count, seed=3):
-    spec = _lab(n, L)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        T = random_mixed(spec, rng)
-        W = wigner_from_density(T)
-        T2 = inverse_wigner(W)
+        T2 = inverse_wigner(wigner_from_density(T))
         worst = max(worst, float(np.linalg.norm(T2.matrix - T.matrix)
                                  / np.linalg.norm(T.matrix)))
     return worst
 
 
-def check_eta(n, L):
-    spec = _lab(n, L)
-    T = pure_density(ground_state(spec))
-    W = wigner_from_density(T)
-    phi = eta_density(W)
-    res = abs(phi.eta_integrate().real - 1.0)
-    sym = _osc_symbol()
-    res = max(res, abs(pair_expectation(phi, sym) - expectation(T, sym)))
-    back = eta_to_wigner(phi)
-    res = max(res, float(np.abs(back.values - W.values).max()))
-    return res
+def check_eta(spec, count, rng):
+    """Eta-density identities: worst mass error ("mass"), oscillator
+    pairing error ("pairing") and max |eta_to_wigner(Phi) - W| ("inverse").
+    """
+    mass = pairing = inverse = 0.0
+    for _ in range(count):
+        T = random_mixed(spec, rng)
+        W = wigner_from_density(T)
+        phi = eta_density(W)
+        mass = max(mass, abs(phi.eta_integrate().real - 1.0))
+        pairing = max(pairing, abs(pair_expectation(phi, OSC)
+                                   - expectation(T, OSC)))
+        inverse = max(inverse, float(np.abs(eta_to_wigner(phi).values
+                                            - W.values).max()))
+    return {"mass": mass, "pairing": pairing, "inverse": inverse}
 
 
-def check_quadratic_exactness(n, L):
-    spec = _lab(n, L)
-    W = wigner_from_density(pure_density(displaced_state(spec, 1.0, 0.5)))
-    res = 0.0
-    sym2 = _osc_symbol()
-    r1 = moyal_rhs(W, MoyalGenerator(sym2, spec, truncation=1))
-    r4 = moyal_rhs(W, MoyalGenerator(sym2, spec, truncation=4))
-    res = max(res, float(np.abs(r1.values - r4.values).max()))
-    sym4 = HamiltonianSymbol((((0,), (2,), 0.5), ((4,), (0,), 0.25)), d=1)
-    r2 = moyal_rhs(W, MoyalGenerator(sym4, spec, truncation=2))
-    r4b = moyal_rhs(W, MoyalGenerator(sym4, spec, truncation=4))
-    res = max(res, float(np.abs(r2.values - r4b.values).max()))
-    return res
+def check_quadratic_exactness(W):
+    """max |RHS_K - RHS_4| where the Moyal series ends: K = 1 for the
+    oscillator ("quadratic"), K = 2 for the quartic ("quartic")."""
+    out = {}
+    for name, sym, K in (("quadratic", OSC, 1), ("quartic", QUARTIC, 2)):
+        rK = moyal_rhs(W, MoyalGenerator(sym, W.space, truncation=K))
+        r4 = moyal_rhs(W, MoyalGenerator(sym, W.space, truncation=4))
+        out[name] = float(np.abs(rK.values - r4.values).max())
+    return out
 
 
-def check_oracle_agreement(n, L, t_end, dt):
-    spec = _lab(n, L)
-    T0 = pure_density(displaced_state(spec, 2.0, 0.0))
-    W0 = wigner_from_density(T0)
-    gen = MoyalGenerator(_osc_symbol(), spec, truncation=1)
-    run = EvolutionRun(dt=dt, t_end=t_end, stride=max(1, int(t_end / dt) // 4))
-    res = evolve(W0, gen, run)
-    oracle = von_neumann_oracle(T0, _osc_symbol(), run)
-    worst = 0.0
-    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
-        Wo = wigner_from_density(Tt)
-        worst = max(worst, float(np.abs(f.values - Wo.values).max()))
-    return worst
+def oracle_errors(snapshots, oracle):
+    """[(t, max |W(t) - W[T_oracle(t)]|)] over snapshots paired by time."""
+    return [(t, float(np.abs(f.values - wigner_from_density(Tt).values).max()))
+            for t, f, Tt in pair_snapshots(snapshots, oracle)]
 
 
-def check_eta_route(n, L, t_end, dt):
-    spec = _lab(n, L)
-    phi0 = analytic_gaussian_eta(spec, 1.5, 0.0)
-    W0 = eta_to_wigner(phi0)
-    gen = MoyalGenerator(_osc_symbol(), spec, truncation=1)
-    run = EvolutionRun(dt=dt, t_end=t_end, stride=max(1, int(t_end / dt) // 2))
-    resW = evolve(W0, gen, run)
-    resP = evolve(phi0, MoyalGenerator(_osc_symbol(), spec, truncation=1), run)
-    worst = 0.0
-    for _, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots):
-        worst = max(worst, total_variation(fP, eta_density(fW)))
-    return worst
+def check_oracle_agreement(T0, symbol, truncation, run, scheme="spectral"):
+    """Moyal evolution of W[T0] against the von Neumann oracle.
+
+    Returns (oracle_errors, the EvolutionResult).
+    """
+    gen = MoyalGenerator(symbol, T0.space, truncation=truncation,
+                         scheme=scheme)
+    res = evolve(wigner_from_density(T0), gen, run)
+    oracle = von_neumann_oracle(T0, symbol, run)
+    return oracle_errors(res.snapshots, oracle), res
 
 
-def check_reduction_square(n, L):
-    specs = [make_phase_space(1, n, L, [[1.0]], _QUICK_TOL) for _ in range(2)]
-    sys2 = CompositeSystem((("A", specs[0]), ("B", specs[1])))
-    Ta = pure_density(displaced_state(specs[0], 1.0, 0.0))
-    Tb = pure_density(ground_state(specs[1]))
-    T = tensor(Ta, Tb, sys2)
-    Wfull = wigner_from_density(T)
-    Wred = reduce_wigner(Wfull, "A")
-    Wdirect = wigner_from_density(partial_trace(T, "A"))
-    return float(np.abs(Wred.values - Wdirect.values).max())
+def check_eta_route(phi0, symbol, truncation, run):
+    """[(t, TV(Phi(t), eta_density(W(t))))]: eta evolution against the eta
+    division of the Wigner evolution from eta_to_wigner(phi0)."""
+    gen = MoyalGenerator(symbol, phi0.space, truncation=truncation)
+    resW = evolve(eta_to_wigner(phi0), gen, run)
+    resP = evolve(phi0, gen, run)
+    return [(t, total_variation(fP, eta_density(fW)))
+            for t, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots)]
 
 
-def check_feedback_axioms():
+def check_reduction_square(T):
+    """max |reduce(W[T]) - W[partial trace of T]|, keeping the first factor."""
+    keep = T.space.labels[0]
+    Wred = reduce_wigner(wigner_from_density(T), keep)
+    return float(np.abs(Wred.values
+                        - wigner_from_density(partial_trace(T, keep)).values
+                        ).max())
+
+
+def feedback_couplings():
+    """Four qutrit roles and one position coupling of each class.
+
+    Returns (layout, {class: K}).
+    """
     lv = LevelSpace(3)
     layout = SubsystemLayout({"P1": lv, "P2": lv, "C1": lv, "C2": lv})
     q = lv.position_op()
     k1 = np.kron(q, q)
-    H = build_feedback_hamiltonian(
-        np.kron(q, np.eye(3)) * 0.0, np.zeros((9, 9)), k1, k1, layout)
-    from .feedback import embed_operator
-    K = embed_operator(k1, ("P1", "C1"), layout) \
-        + embed_operator(k1, ("P2", "C2"), layout)
-    v = classify_coupling(K, layout)
-    res = 0.0 if v.kind == FEEDBACK else 1.0
-    res = max(res, v.residual)
-    v1 = classify_coupling(embed_operator(k1, ("P1", "C1"), layout), layout)
-    res = max(res, 0.0 if v1.kind == NO_FEEDBACK else 1.0, v1.residual)
-    four = np.kron(np.kron(q, q), np.kron(q, q))
-    vg = classify_coupling(four, layout)
-    res = max(res, 0.0 if vg.kind == GENERAL else 1.0)
-    del H
-    return res
+    one = embed_operator(k1, ("P1", "C1"), layout)
+    return layout, {FEEDBACK: one + embed_operator(k1, ("P2", "C2"), layout),
+                    GENERAL: np.kron(k1, k1),
+                    NO_FEEDBACK: one}
 
 
-def check_wick(seed=4):
-    from .moyal import gaussian_measure_derivative
-    from .lattice import GaussianMeasure
-    rng = np.random.default_rng(seed)
+def check_feedback_axioms():
+    """classify_coupling on each coupling: {expected class: verdict}."""
+    layout, couplings = feedback_couplings()
+    return {kind: classify_coupling(K, layout)
+            for kind, K in couplings.items()}
+
+
+def check_wick(rng, count=20):
+    """Worst |Wick derivative - centered difference| over orders 1 and 2."""
     mu = GaussianMeasure.from_covariance([[1.0, 0.3], [0.3, 2.0]])
     eps = 1e-5
     worst = 0.0
-    for _ in range(20):
+    for _ in range(count):
         x = rng.uniform(-2, 2, size=2)
         h1 = rng.normal(size=2)
-        d1 = gaussian_measure_derivative(mu, [h1], x)
-        fd = (mu.density(x + eps * h1) - mu.density(x - eps * h1)) / (2 * eps)
-        worst = max(worst, abs(d1 - fd))
         h2 = rng.normal(size=2)
+        d1 = gaussian_measure_derivative(mu, [h1], x)
+        fd1 = (mu.density(x + eps * h1) - mu.density(x - eps * h1)) / (2 * eps)
+        worst = max(worst, abs(d1 - fd1))
         d2 = gaussian_measure_derivative(mu, [h1, h2], x)
         fd2 = (gaussian_measure_derivative(mu, [h1], x + eps * h2)
                - gaussian_measure_derivative(mu, [h1], x - eps * h2)) / (2 * eps)
@@ -205,30 +203,49 @@ def check_wick(seed=4):
     return worst
 
 
+def _worst(errors):
+    return max(e for _, e in errors)
+
+
 def run_suite(level="quick"):
     """Run all named invariants; returns a list of (name, residual, tol)."""
-    if level == "full":
-        n, L, count = 64, 10.0, 20
-        t_end, dt = 2 * math.pi, 1e-3
-    else:
-        # structural checks stay exact at any size, but tail-sensitive ones
-        # need the full-size box; quick just draws fewer samples
-        n, L, count = 64, 10.0, 4
-        t_end, dt = 0.5, 1e-3
-    n2 = 32
-    checks = [
+    # the tail-sensitive checks need the full-size box at both levels; quick
+    # draws fewer states and evolves over a shorter horizon
+    count, t_end = (20, 2 * math.pi) if level == "full" else (4, 0.5)
+    few, dt, t_eta = max(count // 2, 2), 1e-3, min(t_end, 1.0)
+    spec = make_phase_space(1, 64, 10.0, [[1.0]])
+    norm = check_normalization_and_bound(spec, count, np.random.default_rng(0))
+    W = wigner_from_density(pure_density(displaced_state(spec, 1.0, 0.5)))
+    oracle, _ = check_oracle_agreement(
+        pure_density(displaced_state(spec, 2.0, 0.0)), OSC, 1,
+        EvolutionRun(dt=dt, t_end=t_end, stride=max(1, int(t_end / dt) // 4)))
+    eta_route = check_eta_route(
+        analytic_gaussian_eta(spec, 1.5, 0.0), OSC, 1,
+        EvolutionRun(dt=dt, t_end=t_eta, stride=max(1, int(t_eta / dt) // 2)))
+    spec2 = make_phase_space(1, 32, 7.2, [[1.0]], _QUICK_TOL)
+    product = tensor(pure_density(displaced_state(spec2, 1.0, 0.0)),
+                     pure_density(ground_state(spec2)),
+                     CompositeSystem((("A", spec2), ("B", spec2))))
+    verdicts = check_feedback_axioms()
+    return [
         ("wigner_normalization_and_bound",
-         check_normalization_and_bound(n, L, count), 1e-8),
-        ("symbol_pairing", check_pairing(n, L, max(count // 2, 2)), 1e-6),
+         max(norm["mass"], norm["peak"] - 1 / math.pi), 1e-8),
+        ("symbol_pairing",
+         check_pairing(spec, few, np.random.default_rng(1)), 1e-6),
         ("weyl_route_equivalence",
-         check_route_equivalence(n, L, max(count // 2, 2)), 1e-6),
-        ("inversion_roundtrip", check_roundtrip(n, L, max(count // 2, 2)), 1e-8),
-        ("eta_density_consistency", check_eta(n, L), 1e-6),
-        ("quadratic_exactness", check_quadratic_exactness(n, L), 1e-12),
-        ("oracle_agreement", check_oracle_agreement(n, L, t_end, dt), 1e-4),
-        ("eta_route", check_eta_route(n, L, min(t_end, 1.0), dt), 1e-7),
-        ("reduction_commuting_square", check_reduction_square(n2, 7.2), 1e-8),
-        ("feedback_axioms", check_feedback_axioms(), 1e-8),
-        ("wick_formulas", check_wick(), 1e-7),
+         check_route_equivalence(spec, few, np.random.default_rng(2)), 1e-6),
+        ("inversion_roundtrip",
+         check_roundtrip(spec, few, np.random.default_rng(3)), 1e-8),
+        ("eta_density_consistency",
+         max(check_eta(spec, few, np.random.default_rng(5)).values()), 1e-6),
+        ("quadratic_exactness",
+         max(check_quadratic_exactness(W).values()), 1e-12),
+        ("oracle_agreement", _worst(oracle), 1e-4),
+        ("eta_route", _worst(eta_route), 1e-7),
+        ("reduction_commuting_square", check_reduction_square(product), 1e-8),
+        ("feedback_axioms",
+         max(*(float(v.kind != kind) for kind, v in verdicts.items()),
+             verdicts[FEEDBACK].residual, verdicts[NO_FEEDBACK].residual),
+         1e-8),
+        ("wick_formulas", check_wick(np.random.default_rng(4)), 1e-7),
     ]
-    return checks

@@ -1,8 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-Tolerances are pinned here, not configured elsewhere. Random states are drawn
-from the grid-faithful ensemble (low oscillator quanta) so the strict
-transform tolerances measure the library, not the states' box tails.
+The invariants are computed by the `wignerlab.verify` checks, the code the
+`verify` command runs; geometry, seeds, counts and tolerances are pinned
+here, not configured elsewhere. Random states are drawn from the
+grid-faithful ensemble (low oscillator quanta) so the strict transform
+tolerances measure the library, not the states' box tails.
 """
 
 import math
@@ -13,24 +15,22 @@ import numpy as np
 import pytest
 
 from oracles import chi_by_explicit_unitaries
-from wignerlab import (HamiltonianSymbol, LevelSpace, SubsystemLayout,
-                       build_feedback_hamiltonian, classify_coupling,
-                       embed_operator, expectation, eta_density, eta_to_wigner,
-                       inverse_wigner, pair_expectation, partial_trace,
-                       pure_density, run_scenario, tensor, total_variation,
-                       weyl_quantize, weyl_samples_field, wigner_from_density,
-                       wigner_from_weyl_function)
+from wignerlab import (LevelSpace, SubsystemLayout, build_feedback_hamiltonian,
+                       classify_coupling, pure_density, run_scenario, tensor,
+                       weyl_quantize, wigner_from_density)
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK
 from wignerlab.hilbert import DensityOperator, LEBESGUE, tensor_many
 from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
-                             gaussian_measure_derivative, moyal_rhs,
-                             pair_snapshots, von_neumann_oracle)
+                             von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, displaced_state,
-                              ground_state, random_mixed)
+                              ground_state)
+from wignerlab.verify import (
+    OSC, QUARTIC, check_eta, check_eta_route, check_feedback_axioms,
+    check_normalization_and_bound, check_oracle_agreement, check_pairing,
+    check_quadratic_exactness, check_reduction_square, check_roundtrip,
+    check_route_equivalence, check_wick, feedback_couplings, oracle_errors)
+from wignerlab.weyl import HamiltonianSymbol
 from wignerlab.wigner import WEYL_SAMPLES, PhaseSpaceField
-
-OSC = HamiltonianSymbol((((2,), (0,), 0.5), ((0,), (2,), 0.5)), d=1)
-QUARTIC = HamiltonianSymbol((((0,), (2,), 0.5), ((4,), (0,), 0.25)), d=1)
 
 
 def _report(name, value, tol, direction="<"):
@@ -39,108 +39,66 @@ def _report(name, value, tol, direction="<"):
     assert ok, f"{name}: {value:.3e} not {direction} {tol:g}"
 
 
+def _worst(errors):
+    return max(e for _, e in errors)
+
+
 def test_criterion_01_normalization_and_bound(lab64):
-    rng = np.random.default_rng(1)
     t0 = time.time()
-    worst_mass, worst_bound = 0.0, 0.0
-    for _ in range(50):
-        W = wigner_from_density(random_mixed(lab64, rng))
-        worst_mass = max(worst_mass, abs(W.integrate().real - 1.0))
-        worst_bound = max(worst_bound, float(np.abs(W.values).max()))
+    res = check_normalization_and_bound(lab64, 50, np.random.default_rng(1))
     elapsed = time.time() - t0
-    _report("1a wigner normalization (50 states)", worst_mass, 1e-8)
-    _report("1b pointwise bound", worst_bound, 1 / math.pi + 1e-8)
+    _report("1a wigner normalization (50 states)", res["mass"], 1e-8)
+    _report("1b pointwise bound", res["peak"], 1 / math.pi + 1e-8)
     _report("1c runtime [s]", elapsed, 10.0)
 
 
 def test_criterion_02_symbol_pairing(lab64):
-    rng = np.random.default_rng(2)
     t0 = time.time()
-    monomials = [(a, b) for a in range(5) for b in range(5 - a)]
-    quantized = {ab: weyl_quantize(
-        HamiltonianSymbol((((ab[0],), (ab[1],), 1.0),), d=1), lab64)
-        for ab in monomials}
-    worst = 0.0
-    for _ in range(20):
-        T = random_mixed(lab64, rng)
-        W = wigner_from_density(T)
-        for (a, b) in monomials:
-            sym = HamiltonianSymbol((((a,), (b,), 1.0),), d=1)
-            lhs = pair_expectation(W, sym)
-            rhs = float(np.trace(T.matrix @ quantized[(a, b)]).real)
-            worst = max(worst, abs(lhs - rhs))
+    worst = check_pairing(lab64, 20, np.random.default_rng(2))
     elapsed = time.time() - t0
     _report("2a pairing, monomials deg <= 4, 20 states", worst, 1e-6)
     _report("2b runtime [s]", elapsed, 30.0)
 
 
 def test_criterion_03_route_equivalence(lab64):
+    # the first two states take their Weyl samples from explicit unitaries
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for k in range(10):
-        T = random_mixed(lab64, rng)
-        W1 = wigner_from_density(T)
-        if k < 2:
-            chi = chi_by_explicit_unitaries(T.matrix, lab64)
-            samples = PhaseSpaceField(chi, WEYL_SAMPLES, lab64, "lebesgue",
-                                      lab64.tol)
-        else:
-            samples = weyl_samples_field(T)
-        W2 = wigner_from_weyl_function(samples)
-        worst = max(worst, float(np.abs(W1.values - W2.values).max()))
+
+    def explicit(T):
+        return PhaseSpaceField(chi_by_explicit_unitaries(T.matrix, lab64),
+                               WEYL_SAMPLES, lab64, "lebesgue", lab64.tol)
+
+    worst = max(check_route_equivalence(lab64, 2, rng, samples=explicit),
+                check_route_equivalence(lab64, 8, rng))
     _report("3 Weyl-function route vs kernel route (10 states)", worst, 1e-6)
 
 
 def test_criterion_04_inversion_roundtrip(lab64):
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(20):
-        T = random_mixed(lab64, rng)
-        T2 = inverse_wigner(wigner_from_density(T))
-        worst = max(worst, float(np.linalg.norm(T2.matrix - T.matrix)
-                                 / np.linalg.norm(T.matrix)))
     _report("4 inversion roundtrip, Frobenius relative (20 states)",
-            worst, 1e-8)
+            check_roundtrip(lab64, 20, np.random.default_rng(4)), 1e-8)
 
 
 def test_criterion_05_eta_consistency(lab64):
-    rng = np.random.default_rng(5)
-    worst_mass, worst_pair = 0.0, 0.0
-    for _ in range(5):
-        T = random_mixed(lab64, rng)
-        phi = eta_density(wigner_from_density(T))
-        worst_mass = max(worst_mass, abs(phi.eta_integrate().real - 1.0))
-        worst_pair = max(worst_pair,
-                         abs(pair_expectation(phi, OSC) - expectation(T, OSC)))
-    _report("5a eta-density normalization", worst_mass, 1e-8)
-    _report("5b eta pairing identity", worst_pair, 1e-6)
+    res = check_eta(lab64, 5, np.random.default_rng(5))
+    _report("5a eta-density normalization", res["mass"], 1e-8)
+    _report("5b eta pairing identity", res["pairing"], 1e-6)
 
 
 def test_criterion_06_series_termination(lab64):
-    W = wigner_from_density(pure_density(displaced_state(lab64, 1.5, 0.5)))
-    r1 = moyal_rhs(W, MoyalGenerator(OSC, lab64, truncation=1))
-    r4 = moyal_rhs(W, MoyalGenerator(OSC, lab64, truncation=4))
-    _report("6a quadratic: K=1 vs K=4",
-            float(np.abs(r1.values - r4.values).max()), 1e-12)
-    r2q = moyal_rhs(W, MoyalGenerator(QUARTIC, lab64, truncation=2))
-    r4q = moyal_rhs(W, MoyalGenerator(QUARTIC, lab64, truncation=4))
-    _report("6b quartic: K=2 vs K=4",
-            float(np.abs(r2q.values - r4q.values).max()), 1e-12)
+    res = check_quadratic_exactness(
+        wigner_from_density(pure_density(displaced_state(lab64, 1.5, 0.5))))
+    _report("6a quadratic: K=1 vs K=4", res["quadratic"], 1e-12)
+    _report("6b quartic: K=2 vs K=4", res["quartic"], 1e-12)
 
 
 def test_criterion_07_oracle_agreement(lab64, lab_quartic):
     t0 = time.time()
-    T0 = pure_density(displaced_state(lab64, 2.0, 0.0))
-    W0 = wigner_from_density(T0)
-    run = EvolutionRun(dt=1e-3, t_end=2 * math.pi, stride=1571)
-    res = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
-    oracle = von_neumann_oracle(T0, OSC, run)
-    worst = 0.0
-    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
-        Wo = wigner_from_density(Tt)
-        worst = max(worst, float(np.abs(f.values - Wo.values).max()))
+    errors, res = check_oracle_agreement(
+        pure_density(displaced_state(lab64, 2.0, 0.0)), OSC, 1,
+        EvolutionRun(dt=1e-3, t_end=2 * math.pi, stride=1571))
     elapsed = time.time() - t0
-    _report("7a harmonic vs oracle, T=2pi, dt=1e-3", worst, 1e-4)
+    W0 = res.snapshots[0][1]
+    _report("7a harmonic vs oracle, T=2pi, dt=1e-3", _worst(errors), 1e-4)
     _report("7b closed orbit: W(2pi) vs W(0)",
             float(np.abs(res.final_field.values - W0.values).max()), 1e-4)
     _report("7c runtime [s]", elapsed, 120.0)
@@ -148,44 +106,29 @@ def test_criterion_07_oracle_agreement(lab64, lab_quartic):
     # quartic leg: dt pinned at 1e-3 exceeds the conservative guard; the run
     # is stable (RK4 |lambda| dt < 2.8 on this box) so the override is used
     Tq = pure_density(displaced_state(lab_quartic, 1.0, 0.0))
-    Wq = wigner_from_density(Tq)
     runq = EvolutionRun(dt=1e-3, t_end=0.5, stride=100, enforce_cfl=False)
     with pytest.warns(RuntimeWarning, match="CFL"):
-        resq = evolve(Wq, MoyalGenerator(QUARTIC, lab_quartic, truncation=2),
-                      runq)
+        resq = evolve(wigner_from_density(Tq),
+                      MoyalGenerator(QUARTIC, lab_quartic, truncation=2), runq)
     oracleq = von_neumann_oracle(Tq, QUARTIC, runq)
-    worstq = 0.0
-    for _, f, Tt in pair_snapshots(resq.snapshots, oracleq):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            Wo = wigner_from_density(Tt)
-        worstq = max(worstq, float(np.abs(f.values - Wo.values).max()))
-    _report("7d quartic vs oracle, T=0.5, K=2", worstq, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        errorsq = oracle_errors(resq.snapshots, oracleq)
+    _report("7d quartic vs oracle, T=0.5, K=2", _worst(errorsq), 1e-3)
 
 
 def test_criterion_08_eta_route(lab64):
-    phi0 = analytic_gaussian_eta(lab64, 1.5, 0.0)
-    W0 = eta_to_wigner(phi0)
-    run = EvolutionRun(dt=1e-3, t_end=1.0, stride=250)
-    resW = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
-    resP = evolve(phi0, MoyalGenerator(OSC, lab64, truncation=1), run)
-    worst = 0.0
-    for _, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots):
-        worst = max(worst, total_variation(fP, eta_density(fW)))
+    tv = check_eta_route(analytic_gaussian_eta(lab64, 1.5, 0.0), OSC, 1,
+                         EvolutionRun(dt=1e-3, t_end=1.0, stride=250))
     _report("8 eta-evolution vs eta-division of W-evolution (TV metric)",
-            worst, 1e-7)
+            _worst(tv), 1e-7)
 
 
 def test_criterion_09_reduction_square(sys2, spec32c):
-    Ta = pure_density(displaced_state(spec32c, 1.0, 0.0))
-    Tb = pure_density(ground_state(spec32c))
-    Tprod = tensor(Ta, Tb, sys2)
-    Wfull = wigner_from_density(Tprod)
-    from wignerlab import reduce_wigner
-    res_prod = float(np.abs(
-        reduce_wigner(Wfull, "A").values
-        - wigner_from_density(partial_trace(Tprod, "A")).values).max())
-    _report("9a reduction square, product state", res_prod, 1e-8)
+    Tprod = tensor(pure_density(displaced_state(spec32c, 1.0, 0.0)),
+                   pure_density(ground_state(spec32c)), sys2)
+    _report("9a reduction square, product state",
+            check_reduction_square(Tprod), 1e-8)
 
     n = spec32c.n_per_axis
     osc = weyl_quantize(OSC, spec32c)
@@ -194,39 +137,24 @@ def test_criterion_09_reduction_square(sys2, spec32c):
     _, V = np.linalg.eigh(H)
     Tent = DensityOperator(np.outer(V[:, 0], V[:, 0].conj()), LEBESGUE, sys2,
                            spec32c.tol)
-    Went = wigner_from_density(Tent)
-    res_ent = float(np.abs(
-        reduce_wigner(Went, "A").values
-        - wigner_from_density(partial_trace(Tent, "A")).values).max())
     _report("9b reduction square, entangled coupled ground state",
-            res_ent, 1e-6)
+            check_reduction_square(Tent), 1e-6)
 
 
 def test_criterion_10_feedback_axioms():
-    lv = LevelSpace(3)
-    layout = SubsystemLayout({"P1": lv, "P2": lv, "C1": lv, "C2": lv})
-    q = lv.position_op()
-    k1 = np.kron(q, q)
-    K_fb = embed_operator(k1, ("P1", "C1"), layout) \
-        + embed_operator(k1, ("P2", "C2"), layout)
-    v_fb = classify_coupling(K_fb, layout)
-    assert v_fb.kind == FEEDBACK
-    _report("10a feedback-form residual", v_fb.residual, 1e-8)
+    verdicts = check_feedback_axioms()
+    assert verdicts[FEEDBACK].kind == FEEDBACK
+    _report("10a feedback-form residual", verdicts[FEEDBACK].residual, 1e-8)
+    assert verdicts[NO_FEEDBACK].kind == NO_FEEDBACK
+    _report("10b no-feedback residual", verdicts[NO_FEEDBACK].residual, 1e-8)
+    assert verdicts[GENERAL].kind == GENERAL
+    _report("10c four-factor counterexample residual",
+            verdicts[GENERAL].residual, 1e-2, direction=">")
 
-    v_nf = classify_coupling(embed_operator(k1, ("P1", "C1"), layout), layout)
-    assert v_nf.kind == NO_FEEDBACK
-    _report("10b no-feedback residual", v_nf.residual, 1e-8)
-
-    four = np.kron(np.kron(q, q), np.kron(q, q))
-    v_g = classify_coupling(four, layout)
-    assert v_g.kind == GENERAL
-    _report("10c four-factor counterexample residual", v_g.residual, 1e-2,
-            direction=">")
-
+    layout, couplings = feedback_couplings()
     rng = np.random.default_rng(10)
     ok = True
-    for K, kind in ((K_fb, FEEDBACK), (four, GENERAL),
-                    (embed_operator(k1, ("P1", "C1"), layout), NO_FEEDBACK)):
+    for kind, K in couplings.items():
         for _ in range(5):
             alpha = float(10.0 ** rng.uniform(-3, 3))
             c = float(rng.uniform(-5, 5))
@@ -265,21 +193,5 @@ def test_criterion_11_scenario_sanity():
 
 
 def test_criterion_12_wick_formulas():
-    from wignerlab import GaussianMeasure
-    rng = np.random.default_rng(12)
-    mu = GaussianMeasure.from_covariance([[1.0, 0.3], [0.3, 2.0]])
-    eps = 1e-5
-    worst = 0.0
-    for _ in range(20):
-        x = rng.uniform(-2, 2, size=2)
-        h1 = rng.normal(size=2)
-        h2 = rng.normal(size=2)
-        d1 = gaussian_measure_derivative(mu, [h1], x)
-        fd1 = (mu.density(x + eps * h1) - mu.density(x - eps * h1)) / (2 * eps)
-        worst = max(worst, abs(d1 - fd1))
-        d2 = gaussian_measure_derivative(mu, [h1, h2], x)
-        fd2 = (gaussian_measure_derivative(mu, [h1], x + eps * h2)
-               - gaussian_measure_derivative(mu, [h1], x - eps * h2)) / (2 * eps)
-        worst = max(worst, abs(d2 - fd2))
     _report("12 Wick formulas vs centered differences, orders 1-2",
-            worst, 1e-7)
+            check_wick(np.random.default_rng(12)), 1e-7)

@@ -247,6 +247,23 @@ def test_verify_quick(tmp_path, capsys):
     assert "wick_formulas" in report
 
 
+def test_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
+    from wignerlab import verify
+    monkeypatch.setattr(verify, "check_roundtrip", lambda *args: 1.0)
+    out = tmp_path / "v2"
+    assert main(["verify", "--out", str(out), "--level", "quick"]) == 2
+    fail = "FAIL inversion_roundtrip residual=1.000e+00 tol=1e-08"
+    assert fail in capsys.readouterr().out.splitlines()
+    report = (out / "verify.txt").read_text().splitlines()
+    assert fail in report
+    assert [line.split()[1] for line in report] == [
+        "wigner_normalization_and_bound", "symbol_pairing",
+        "weyl_route_equivalence", "inversion_roundtrip",
+        "eta_density_consistency", "quadratic_exactness", "oracle_agreement",
+        "eta_route", "reduction_commuting_square", "feedback_axioms",
+        "wick_formulas"]
+
+
 def test_seed_override_controls_random_recipes(tmp_path):
     cfg = json.loads(HARMONIC_JSON)
     cfg["phase_space"] = {"d": 1, "n_per_axis": 64, "half_width": 10.0,

@@ -193,7 +193,18 @@ MALFORMED = {
     "truncation_null": ("run.truncation_k", None, "run.truncation_k"),
     "enforce_cfl_string": ("run.enforce_cfl", "yes", "run.enforce_cfl"),
     "run_scalar": ("run", 3, "run"),
-    "half_width_overflow": ("phase_space.half_width", 10 ** 400, "phase_space"),
+    "half_width_overflow": ("phase_space.half_width", 10 ** 400,
+                            "phase_space.half_width"),
+    "half_width_string": ("phase_space.half_width", "10",
+                          "phase_space.half_width"),
+    "half_width_bool": ("phase_space.half_width", True,
+                        "phase_space.half_width"),
+    "n_per_axis_string": ("phase_space.n_per_axis", "64",
+                          "phase_space.n_per_axis"),
+    "n_per_axis_fraction": ("phase_space.n_per_axis", 64.9,
+                            "phase_space.n_per_axis"),
+    "d_string": ("phase_space.d", "1", "phase_space.d"),
+    "d_bool": ("phase_space.d", True, "phase_space.d"),
     "covariance_null": ("phase_space.covariance", None, "phase_space.covariance"),
     "phase_space_scalar": ("phase_space", 5, "phase_space"),
     "dq_string": ("initial_state.dq", "far", "initial_state.dq"),

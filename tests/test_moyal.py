@@ -16,11 +16,11 @@ from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
 from wignerlab.states import (analytic_gaussian_eta, analytic_gaussian_wigner,
                               cat_state, displaced_state, ground_state)
 from wignerlab.tolerances import TolerancePolicy
+from wignerlab.verify import (OSC, QUARTIC, check_oracle_agreement,
+                              check_quadratic_exactness, check_wick)
 from wignerlab.wigner import (PhaseSpaceField, eta_density, eta_to_wigner,
                               total_variation)
 
-OSC = HamiltonianSymbol((((2,), (0,), 0.5), ((0,), (2,), 0.5)), d=1)
-QUARTIC = HamiltonianSymbol((((0,), (2,), 0.5), ((4,), (0,), 0.25)), d=1)
 FREE = HamiltonianSymbol((((0,), (2,), 0.5),), d=1)
 
 
@@ -97,16 +97,12 @@ def test_quadratic_rhs_is_liouville(lab64):
 
 def test_quadratic_truncation_independence(lab64):
     W = wigner_from_density(pure_density(displaced_state(lab64, 1.0, 0.5)))
-    r1 = moyal_rhs(W, MoyalGenerator(OSC, lab64, truncation=1))
-    r4 = moyal_rhs(W, MoyalGenerator(OSC, lab64, truncation=4))
-    assert np.abs(r1.values - r4.values).max() < 1e-12
+    assert check_quadratic_exactness(W)["quadratic"] < 1e-12
 
 
 def test_quartic_series_terminates(lab64):
     W = wigner_from_density(pure_density(displaced_state(lab64, 1.0, 0.0)))
-    r2 = moyal_rhs(W, MoyalGenerator(QUARTIC, lab64, truncation=2))
-    r4 = moyal_rhs(W, MoyalGenerator(QUARTIC, lab64, truncation=4))
-    assert np.abs(r2.values - r4.values).max() < 1e-12
+    assert check_quadratic_exactness(W)["quartic"] < 1e-12
 
 
 def test_quartic_quantum_correction_active(lab64):
@@ -273,19 +269,7 @@ def test_wick_order_cap():
 
 
 def test_wick_matches_finite_differences(rng):
-    mu = GaussianMeasure.from_covariance([[1.0, 0.3], [0.3, 2.0]])
-    eps = 1e-5
-    for _ in range(20):
-        x = rng.uniform(-2, 2, size=2)
-        h1 = rng.normal(size=2)
-        h2 = rng.normal(size=2)
-        d1 = gaussian_measure_derivative(mu, [h1], x)
-        fd1 = (mu.density(x + eps * h1) - mu.density(x - eps * h1)) / (2 * eps)
-        assert abs(d1 - fd1) < 1e-7
-        d2 = gaussian_measure_derivative(mu, [h1, h2], x)
-        fd2 = (gaussian_measure_derivative(mu, [h1], x + eps * h2)
-               - gaussian_measure_derivative(mu, [h1], x - eps * h2)) / (2 * eps)
-        assert abs(d2 - fd2) < 1e-7
+    assert check_wick(rng) < 1e-7
 
 
 # --- evolution ----------------------------------------------------------------
@@ -409,14 +393,9 @@ def test_oracle_period_and_purity(lab64, rng):
 
 def test_moyal_matches_oracle_interior_time(lab64):
     T0 = pure_density(displaced_state(lab64, 2.0, 0.0))
-    W0 = wigner_from_density(T0)
-    gen = MoyalGenerator(OSC, lab64, truncation=1)
     run = EvolutionRun(dt=1e-3, t_end=1.0, stride=500)
-    res = evolve(W0, gen, run)
-    oracle = von_neumann_oracle(T0, OSC, run)
-    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
-        Wo = wigner_from_density(Tt)
-        assert np.abs(f.values - Wo.values).max() < 1e-6
+    errors, _ = check_oracle_agreement(T0, OSC, 1, run)
+    assert max(e for _, e in errors) < 1e-6
 
 
 def test_time_dependent_schedule(lab64):
@@ -424,23 +403,9 @@ def test_time_dependent_schedule(lab64):
     osc_terms = (((2,), (0,), 0.5), ((0,), (2,), 0.5))
     sym = HamiltonianSymbol(schedule=((0.0, free_terms), (0.25, osc_terms)), d=1)
     T0 = pure_density(displaced_state(lab64, 1.0, 0.0))
-    W0 = wigner_from_density(T0)
-    gen = MoyalGenerator(sym, lab64, truncation=2)
     run = EvolutionRun(dt=1e-3, t_end=0.5, stride=250)
-    res = evolve(W0, gen, run)
-    oracle = von_neumann_oracle(T0, sym, run)
-    Wo = wigner_from_density(oracle[-1][1])
-    assert np.abs(res.final_field.values - Wo.values).max() < 1e-6
-
-
-def test_eta_evolution_matches_wigner_route(lab64):
-    phi0 = analytic_gaussian_eta(lab64, 1.5, 0.0)
-    W0 = eta_to_wigner(phi0)
-    run = EvolutionRun(dt=1e-3, t_end=1.0, stride=500)
-    resW = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
-    resP = evolve(phi0, MoyalGenerator(OSC, lab64, truncation=1), run)
-    for _, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots):
-        assert total_variation(fP, eta_density(fW)) < 1e-7
+    errors, _ = check_oracle_agreement(T0, sym, 2, run)
+    assert errors[-1][1] < 1e-6
 
 
 def test_snapshots_after_off_lattice_breakpoint(lab64):
@@ -450,14 +415,11 @@ def test_snapshots_after_off_lattice_breakpoint(lab64):
                             d=1)
     T0 = pure_density(displaced_state(lab64, 1.0, 0.0))
     run = EvolutionRun(dt=1e-3, t_end=0.05, stride=5)
-    res = evolve(wigner_from_density(T0), MoyalGenerator(sym, lab64,
-                                                          truncation=2), run)
-    oracle = von_neumann_oracle(T0, sym, run)
+    errors, res = check_oracle_agreement(T0, sym, 2, run)
     assert [t for t, _ in res.snapshots] == pytest.approx(
         [0.005 * i for i in range(11)], abs=1e-15)
     assert 0.0105 in res.diagnostics["t"]
-    for _, f, Tt in pair_snapshots(res.snapshots, oracle):
-        assert np.abs(f.values - wigner_from_density(Tt).values).max() < 1e-6
+    assert max(e for _, e in errors) < 1e-6
 
 
 def test_pair_snapshots_rejects_other_times():

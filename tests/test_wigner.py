@@ -17,6 +17,7 @@ from wignerlab.errors import (GridMismatch, NonPositiveOperator, NotNormalized,
 from wignerlab.hilbert import LEBESGUE
 from wignerlab.states import (analytic_gaussian_wigner, cat_state,
                               displaced_state, ground_state, random_mixed)
+from wignerlab.verify import check_normalization_and_bound
 from wignerlab.wigner import (WEYL_SAMPLES, PhaseSpaceField, marginal_momentum,
                               marginal_position)
 
@@ -58,9 +59,8 @@ def test_mixed_state_positive_and_normalized(lab64):
 
 
 def test_pointwise_bound_random_states(lab64, rng):
-    for _ in range(10):
-        W = wigner_from_density(random_mixed(lab64, rng))
-        assert np.abs(W.values).max() <= 1 / math.pi + 1e-8
+    peak = check_normalization_and_bound(lab64, 10, rng)["peak"]
+    assert peak <= 1 / math.pi + 1e-8
 
 
 def test_marginals(lab64):
