@@ -15,7 +15,7 @@ from wignerlab import make_phase_space, pure_density
 from wignerlab.moyal import EvolutionRun
 from wignerlab.serialize import save_diagnostics_csv, save_series_csv
 from wignerlab.states import displaced_state
-from wignerlab.verify import OSC, check_oracle_agreement
+from wignerlab.verify import OSC, check_oracle_agreement, worst_error
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
                                                        "diagnostics.csv"))
     W0 = res.snapshots[0][1]
     ret = float(np.abs(res.final_field.values - W0.values).max())
-    print(f"max error vs oracle: {max(rows['max_abs_error']):.3e}")
+    print(f"max error vs oracle: {worst_error(errors):.3e}")
     print(f"closed-orbit return error at t = 2 pi: {ret:.3e}")
     print(f"wrote {args.out}/compare.csv and diagnostics.csv")
 

@@ -15,7 +15,7 @@ from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
 from .moyal import EvolutionRun, MoyalGenerator, evolve, von_neumann_oracle
 from .states import (cat_state, displaced_state, ground_state, level_coherent,
                      level_ground, level_thermal, random_mixed, thermal_state)
-from .verify import check_oracle_agreement
+from .verify import check_oracle_agreement, worst_error
 from .weyl import weyl_quantize
 from .wigner import eta_density, purity_estimate, wigner_from_density
 
@@ -198,7 +198,7 @@ def cmd_compare(cfg, out_dir):
     rows = {"t": [t for t, _ in errors],
             "max_abs_error": [e for _, e in errors]}
     serialize.save_series_csv(rows, os.path.join(out_dir, "compare.csv"))
-    worst = max(rows["max_abs_error"])
+    worst = worst_error(errors)
     tolerance = float(cfg.run["compare_tolerance"])
     report = {"max_abs_error": worst, "tolerance": tolerance,
               "pass": bool(worst <= tolerance)}

@@ -6,12 +6,16 @@ takes what its callers vary and returns the worst residual it saw:
 - the random-state checks take a spec, a state count and a
   `np.random.Generator` (states are drawn with `random_mixed`, in order) and
   return a float, or a dict of named floats when one loop measures several
-  things (mass and peak, mass and pairing);
+  things (mass and peak; mass, pairing and inverse);
 - the series check takes a Wigner field, the reduction check a composite
   density operator, the Wick check a generator;
 - the evolution checks take the initial state, symbol, truncation and
   `EvolutionRun` and return [(t, error)] over the snapshots paired by time;
-  `check_oracle_agreement` also returns the `EvolutionResult`.
+  `check_oracle_agreement` also returns the `EvolutionResult`, and
+  `worst_error` folds such a list to its largest error.
+
+Every tr(T G) goes through `weyl.operator_expectation`, which raises on an
+imaginary residue, so a non-Hermitian state or operator fails the check.
 
 `run_suite` calls every check at the quick or full size and folds it into a
 (name, residual, tolerance) triple that passes when residual < tolerance.
@@ -34,7 +38,8 @@ from .moyal import (EvolutionRun, MoyalGenerator, evolve,
 from .states import (analytic_gaussian_eta, displaced_state, ground_state,
                      random_mixed)
 from .tolerances import TolerancePolicy
-from .weyl import HamiltonianSymbol, expectation, weyl_quantize
+from .weyl import (HamiltonianSymbol, expectation, operator_expectation,
+                   weyl_quantize)
 from .wigner import (eta_density, eta_to_wigner, inverse_wigner,
                      pair_expectation, reduce_wigner, total_variation,
                      weyl_samples_field, wigner_from_density,
@@ -68,19 +73,16 @@ def check_pairing(spec, count, rng):
         W = wigner_from_density(T)
         for sym, op in zip(symbols, ops):
             worst = max(worst, abs(pair_expectation(W, sym)
-                                   - float(np.trace(T.matrix @ op).real)))
+                                   - operator_expectation(T, op)))
     return worst
 
 
-def check_route_equivalence(spec, count, rng, samples=weyl_samples_field):
-    """Worst max |W - W from the Weyl samples| (kernel vs Weyl route).
-
-    `samples(T)` builds the Weyl-sample field of T.
-    """
+def check_route_equivalence(spec, count, rng):
+    """Worst max |W - W from the Weyl samples| (kernel vs Weyl route)."""
     worst = 0.0
     for _ in range(count):
         T = random_mixed(spec, rng)
-        W2 = wigner_from_weyl_function(samples(T))
+        W2 = wigner_from_weyl_function(weyl_samples_field(T))
         worst = max(worst, float(np.abs(wigner_from_density(T).values
                                         - W2.values).max()))
     return worst
@@ -184,12 +186,12 @@ def check_feedback_axioms():
             for kind, K in couplings.items()}
 
 
-def check_wick(rng, count=20):
+def check_wick(rng):
     """Worst |Wick derivative - centered difference| over orders 1 and 2."""
     mu = GaussianMeasure.from_covariance([[1.0, 0.3], [0.3, 2.0]])
     eps = 1e-5
     worst = 0.0
-    for _ in range(count):
+    for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
         h1 = rng.normal(size=2)
         h2 = rng.normal(size=2)
@@ -203,7 +205,8 @@ def check_wick(rng, count=20):
     return worst
 
 
-def _worst(errors):
+def worst_error(errors):
+    """The largest error of [(t, error)]."""
     return max(e for _, e in errors)
 
 
@@ -240,8 +243,8 @@ def run_suite(level="quick"):
          max(check_eta(spec, few, np.random.default_rng(5)).values()), 1e-6),
         ("quadratic_exactness",
          max(check_quadratic_exactness(W).values()), 1e-12),
-        ("oracle_agreement", _worst(oracle), 1e-4),
-        ("eta_route", _worst(eta_route), 1e-7),
+        ("oracle_agreement", worst_error(oracle), 1e-4),
+        ("eta_route", worst_error(eta_route), 1e-7),
         ("reduction_commuting_square", check_reduction_square(product), 1e-8),
         ("feedback_axioms",
          max(*(float(v.kind != kind) for kind, v in verdicts.items()),

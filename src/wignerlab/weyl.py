@@ -253,10 +253,13 @@ def weyl_function(T, h):
 
 def expectation(T, symbol):
     """tr(T Ghat) for the quantized symbol; the imaginary residue is checked."""
+    return operator_expectation(T, weyl_quantize(symbol, T.space))
+
+
+def operator_expectation(T, G):
+    """tr(T G) for a quantized operator G; the imaginary residue is checked."""
     from .hilbert import to_lebesgue_rep
-    spec = T.space
     m = T.matrix if T.rep == "lebesgue" else to_lebesgue_rep(T).matrix
-    G = weyl_quantize(symbol, spec)
     val = complex(np.trace(m @ G))
     scale = max(abs(val), 1.0)
     if abs(val.imag) > 1e-10 * scale:

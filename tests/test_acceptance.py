@@ -23,24 +23,22 @@ from wignerlab.hilbert import DensityOperator, LEBESGUE, tensor_many
 from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
                              von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, displaced_state,
-                              ground_state)
+                              ground_state, random_mixed)
 from wignerlab.verify import (
     OSC, QUARTIC, check_eta, check_eta_route, check_feedback_axioms,
     check_normalization_and_bound, check_oracle_agreement, check_pairing,
     check_quadratic_exactness, check_reduction_square, check_roundtrip,
-    check_route_equivalence, check_wick, feedback_couplings, oracle_errors)
+    check_route_equivalence, check_wick, feedback_couplings, oracle_errors,
+    worst_error)
 from wignerlab.weyl import HamiltonianSymbol
-from wignerlab.wigner import WEYL_SAMPLES, PhaseSpaceField
+from wignerlab.wigner import (WEYL_SAMPLES, PhaseSpaceField,
+                              wigner_from_weyl_function)
 
 
 def _report(name, value, tol, direction="<"):
     ok = value < tol if direction == "<" else value > tol
     print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} {direction} {tol:g}")
     assert ok, f"{name}: {value:.3e} not {direction} {tol:g}"
-
-
-def _worst(errors):
-    return max(e for _, e in errors)
 
 
 def test_criterion_01_normalization_and_bound(lab64):
@@ -63,13 +61,15 @@ def test_criterion_02_symbol_pairing(lab64):
 def test_criterion_03_route_equivalence(lab64):
     # the first two states take their Weyl samples from explicit unitaries
     rng = np.random.default_rng(3)
-
-    def explicit(T):
-        return PhaseSpaceField(chi_by_explicit_unitaries(T.matrix, lab64),
-                               WEYL_SAMPLES, lab64, "lebesgue", lab64.tol)
-
-    worst = max(check_route_equivalence(lab64, 2, rng, samples=explicit),
-                check_route_equivalence(lab64, 8, rng))
+    worst = 0.0
+    for _ in range(2):
+        T = random_mixed(lab64, rng)
+        W2 = wigner_from_weyl_function(PhaseSpaceField(
+            chi_by_explicit_unitaries(T.matrix, lab64), WEYL_SAMPLES, lab64,
+            "lebesgue", lab64.tol))
+        worst = max(worst, float(np.abs(wigner_from_density(T).values
+                                        - W2.values).max()))
+    worst = max(worst, check_route_equivalence(lab64, 8, rng))
     _report("3 Weyl-function route vs kernel route (10 states)", worst, 1e-6)
 
 
@@ -98,7 +98,7 @@ def test_criterion_07_oracle_agreement(lab64, lab_quartic):
         EvolutionRun(dt=1e-3, t_end=2 * math.pi, stride=1571))
     elapsed = time.time() - t0
     W0 = res.snapshots[0][1]
-    _report("7a harmonic vs oracle, T=2pi, dt=1e-3", _worst(errors), 1e-4)
+    _report("7a harmonic vs oracle, T=2pi, dt=1e-3", worst_error(errors), 1e-4)
     _report("7b closed orbit: W(2pi) vs W(0)",
             float(np.abs(res.final_field.values - W0.values).max()), 1e-4)
     _report("7c runtime [s]", elapsed, 120.0)
@@ -114,14 +114,14 @@ def test_criterion_07_oracle_agreement(lab64, lab_quartic):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         errorsq = oracle_errors(resq.snapshots, oracleq)
-    _report("7d quartic vs oracle, T=0.5, K=2", _worst(errorsq), 1e-3)
+    _report("7d quartic vs oracle, T=0.5, K=2", worst_error(errorsq), 1e-3)
 
 
 def test_criterion_08_eta_route(lab64):
     tv = check_eta_route(analytic_gaussian_eta(lab64, 1.5, 0.0), OSC, 1,
                          EvolutionRun(dt=1e-3, t_end=1.0, stride=250))
     _report("8 eta-evolution vs eta-division of W-evolution (TV metric)",
-            _worst(tv), 1e-7)
+            worst_error(tv), 1e-7)
 
 
 def test_criterion_09_reduction_square(sys2, spec32c):
