@@ -9,8 +9,6 @@ import argparse
 import math
 import os
 
-import numpy as np
-
 from wignerlab import make_phase_space, pure_density, wigner_from_density
 from wignerlab.serialize import gnuplot_script, save_field_csv
 from wignerlab.states import cat_state

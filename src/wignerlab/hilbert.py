@@ -194,16 +194,19 @@ class DensityOperator:
             object.__setattr__(self, "factors", (_frozen(F), _frozen(w)))
 
     def validate(self):
-        """Check Hermiticity, unit trace, PSD floor; raise on violation."""
+        """Check Hermiticity, unit trace, PSD floor; raise on violation.
+
+        The comparisons fail closed, so a NaN or infinite entry raises
+        InvalidDensity. The PSD floor is checked by `certify_psd` on the
+        Hermitian part of the Lebesgue-representation matrix.
+        """
         herm = self._hermiticity_defect()
-        if herm > self.tol.hermiticity:
+        if not herm <= self.tol.hermiticity:
             raise InvalidDensity(f"hermiticity defect {herm:.3e}")
         tr = self.trace()
-        if abs(tr - 1.0) > self.tol.trace_one:
+        if not abs(tr - 1.0) <= self.tol.trace_one:
             raise InvalidDensity(f"trace {tr} deviates from 1")
-        lam = self.min_eigenvalue()
-        if lam < -self.tol.psd_floor:
-            raise NonPositiveOperator(f"eigenvalue {lam:.3e} below the PSD floor")
+        certify_psd(self._hermitian_part(), self.tol.psd_floor)
         return self
 
     def _hermiticity_defect(self):
@@ -218,11 +221,42 @@ class DensityOperator:
     def purity(self):
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def min_eigenvalue(self):
+    def _hermitian_part(self):
+        """Hermitian part of the Lebesgue-representation matrix."""
         m = self.matrix
         if self.rep == GAUSSIAN and isinstance(self.space, PhaseSpaceSpec):
             m = to_lebesgue_rep(self).matrix
-        return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+        return 0.5 * (m + m.conj().T)
+
+    def min_eigenvalue(self):
+        return lowest_eigenvalue(self._hermitian_part())
+
+
+def lowest_eigenvalue(H):
+    """lambda_min of a Hermitian H by eigvalsh; nan if H has a non-finite entry."""
+    return float(np.linalg.eigvalsh(H).min()) if np.isfinite(H).all() else math.nan
+
+
+def certify_psd(H, floor):
+    """Raise NonPositiveOperator unless the Hermitian H has lambda_min >= -floor.
+
+    A Cholesky factorisation of H + floor I that succeeds certifies the bound
+    up to its backward error (math-notes § Reality, residues and edge
+    floors). Only when it fails does eigvalsh run, to report lambda_min and
+    decide: the error is raised only if lambda_min really is below -floor.
+    A NaN entry does not make cholesky raise but leaves a NaN on the
+    factor's diagonal, so only a finite diagonal counts as a certificate.
+    """
+    shifted = np.array(H)
+    shifted.flat[::len(shifted) + 1] += floor
+    try:
+        if np.isfinite(np.linalg.cholesky(shifted).diagonal()).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
+    lam = lowest_eigenvalue(H)
+    if not lam >= -floor:
+        raise NonPositiveOperator(f"eigenvalue {lam:.3e} below the PSD floor")
 
 
 def exact_propagate(T, evals, evecs, t):

@@ -13,7 +13,7 @@ the exact Heisenberg group law up to the symplectic-area phase.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np

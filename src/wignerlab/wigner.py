@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .errors import (GridMismatch, NotNormalized, NonPositiveOperator,
-                     SpecMismatch, UnderflowRegion, UnknownSubsystem)
+from .errors import (GridMismatch, NotNormalized, SpecMismatch, UnderflowRegion,
+                     UnknownSubsystem)
 from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, _collapse,
-                      to_lebesgue_rep)
+                      certify_psd, to_lebesgue_rep)
 from .lattice import PhaseSpaceSpec
 from .tolerances import DEFAULT_TOL
 
@@ -172,23 +172,23 @@ def weyl_samples_field(T):
 def inverse_wigner(W, validate=True):
     """Density operator whose Wigner field is W (exact inverse transform).
 
-    With validate=True a PSD violation beyond the floor raises
-    NonPositiveOperator; with validate=False the operator is returned as is,
-    reported through its min_eigenvalue, never silently fixed.
+    A field whose mass is not within normalization_input of 1, NaN and
+    infinite masses included, raises NotNormalized. With validate=True the
+    Hermitian part T is checked by `certify_psd`: a Cholesky factorisation
+    of T + psd_floor I certifies it, and only a failed one runs eigvalsh,
+    raising NonPositiveOperator if the eigenvalue is below -psd_floor. With
+    validate=False the operator is returned as is, reported through its
+    min_eigenvalue, never silently fixed.
     """
     mass = W.integrate().real
-    if abs(mass - 1.0) > W.tol.normalization_input:
+    if not abs(mass - 1.0) <= W.tol.normalization_input:
         raise NotNormalized(f"field integrates to {mass}, expected 1")
     axes = W.axes
     T = engine.wigner_to_density(np.asarray(W.values, complex), axes)
     T = 0.5 * (T + T.conj().T)
-    space = W.space
-    out = DensityOperator(T, LEBESGUE, space, W.tol)
+    out = DensityOperator(T, LEBESGUE, W.space, W.tol)
     if validate:
-        lam = out.min_eigenvalue()
-        if lam < -W.tol.psd_floor:
-            raise NonPositiveOperator(
-                f"inverse transform has eigenvalue {lam:.3e} below the PSD floor")
+        certify_psd(T, W.tol.psd_floor)
     return out
 
 

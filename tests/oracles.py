@@ -7,8 +7,10 @@ import math
 import numpy as np
 
 from wignerlab.engine import SpectralDifferentiator, axis_coords
+from wignerlab.hilbert import LEBESGUE, DensityOperator
 from wignerlab.moyal import (FD4, bracket_pairs, sine_coefficient,
                              wick_polynomial)
+from wignerlab.states import oscillator_basis
 
 
 def fd_partial(fun, point, orders, eps):
@@ -146,6 +148,23 @@ def chi_by_explicit_unitaries(T, spec):
             U = np.exp(0.5j * a * q[beta]) * np.diag(np.exp(-1j * a * q)) @ S
             chi[alpha, beta] = np.sum(T * U.T)
     return chi
+
+
+def operator_with_min_eigenvalue(spec, lam_min):
+    """Unit-trace V diag(lam) V^H on the four lowest oscillator modes, with
+    lam = (0.6, 0.3, 0.1 - lam_min, lam_min) and zero on the rest of the grid.
+
+    The modes are orthonormal eigh columns, so lam_min is the operator's
+    smallest eigenvalue to round-off; no PSD check is made on the way.
+    """
+    _, V = oscillator_basis(spec, 4)
+    lam = np.array([0.6, 0.3, 0.1 - lam_min, lam_min])
+    return DensityOperator((V * lam) @ V.conj().T, LEBESGUE, spec, spec.tol)
+
+
+def reported_eigenvalue(exc):
+    """The eigenvalue a NonPositiveOperator message carries."""
+    return float(str(exc).split("eigenvalue ")[1].split()[0])
 
 
 def embed_by_permutation(op, positions, dims):

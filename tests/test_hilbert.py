@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import operator_with_min_eigenvalue, reported_eigenvalue
 from wignerlab import (CompositeSystem, DensityOperator, LevelSpace, kernel_of,
-                       make_phase_space, mix, partial_trace, pure_density,
-                       tensor, to_gaussian_rep, to_lebesgue_rep)
-from wignerlab.errors import (NonPositiveOperator, RepresentationMismatch,
-                              SpecMismatch, UnknownSubsystem,
-                              UnnormalizedState, WrongRepresentation)
+                       mix, partial_trace, pure_density, tensor,
+                       to_gaussian_rep, to_lebesgue_rep)
+from wignerlab.errors import (InvalidDensity, NonPositiveOperator,
+                              RepresentationMismatch, SpecMismatch,
+                              UnknownSubsystem, UnnormalizedState,
+                              WrongRepresentation)
 from wignerlab.hilbert import (LEBESGUE, RHO1, RHO2, StateVector,
-                               apply_operator, chebyshev_propagate,
-                               chebyshev_terms, exact_propagate, factorization,
+                               apply_operator, certify_psd,
+                               chebyshev_propagate, chebyshev_terms,
+                               exact_propagate, factorization,
                                spectral_interval, tensor_many)
 from wignerlab.states import displaced_state, ground_state, level_thermal, \
     random_mixed, random_pure
@@ -174,6 +177,47 @@ def test_psd_floor_reported(lab64):
     with pytest.raises(NonPositiveOperator):
         op.validate()
     assert op.min_eigenvalue() < -1e-8
+
+
+# --- the PSD certificate ------------------------------------------------------
+
+def _as_rep(T, rep):
+    return to_gaussian_rep(T) if rep == "gaussian" else T
+
+
+@pytest.mark.parametrize("rep", ["lebesgue", "gaussian"])
+def test_validate_accepts_eigenvalue_above_floor(lab64, rep):
+    floor = lab64.tol.psd_floor
+    _as_rep(operator_with_min_eigenvalue(lab64, -0.5 * floor), rep).validate()
+
+
+@pytest.mark.parametrize("rep", ["lebesgue", "gaussian"])
+def test_validate_reports_eigenvalue_below_floor(lab64, rep):
+    floor = lab64.tol.psd_floor
+    T = _as_rep(operator_with_min_eigenvalue(lab64, -2 * floor), rep)
+    with pytest.raises(NonPositiveOperator) as exc:
+        T.validate()
+    assert abs(reported_eigenvalue(exc.value) + 2 * floor) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_entry(lab64, bad):
+    m = np.array(pure_density(ground_state(lab64)).matrix)
+    m[3, 0] = bad
+    op = DensityOperator(m, LEBESGUE, lab64)
+    with pytest.raises(InvalidDensity):
+        op.validate()
+    with np.errstate(invalid="ignore"):     # 0.5 * complex(inf) has a nan part
+        assert math.isnan(op.min_eigenvalue())
+
+
+@pytest.mark.parametrize("where", [(1, 1), (2, 1), (3, 0)])
+def test_certificate_never_accepts_a_nan_factor(where):
+    # cholesky returns a NaN factor for a NaN entry instead of raising
+    H = np.eye(6, dtype=complex) / 6
+    H[where] = H[where[::-1]] = math.nan
+    with pytest.raises(NonPositiveOperator, match="nan"):
+        certify_psd(H, 1e-8)
 
 
 # --- tensor products and their factors -----------------------------------------

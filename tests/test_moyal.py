@@ -12,7 +12,7 @@ from wignerlab.errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
 from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
                              gaussian_measure_derivative, moyal_rhs,
                              pair_snapshots, poisson_power, eta_moyal_rhs,
-                             von_neumann_oracle)
+                             sine_coefficient, von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, analytic_gaussian_wigner,
                               cat_state, displaced_state, ground_state)
 from wignerlab.tolerances import TolerancePolicy
@@ -77,6 +77,13 @@ def test_bracket_order_cap(lab64):
 
 
 # --- right-hand sides ---------------------------------------------------------
+
+@pytest.mark.parametrize("j, value", [(1, -1.0), (2, 1 / 24), (3, -1 / 1920)])
+def test_sine_coefficient_closed_form(j, value):
+    # 2 (-1)^j 2^(1-2j) / (2j-1)! in the sign convention of bracket_pairs;
+    # criterion 08 builds both of its routes from these, so it cannot pin them
+    assert sine_coefficient(j) == pytest.approx(value, rel=1e-15, abs=0)
+
 
 def test_stationary_ground_state(lab64):
     W = wigner_from_density(pure_density(ground_state(lab64)))

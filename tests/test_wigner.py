@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import chi_by_explicit_unitaries
+from oracles import (chi_by_explicit_unitaries, operator_with_min_eigenvalue,
+                     reported_eigenvalue)
 from wignerlab import (DensityOperator, HamiltonianSymbol, expectation,
                        eta_density, eta_to_wigner, inverse_wigner,
-                       pair_expectation, partial_trace, pure_density,
-                       purity_estimate, reduce_eta, reduce_wigner,
+                       make_phase_space, pair_expectation, partial_trace,
+                       pure_density, purity_estimate, reduce_eta, reduce_wigner,
                        symplectic_fourier, tensor, total_variation,
                        weyl_samples_field, wigner_from_density,
                        wigner_from_weyl_function)
@@ -153,6 +154,39 @@ def test_nonphysical_wigner_reported_not_fixed(lab64):
     T = inverse_wigner(W, validate=False)
     assert T.min_eigenvalue() < -1e-8
     assert abs(T.trace() - 1.0) < 1e-6
+
+
+def test_inverse_accepts_eigenvalue_above_floor(lab64):
+    floor = lab64.tol.psd_floor
+    T = operator_with_min_eigenvalue(lab64, -0.5 * floor)
+    inverse_wigner(wigner_from_density(T))
+
+
+def test_inverse_reports_eigenvalue_below_floor(lab64):
+    floor = lab64.tol.psd_floor
+    W = wigner_from_density(operator_with_min_eigenvalue(lab64, -2 * floor))
+    with pytest.raises(NonPositiveOperator) as exc:
+        inverse_wigner(W)
+    assert abs(reported_eigenvalue(exc.value) + 2 * floor) < 1e-12
+
+
+def test_inverse_certifies_valid_state_without_eigvalsh(monkeypatch):
+    spec = make_phase_space(1, 256, 20.0, [[1.0]])
+    W = wigner_from_density(random_mixed(spec, np.random.default_rng(7), rank=4))
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a certifiable state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    inverse_wigner(W)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inverse_rejects_non_finite_cell(lab64, rng, bad):
+    vals = np.array(wigner_from_density(random_mixed(lab64, rng)).values)
+    vals[10, 20] = bad
+    with pytest.raises(NotNormalized):
+        inverse_wigner(PhaseSpaceField(vals, "wigner_measure_density", lab64))
 
 
 def test_symplectic_fourier_properties(lab64, rng):
