@@ -241,12 +241,14 @@ def fd4_matrix(n, spacing, order):
 def apply_along_axis(M, x, axis):
     """M applied to every 1-D slice of x along `axis`: one (batched) GEMM.
 
-    The last axis is one product x.reshape(-1, n) @ M.T; any other axis is
+    The last axis is one product x.reshape(-1, n) @ M.T (a C-contiguous
+    operand when M is stored in Fortran order); any other axis is
     M @ x.reshape(pre, n, post), a single GEMM when the axis is the first.
+    x is an ndarray.
     """
-    shape = np.shape(x)
+    shape = x.shape
     n = shape[axis]
-    if axis == len(shape) - 1:
-        return (np.reshape(x, (-1, n)) @ M.T).reshape(shape)
+    if axis == x.ndim - 1:
+        return (x.reshape(-1, n) @ M.T).reshape(shape)
     pre = math.prod(shape[:axis])
-    return np.matmul(M, np.reshape(x, (pre, n, -1))).reshape(shape)
+    return np.matmul(M, x.reshape(pre, n, -1)).reshape(shape)

@@ -201,12 +201,14 @@ class BracketPlan:
     built once here (engine.derivative_matrix, or engine.fd4_matrix for the
     fourth-order finite-difference scheme) and applied along its axis as one
     (batched) GEMM; a mixed order applies one matrix per axis it
-    differentiates.
+    differentiates. A last-axis matrix is stored in Fortran order, so the
+    M.T that apply_along_axis multiplies by is C-contiguous.
     """
 
     def __init__(self, weights, spec, scheme=SPECTRAL):
         n = spec.n_per_axis
         spacings = _spacings(spec)
+        last = len(spacings) - 1
         kernel = fd4_matrix if scheme == FD4 else derivative_matrix
         matrices = {}
         self.zero = None
@@ -221,14 +223,22 @@ class BracketPlan:
                 continue
             for ax, o in steps:
                 if (ax, o) not in matrices:
-                    matrices[ax, o] = kernel(n, spacings[ax], o)
+                    M = kernel(n, spacings[ax], o)
+                    matrices[ax, o] = np.asfortranarray(M) if ax == last else M
             self.terms.append(([(ax, matrices[ax, o]) for ax, o in steps], w))
 
-    def apply(self, values):
+    def apply(self, values, out=None):
+        """The right-hand side of a float array `values`, written into `out`.
+
+        `out` (allocated when None) must not overlap `values`. Without a
+        zero-order term the sum starts from +0.0, so a -0.0 term leaves +0.0.
+        """
+        if out is None:
+            out = np.empty(values.shape)
         if self.zero is None:
-            out = np.zeros(np.shape(values))
+            out.fill(0.0)
         else:
-            out = values * self.zero
+            np.multiply(values, self.zero, out=out)
         for steps, weight in self.terms:
             dv = values
             for ax, M in steps:
@@ -432,26 +442,39 @@ def _grid_values(field, gen, measure):
     return values
 
 
-def moyal_rhs(W, gen):
-    """Truncated sine-series right-hand side on a Wigner-density field."""
-    out = gen._plan.apply(_grid_values(W, gen, LEBESGUE))
-    if isinstance(W, PhaseSpaceField):
-        return PhaseSpaceField(out, W.role, W.space, W.measure, W.tol)
-    return out
+def _like(field, rhs, out):
+    """rhs as a field like `field` when that is a PhaseSpaceField.
+
+    Fields are read-only, so a caller's `out` buffer is copied into the
+    field rather than frozen.
+    """
+    if not isinstance(field, PhaseSpaceField):
+        return rhs
+    return PhaseSpaceField(rhs if out is None else rhs.copy(), field.role,
+                           field.space, field.measure, field.tol)
 
 
-def eta_moyal_rhs(phi, gen):
+def moyal_rhs(W, gen, out=None):
+    """Truncated sine-series right-hand side on a Wigner-density field.
+
+    With `out` (a float array of the grid's shape that does not overlap W)
+    the values are written there, and an array input returns `out` itself.
+    """
+    values = _grid_values(W, gen, LEBESGUE)
+    return _like(W, gen._plan.apply(values, out), out)
+
+
+def eta_moyal_rhs(phi, gen, out=None):
     """Sine-series action on an eta density through the Leibniz/Wick route.
 
     Expands every derivative of Phi * g by the Leibniz rule, replacing
     derivatives of the Gaussian reference density by Wick polynomials, and
     never multiplies or divides by the density itself. Equals
-    eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic.
+    eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic. `out`
+    works as in moyal_rhs.
     """
-    out = gen.eta_plan().apply(_grid_values(phi, gen, "mu_nu"))
-    if isinstance(phi, PhaseSpaceField):
-        return PhaseSpaceField(out, phi.role, phi.space, phi.measure, phi.tol)
-    return out
+    values = _grid_values(phi, gen, "mu_nu")
+    return _like(phi, gen.eta_plan().apply(values, out), out)
 
 
 def _sub_multi(alpha):
@@ -510,15 +533,36 @@ def pair_snapshots(left, right):
     return [(t, x, y) for (t, x), (_, y) in zip(left, right)]
 
 
-def _rk4_step(values, rhs, dt):
-    k1 = rhs(values)
-    k2 = rhs(values + 0.5 * dt * k1)
-    k3 = rhs(values + 0.5 * dt * k2)
-    k4 = rhs(values + dt * k3)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(values, rhs, gen, dt, k1, k2, k3, k4, stage):
+    """One classical RK4 step of `values`, in place.
+
+    The stage slopes go to k1..k4 and each stage input to `stage`, buffers
+    the caller allocates once. The arithmetic is that of
+    values + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with stage inputs
+    values + (dt/2) k, operation for operation and in the same order, so the
+    step is bitwise that of the allocating form.
+    """
+    rhs(values, gen, out=k1)
+    np.multiply(k1, 0.5 * dt, out=stage)
+    stage += values
+    rhs(stage, gen, out=k2)
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += values
+    rhs(stage, gen, out=k3)
+    np.multiply(k3, dt, out=stage)
+    stage += values
+    rhs(stage, gen, out=k4)
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    values += k1
 
 
-def _boundary_mask(shape):
+def _boundary_ring(shape):
+    """Flat indices of the grid's boundary ring, in C order."""
     mask = np.zeros(shape, dtype=bool)
     for ax in range(len(shape)):
         sl0 = [slice(None)] * len(shape)
@@ -526,7 +570,7 @@ def _boundary_mask(shape):
         mask[tuple(sl0)] = True
         sl0[ax] = shape[ax] - 1
         mask[tuple(sl0)] = True
-    return mask
+    return np.flatnonzero(mask)
 
 
 def evolve(field0, gen, run):
@@ -538,9 +582,12 @@ def evolve(field0, gen, run):
     off the dt lattice), and t is set to that event time on arrival. Raises
     UnstableStep when dt exceeds the CFL guard of any schedule segment the
     run reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
-    on per-step mass drift and EscapeDetected on boundary mass.
+    on per-step mass drift and EscapeDetected on boundary mass. Raises
+    SpecMismatch, before the first step, when field0 lives on another phase
+    space than the generator or carries another measure than its role's.
     """
     role = field0.role
+    _grid_values(field0, gen, LEBESGUE if role == WIGNER else "mu_nu")
     spec = field0.space
     tol = field0.tol
     cell = field0.cell_volume()
@@ -561,27 +608,22 @@ def evolve(field0, gen, run):
             raise UnstableStep(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
-    bmask = _boundary_mask(field0.values.shape)
+    ring = _boundary_ring(field0.values.shape)
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w", "purity_est")}
     snapshots = []
     hfield = gen.energy_field()
-
-    def rhs(vals):
-        if role == WIGNER:
-            return moyal_rhs(vals, gen)
-        f = PhaseSpaceField(vals, ETA, spec, "mu_nu", tol)
-        return eta_moyal_rhs(f, gen).values
+    rhs = moyal_rhs if role == WIGNER else eta_moyal_rhs
+    purity_scale = (2 * math.pi) ** len(field0.axes)
 
     def record(t, vals):
         w = vals if role == WIGNER else vals * g
-        d = len(field0.axes)
+        sq = (w ** 2).sum()
         diags["t"].append(t)
         diags["mass"].append(float(w.sum() * cell))
-        diags["l2"].append(float(math.sqrt((w ** 2).sum() * cell)))
+        diags["l2"].append(float(math.sqrt(sq * cell)))
         diags["energy"].append(float((hfield * w).sum() * cell))
         diags["min_w"].append(float(w.min()))
-        diags["purity_est"].append(
-            float((2 * math.pi) ** d * (w ** 2).sum() * cell))
+        diags["purity_est"].append(float(purity_scale * sq * cell))
         return w
 
     def check(t, w):
@@ -589,12 +631,13 @@ def evolve(field0, gen, run):
             raise UnstableStep(
                 f"mass drifted by {abs(diags['mass'][-1] - diags['mass'][-2]):.3e}"
                 f" in one step at t={t:g}", diagnostics=diags)
-        edge = float(np.abs(w[bmask]).sum() * cell)
+        edge = float(np.abs(w.take(ring)).sum() * cell)
         if edge > tol.boundary_mass:
             raise EscapeDetected(
                 f"boundary mass {edge:.3e} at t={t:g}", diagnostics=diags)
 
     values = np.array(field0.values, dtype=float)
+    k1, k2, k3, k4, stage = (np.empty_like(values) for _ in range(5))
     t = 0.0
     record(0.0, values)
     snapshots.append((0.0, field0))
@@ -606,8 +649,8 @@ def evolve(field0, gen, run):
             # so it does not drift; a step ending within 1e-12 of the target
             # lands on it
             gap = target - t
-            values = _rk4_step(values, rhs,
-                               run.dt if gap > run.dt - 1e-12 else gap)
+            _rk4_step(values, rhs, gen, run.dt if gap > run.dt - 1e-12 else gap,
+                      k1, k2, k3, k4, stage)
             steps += 1
             t = start + steps * run.dt
             if t > target - 1e-12:

@@ -211,3 +211,17 @@ def test_matrix_symmetry_follows_order_parity_and_mass_is_kept():
                     assert np.abs(D + D.T).max() <= 1e-13 * scale, (build, n, o)
                 else:
                     assert np.abs(D - D.T).max() <= 1e-13 * scale, (build, n, o)
+
+
+def test_last_axis_gemm_is_bitwise_free_of_matrix_order(rng):
+    # the bracket plan stores last-axis matrices in Fortran order so that the
+    # M.T it multiplies by is C-contiguous; the product must not change
+    for shape in ((64, 64), (32,) * 4):
+        n = shape[-1]
+        x = rng.normal(size=shape)
+        for build, o in ((derivative_matrix, 1), (derivative_matrix, 3),
+                         (fd4_matrix, 1)):
+            M = build(n, _spacing(n), o)
+            got = apply_along_axis(np.asfortranarray(M), x, len(shape) - 1)
+            assert got.tobytes() == apply_along_axis(M, x, len(shape) - 1) \
+                .tobytes(), (shape, build, o)

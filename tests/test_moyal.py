@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import fd_bracket, term_by_term_rhs
+from oracles import fd_bracket, term_by_term_rhs, textbook_rk4
 from wignerlab import (GaussianMeasure, HamiltonianSymbol, make_phase_space,
-                       pure_density, wigner_from_density)
+                       moyal, pure_density, wigner_from_density)
 from wignerlab.errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
                               SpecMismatch, UnstableStep)
-from wignerlab.moyal import (EvolutionRun, MoyalGenerator, evolve,
+from wignerlab.moyal import (FD4, EvolutionRun, MoyalGenerator, evolve,
                              gaussian_measure_derivative, moyal_rhs,
                              pair_snapshots, poisson_power, eta_moyal_rhs,
                              sine_coefficient, von_neumann_oracle)
@@ -199,6 +199,61 @@ def test_fd4_plan_matches_term_by_term(case, lab64):
                     term_by_term_rhs(phi.values, gen, eta=True)) <= 1e-12
 
 
+def _field_with_exact_zeros(lab64):
+    """A Gaussian kept on a 16 x 16 block and exactly zero elsewhere, so the
+    derivatives along a zero row or column are exact signed zeros."""
+    values = np.zeros((64, 64))
+    values[24:40, 24:40] = analytic_gaussian_wigner(lab64, 0.5, 0.3).values[
+        24:40, 24:40]
+    return values
+
+
+@pytest.mark.parametrize("route", ["wigner", "eta"])
+def test_rhs_out_is_the_allocating_result(lab64, route):
+    # the eta plan carries a zero-order term, the Wigner plan does not; a
+    # stale out buffer (-0.0 and NaN) must be overwritten everywhere
+    rhs = moyal_rhs if route == "wigner" else eta_moyal_rhs
+    gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
+    values = _field_with_exact_zeros(lab64)
+    expected = rhs(values, gen)
+    assert (expected == 0.0).sum() > 0
+    out = np.full_like(values, -0.0)
+    out[::3] = np.nan
+    got = rhs(values, gen, out=out)
+    assert got is out
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_wigner_rhs_sum_starts_from_positive_zero(lab64):
+    # with no zero-order term the sum starts from +0.0, so a term that is
+    # -0.0 never survives as -0.0 (0.0 + -0.0 = +0.0)
+    gen = MoyalGenerator(OSC, lab64, truncation=1)
+    assert gen._plan.zero is None
+    values = _field_with_exact_zeros(lab64)
+    out = np.full_like(values, -0.0)
+    got = moyal_rhs(values, gen, out=out)
+    zeros = got == 0.0
+    assert zeros.sum() > 0
+    assert not np.signbit(got[zeros]).any()
+
+
+@pytest.mark.parametrize("route", ["wigner", "eta"])
+def test_rhs_out_with_a_field_returns_a_field(lab64, route):
+    if route == "wigner":
+        f, rhs = analytic_gaussian_wigner(lab64, 1.0, 0.4), moyal_rhs
+    else:
+        f, rhs = analytic_gaussian_eta(lab64, 1.0, 0.4), eta_moyal_rhs
+    gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
+    out = np.empty((64, 64))
+    got = rhs(f, gen, out=out)
+    assert isinstance(got, PhaseSpaceField)
+    assert (got.role, got.space, got.measure) == (f.role, f.space, f.measure)
+    assert got.values.tobytes() == out.tobytes() \
+        == rhs(f, gen).values.tobytes()
+    out[0, 0] = 1.0                     # the caller's buffer stays writable
+    assert got.values[0, 0] != 1.0
+
+
 # --- eta-density route ----------------------------------------------------------
 
 def test_eta_rhs_stationary_reference(lab64):
@@ -373,6 +428,75 @@ def test_classical_vs_quantum_divergence(lab_cat):
         r1 = evolve(Wcat, g1, run)
         r2 = evolve(Wcat, g2, run)
     assert np.abs(r1.final_field.values - r2.final_field.values).max() > 1e-2
+
+
+def _rk4_case(case, lab64, lab_quartic):
+    """(initial field, generator factory, run) of one bitwise RK4 check."""
+    W = wigner_from_density(pure_density(displaced_state(lab64, 1.5, 0.2)))
+    if case == "harmonic":
+        return W, lambda: MoyalGenerator(OSC, lab64, truncation=1), \
+            EvolutionRun(dt=1e-3, t_end=0.0325, stride=10)
+    if case == "quartic":
+        Wq = wigner_from_density(pure_density(
+            displaced_state(lab_quartic, 1.0, 0.1)))
+        return Wq, lambda: MoyalGenerator(QUARTIC, lab_quartic, truncation=2), \
+            EvolutionRun(dt=1e-3, t_end=0.03, stride=10, enforce_cfl=False)
+    if case == "eta":
+        return analytic_gaussian_eta(lab64, 1.5, 0.2), \
+            lambda: MoyalGenerator(OSC, lab64, truncation=1), \
+            EvolutionRun(dt=1e-3, t_end=0.03, stride=10)
+    if case == "fd4":
+        return W, lambda: MoyalGenerator(OSC, lab64, truncation=1, scheme=FD4), \
+            EvolutionRun(dt=1e-3, t_end=0.03, stride=10)
+    if case == "quench":
+        # the plan is rebuilt at the off-lattice breakpoint mid-run
+        sym = HamiltonianSymbol(schedule=((0.0, FREE.terms),
+                                          (0.0105, OSC.terms)), d=1)
+        return W, lambda: MoyalGenerator(sym, lab64, truncation=2), \
+            EvolutionRun(dt=1e-3, t_end=0.03, stride=5)
+    sym, _, spec, W2 = _plan_case("coupled_d2", lab64)
+    return W2, lambda: MoyalGenerator(sym, spec, truncation=1), \
+        EvolutionRun(dt=2e-3, t_end=4e-3, stride=1, enforce_cfl=False)
+
+
+@pytest.mark.parametrize("case", ["harmonic", "quartic", "eta", "fd4",
+                                  "quench", "coupled_d2"])
+def test_evolve_is_bitwise_the_textbook_rk4(case, lab64, lab_quartic):
+    field0, make_gen, run = _rk4_case(case, lab64, lab_quartic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # the CFL overrides
+        res = evolve(field0, make_gen(), run)
+    snaps, diags = textbook_rk4(field0, make_gen(), run)
+    assert [t for t, _ in res.snapshots] == [t for t, _ in snaps]
+    for (_, f), (_, v) in zip(res.snapshots, snaps):
+        assert np.asarray(f.values).tobytes() == v.tobytes()
+    assert res.diagnostics.keys() == diags.keys()
+    for k, col in diags.items():
+        assert res.diagnostics[k].tobytes() == col.tobytes(), k
+
+
+@pytest.mark.parametrize("role", ["wigner", "eta", "measure"])
+def test_evolve_rejects_another_phase_space_before_stepping(lab64, role,
+                                                           monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a right-hand side was evaluated")
+
+    monkeypatch.setattr(moyal, "moyal_rhs", no_step)
+    monkeypatch.setattr(moyal, "eta_moyal_rhs", no_step)
+    other = make_phase_space(1, 64, 8.0, [[1.0]])
+    gen = MoyalGenerator(OSC, other, truncation=1)
+    if role == "wigner":
+        field0 = wigner_from_density(pure_density(displaced_state(lab64, 1.0,
+                                                                  0.0)))
+    elif role == "eta":
+        field0 = analytic_gaussian_eta(lab64, 1.0, 0.0)
+    else:
+        # the generator's own phase space, but a Wigner field on mu x nu
+        gen = MoyalGenerator(OSC, lab64, truncation=1)
+        W = analytic_gaussian_wigner(lab64, 1.0, 0.0)
+        field0 = PhaseSpaceField(W.values, W.role, lab64, "mu_nu", W.tol)
+    with pytest.raises(SpecMismatch):
+        evolve(field0, gen, EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
 
 
 # --- von Neumann oracle -------------------------------------------------------
