@@ -9,6 +9,7 @@ are invariant under K -> alpha K + c I with alpha > 0.
 """
 
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .wigner import reduce_wigner, wigner_from_density
 LAYOUT_DIM_CAP = 65536
 RUN_DIM_CAP = 4096
 EIGH_COST = 10     # one D x D eigh ~ 10 D x D matrix products (9-17 measured)
+HERMITIAN_TILE = 64  # 64 x 64 complex tiles: 64 KiB per operand
 
 ROLE_ORDER = ("P1", "P2", "C1", "C2", "W")
 PLANT_ROLES = ("P1", "P2")
@@ -87,38 +89,76 @@ class SubsystemLayout:
 
 
 def _check_hermitian(m, what, tol=DEFAULT_TOL):
+    """Return m as a complex array, or raise unless it is finite and Hermitian.
+
+    The comparisons fail closed: a NaN or infinite entry is rejected, never
+    waved through by a comparison that is False on NaN.
+    """
     m = np.asarray(m, dtype=complex)
-    scale = max(float(np.abs(m).max()), 1.0)
-    if np.abs(m - m.conj().T).max() > tol.hermiticity * scale:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonHermitianInput(f"{what} is not a square matrix")
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
+        raise NonHermitianInput(f"{what} has non-finite entries")
+    if not _hermitian_defect(m) <= tol.hermiticity * max(peak, 1.0):
         raise NonHermitianInput(f"{what} is not Hermitian")
     return m
 
 
-def embed_operator(op, on_labels, layout):
-    """Extend an operator on a factor subset by identity on the rest."""
-    if isinstance(on_labels, str):
-        on_labels = (on_labels,)
+def _hermitian_defect(m):
+    """max |m - m^H|, compared over upper-triangle tiles m[I, J] vs m[J, I]^H.
+
+    |a - conj(b)| = |b - conj(a)|, so the tiles with J >= I see every pair;
+    no full conjugate copy or transposed full view is read. A NaN in any tile
+    makes the result NaN.
+    """
+    t = HERMITIAN_TILE
+    starts = range(0, m.shape[0], t)
+    worst = [np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T.conj()).max()
+             for i in starts for j in starts if j >= i]
+    return float(np.max(worst))
+
+
+def _add_embedded(out, op, on_labels, layout):
+    """Add op (x) I_rest into the C-contiguous D x D array `out`.
+
+    op acts on `on_labels` in the order given. The add goes through the
+    writable einsum view of `out` on which bra and ket agree on every factor
+    outside `on_labels`, so it writes D * d_on entries, not D^2.
+    """
+    on_labels = (on_labels,) if isinstance(on_labels, str) else tuple(on_labels)
     labels = layout.labels
     missing = set(on_labels) - set(labels)
     if missing:
         raise UnknownSubsystem(f"unknown subsystem(s) {sorted(missing)}")
-    dims = {r: space_dim(layout.roles[r]) for r in labels}
-    d_on = int(np.prod([dims[r] for r in on_labels]))
+    if len(set(on_labels)) != len(on_labels):
+        raise FactorMismatch(f"repeated subsystem in {on_labels}")
+    dims = layout.dims
+    d_on = layout.dim_of(on_labels)
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_on, d_on):
         raise FactorMismatch(
             f"operator shape {op.shape} != ({d_on}, {d_on}) for {on_labels}")
-    rest = [r for r in labels if r not in set(on_labels)]
-    d_rest = int(np.prod([dims[r] for r in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest, dtype=complex))
-    # permute from (on_labels..., rest...) order to layout order
-    order = list(on_labels) + rest
-    perm = [order.index(r) for r in labels]
-    k = len(labels)
-    shaped = big.reshape([dims[r] for r in order] * 2)
-    shaped = shaped.transpose(perm + [k + i for i in perm])
+    # the view's axes: rest factors (bra = ket), then bra and ket of the
+    # on-factors, both in layout order
+    on = [i for i, r in enumerate(labels) if r in on_labels]
+    rest = [i for i in range(len(labels)) if i not in on]
+    bra = string.ascii_lowercase[:len(labels)]
+    ket = "".join(c if i in rest else c.upper() for i, c in enumerate(bra))
+    kept = "".join(bra[i] for i in rest + on) + "".join(ket[i] for i in on)
+    view = np.einsum(f"{bra}{ket}->{kept}", out.reshape(dims * 2))
+    # op's axes from on_labels order to layout order
+    perm = [on_labels.index(labels[i]) for i in on]
+    shaped = op.reshape([dims[labels.index(r)] for r in on_labels] * 2)
+    view += shaped.transpose(perm + [len(on) + i for i in perm])
+
+
+def embed_operator(op, on_labels, layout):
+    """Extend an operator on a factor subset by identity on the rest."""
     D = layout.dim
-    return shaped.reshape(D, D)
+    out = np.zeros((D, D), dtype=complex)
+    _add_embedded(out, op, on_labels, layout)
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,7 +178,7 @@ class CouplingSpec:
         D = layout.dim
         out = np.zeros((D, D), dtype=complex)
         for labels, m in self.terms:
-            out += embed_operator(m, labels, layout)
+            _add_embedded(out, m, labels, layout)
         return out
 
 
@@ -155,10 +195,11 @@ def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
         raise FactorMismatch("plant Hamiltonian dimension mismatch")
     if hc.shape[0] != layout.dim_of(layout.controller_labels()):
         raise FactorMismatch("controller Hamiltonian dimension mismatch")
-    return (embed_operator(hp, layout.plant_labels(), layout)
-            + embed_operator(hc, layout.controller_labels(), layout)
-            + embed_operator(k1, ("P1", "C1"), layout)
-            + embed_operator(k2, ("P2", "C2"), layout))
+    out = embed_operator(hp, layout.plant_labels(), layout)
+    _add_embedded(out, hc, layout.controller_labels(), layout)
+    _add_embedded(out, k1, ("P1", "C1"), layout)
+    _add_embedded(out, k2, ("P2", "C2"), layout)
+    return out
 
 
 def build_general_hamiltonian(h_plant, h_controller, coupling, layout):
@@ -168,9 +209,10 @@ def build_general_hamiltonian(h_plant, h_controller, coupling, layout):
     K = _check_hermitian(coupling, "coupling")
     if K.shape[0] != layout.dim:
         raise FactorMismatch("coupling must act on the full composite space")
-    return (embed_operator(hp, layout.plant_labels(), layout)
-            + embed_operator(hc, layout.controller_labels(), layout)
-            + K)
+    out = embed_operator(hp, layout.plant_labels(), layout)
+    _add_embedded(out, hc, layout.controller_labels(), layout)
+    out += K
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,8 +243,8 @@ def build_refined_hamiltonian(parts, layout):
     D = layout.dim
     out = np.zeros((D, D), dtype=complex)
     for m, labels in pieces:
-        out += embed_operator(_check_hermitian(m, f"term on {labels}"),
-                              labels, layout)
+        _add_embedded(out, _check_hermitian(m, f"term on {labels}"),
+                      labels, layout)
     return out
 
 
@@ -222,7 +264,7 @@ class FeedbackVerdict:
 
 
 def _cut_permuted(K, layout):
-    """Reorder the composite so the cut reads (P1 C1) x (P2 C2)."""
+    """A copy of K reordered so the cut reads (P1 C1) x (P2 C2)."""
     labels = list(layout.labels)
     want = [r for r in ("P1", "C1") if r in labels] + \
            [r for r in ("P2", "C2") if r in labels] + \
@@ -233,7 +275,7 @@ def _cut_permuted(K, layout):
     shaped = K.reshape(dims * 2).transpose(perm + [k + i for i in perm])
     d_a = layout.dim_of([r for r in ("P1", "C1") if r in labels])
     d_b = layout.dim // d_a
-    return shaped.reshape(layout.dim, layout.dim), d_a, d_b
+    return shaped.copy().reshape(layout.dim, layout.dim), d_a, d_b
 
 
 def classify_coupling(K, layout, tol=DEFAULT_TOL):
@@ -241,27 +283,33 @@ def classify_coupling(K, layout, tol=DEFAULT_TOL):
 
     The identity component is quotiented away and K is scaled to unit
     Frobenius norm before projecting onto the span {A (x) I, I (x) B}; the
-    witnesses are returned at the original scale of K.
+    witnesses are returned at the original scale of K. All of it runs on one
+    working copy of K, which ends as the residual K - A (x) I - I (x) B.
     """
     K = _check_hermitian(K, "coupling")
     if K.shape[0] != layout.dim:
         raise FactorMismatch("coupling must act on the full composite space")
-    Kp, d_a, d_b = _cut_permuted(K, layout)
+    Kn, d_a, d_b = _cut_permuted(K, layout)
     D = layout.dim
-    K0 = Kp - (np.trace(Kp) / D) * np.eye(D)
-    scale = float(np.linalg.norm(K0))
-    if scale < 1e-14 * max(float(np.linalg.norm(Kp)), 1.0):
+    trace = np.trace(Kn)
+    Kn.flat[::D + 1] -= trace / D
+    scale = float(np.linalg.norm(Kn))
+    # ||K||^2 = ||K0||^2 + |tr K|^2 / D, since K0 is traceless
+    if scale < 1e-14 * max(math.hypot(scale, abs(trace) / math.sqrt(D)), 1.0):
         zero_a = np.zeros((d_a, d_a), dtype=complex)
         zero_b = np.zeros((d_b, d_b), dtype=complex)
         return FeedbackVerdict(NO_FEEDBACK, zero_a, zero_b, 0.0)
-    Kn = K0 / scale
+    Kn /= scale
     Kt = Kn.reshape(d_a, d_b, d_a, d_b)
     A = np.einsum('ibjb->ij', Kt) / d_b
     B = np.einsum('aiaj->ij', Kt) / d_a
-    A -= (np.trace(A) / d_a) * np.eye(d_a)
-    B -= (np.trace(B) / d_b) * np.eye(d_b)
-    fit = np.kron(A, np.eye(d_b)) + np.kron(np.eye(d_a), B)
-    residual = float(np.linalg.norm(Kn - fit))
+    A.flat[::d_a + 1] -= np.trace(A) / d_a
+    B.flat[::d_b + 1] -= np.trace(B) / d_b
+    on_a = np.einsum('ibjb->ibj', Kt)     # writable views: the entries of
+    on_a -= A[:, None, :]                  # A (x) I and I (x) B
+    on_b = np.einsum('aiaj->aij', Kt)
+    on_b -= B
+    residual = float(np.linalg.norm(Kn))
     a_active = float(np.linalg.norm(A)) > tol.classifier_nonscalar
     b_active = float(np.linalg.norm(B)) > tol.classifier_nonscalar
     if residual < tol.classifier_residual:
@@ -297,9 +345,7 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
     classical_feedback=True instead evolves the composite Wigner field with
     the first-order (Liouville) generator built from `hamiltonian_symbol`.
     """
-    D = layout.dim
-    if D > RUN_DIM_CAP:
-        raise DimensionCap(f"composite dimension {D} exceeds run cap {RUN_DIM_CAP}")
+    check_run_cap(layout)
     H = _check_hermitian(hamiltonian, "scenario Hamiltonian")
     system = layout.system()
     plant = layout.plant_labels()
@@ -332,6 +378,13 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
             squares.append(float(np.abs(Wred.values - WP.values).max()))
     return ScenarioResult(times, np.asarray(purity), np.asarray(energy),
                           states, wigners, np.asarray(squares), None)
+
+
+def check_run_cap(layout):
+    """Raise DimensionCap when the composite is too large to run a scenario on."""
+    if layout.dim > RUN_DIM_CAP:
+        raise DimensionCap(
+            f"composite dimension {layout.dim} exceeds run cap {RUN_DIM_CAP}")
 
 
 def _propagated(H, T0, times):

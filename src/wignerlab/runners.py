@@ -8,8 +8,8 @@ import numpy as np
 from . import serialize
 from .errors import SpecMismatch
 from .feedback import (CouplingSpec, SubsystemLayout,
-                       build_general_hamiltonian, classify_coupling,
-                       run_scenario)
+                       build_general_hamiltonian, check_run_cap,
+                       classify_coupling, run_scenario)
 from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
                       tensor_many)
 from .moyal import EvolutionRun, MoyalGenerator, evolve, von_neumann_oracle
@@ -62,6 +62,7 @@ def build_composite_state(recipe, system, rng):
 def assemble_layout(cfg):
     from .hilbert import space_dim
     layout = SubsystemLayout(dict(cfg.layout_factors))
+    check_run_cap(layout)     # before any D x D operator is built
 
     def block(labels):
         out = None

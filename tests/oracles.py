@@ -1,16 +1,20 @@
 """Independent oracles: finite differences of analytic functions, explicit
-Weyl unitaries, permutation-matrix embeddings. Deliberately written with
-different machinery than the library paths they check."""
+Weyl unitaries, permutation-matrix and Kronecker-product embeddings.
+Deliberately written with different machinery than the library paths they
+check."""
 
 import math
 
 import numpy as np
 
 from wignerlab.engine import SpectralDifferentiator, axis_coords
-from wignerlab.hilbert import LEBESGUE, DensityOperator
+from wignerlab.errors import FactorMismatch, UnknownSubsystem
+from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK, FeedbackVerdict
+from wignerlab.hilbert import LEBESGUE, DensityOperator, space_dim
 from wignerlab.moyal import (FD4, bracket_pairs, eta_moyal_rhs, moyal_rhs,
                              sine_coefficient, wick_polynomial)
 from wignerlab.states import oscillator_basis
+from wignerlab.tolerances import DEFAULT_TOL
 from wignerlab.wigner import ETA
 
 
@@ -247,6 +251,79 @@ def embed_by_permutation(op, positions, dims):
     P = np.zeros((D, D))
     P[np.arange(D), perm] = 1.0
     return P @ big @ P.T
+
+
+def kron_embed_operator(op, on_labels, layout):
+    """Identity padding by a Kronecker product with I_rest, then a transposed
+    copy into layout order: the reference for the in-place embedding."""
+    if isinstance(on_labels, str):
+        on_labels = (on_labels,)
+    labels = layout.labels
+    missing = set(on_labels) - set(labels)
+    if missing:
+        raise UnknownSubsystem(f"unknown subsystem(s) {sorted(missing)}")
+    dims = {r: space_dim(layout.roles[r]) for r in labels}
+    d_on = int(np.prod([dims[r] for r in on_labels]))
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (d_on, d_on):
+        raise FactorMismatch(
+            f"operator shape {op.shape} != ({d_on}, {d_on}) for {on_labels}")
+    rest = [r for r in labels if r not in set(on_labels)]
+    d_rest = int(np.prod([dims[r] for r in rest])) if rest else 1
+    big = np.kron(op, np.eye(d_rest, dtype=complex))
+    # permute from (on_labels..., rest...) order to layout order
+    order = list(on_labels) + rest
+    perm = [order.index(r) for r in labels]
+    k = len(labels)
+    shaped = big.reshape([dims[r] for r in order] * 2)
+    shaped = shaped.transpose(perm + [k + i for i in perm])
+    D = layout.dim
+    return shaped.reshape(D, D)
+
+
+def _kron_cut_permuted(K, layout):
+    """Reorder the composite so the cut reads (P1 C1) x (P2 C2)."""
+    labels = list(layout.labels)
+    want = [r for r in ("P1", "C1") if r in labels] + \
+           [r for r in ("P2", "C2") if r in labels] + \
+           [r for r in labels if r not in ("P1", "P2", "C1", "C2")]
+    dims = [space_dim(layout.roles[r]) for r in labels]
+    k = len(labels)
+    perm = [labels.index(r) for r in want]
+    shaped = K.reshape(dims * 2).transpose(perm + [k + i for i in perm])
+    d_a = layout.dim_of([r for r in ("P1", "C1") if r in labels])
+    d_b = layout.dim // d_a
+    return shaped.reshape(layout.dim, layout.dim), d_a, d_b
+
+
+def kron_classify_coupling(K, layout, tol=DEFAULT_TOL):
+    """Least-squares verdict with the fit A (x) I + I (x) B formed by
+    Kronecker products and D x D identities: the reference for the one-copy
+    classifier. K is taken as given (no hermiticity check)."""
+    K = np.asarray(K, dtype=complex)
+    Kp, d_a, d_b = _kron_cut_permuted(K, layout)
+    D = layout.dim
+    K0 = Kp - (np.trace(Kp) / D) * np.eye(D)
+    scale = float(np.linalg.norm(K0))
+    if scale < 1e-14 * max(float(np.linalg.norm(Kp)), 1.0):
+        zero_a = np.zeros((d_a, d_a), dtype=complex)
+        zero_b = np.zeros((d_b, d_b), dtype=complex)
+        return FeedbackVerdict(NO_FEEDBACK, zero_a, zero_b, 0.0)
+    Kn = K0 / scale
+    Kt = Kn.reshape(d_a, d_b, d_a, d_b)
+    A = np.einsum('ibjb->ij', Kt) / d_b
+    B = np.einsum('aiaj->ij', Kt) / d_a
+    A -= (np.trace(A) / d_a) * np.eye(d_a)
+    B -= (np.trace(B) / d_b) * np.eye(d_b)
+    fit = np.kron(A, np.eye(d_b)) + np.kron(np.eye(d_a), B)
+    residual = float(np.linalg.norm(Kn - fit))
+    a_active = float(np.linalg.norm(A)) > tol.classifier_nonscalar
+    b_active = float(np.linalg.norm(B)) > tol.classifier_nonscalar
+    if residual < tol.classifier_residual:
+        kind = FEEDBACK if (a_active and b_active) else NO_FEEDBACK
+    else:
+        kind = GENERAL
+    return FeedbackVerdict(kind, A * scale, B * scale, residual)
 
 
 def _fmt(x):

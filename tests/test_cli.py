@@ -235,6 +235,35 @@ def test_feedback_form_verdict(tmp_path):
     assert verdict["residual"] < 1e-8
 
 
+def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
+    # D = 64 x 128 = 8192 passes the layout cap but not the run cap; every
+    # D x D operator would take 1.07 GB, so none may be built before exit 1
+    from wignerlab import feedback, runners
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("operator built before the run cap was checked")
+
+    monkeypatch.setattr(runners, "weyl_quantize", unreachable)
+    monkeypatch.setattr(feedback.CouplingSpec, "assemble", unreachable)
+    x = [{"powers_q": [1], "powers_p": [0], "coeff": 1.0}]
+    path = _write(tmp_path, {
+        "version": "1",
+        "layout": {"P1": {"kind": "levels", "dim": 64},
+                   "C1": {"kind": "levels", "dim": 128}},
+        "hamiltonian": {
+            "factors": {"P1": {"terms": x}},
+            "couplings": [{"factors": ["P1", "C1"],
+                           "symbols": {"P1": x, "C1": x}}],
+        },
+        "initial_state": {"type": "product", "factors": {
+            "P1": {"type": "ground"}, "C1": {"type": "ground"}}},
+        "run": {"dt": 1e-2, "t_end": 0.1, "stride": 10},
+    })
+    rc = main(["feedback", "--config", path, "--out", str(tmp_path / "f3")])
+    assert rc == 1
+    assert "exceeds run cap 4096" in capsys.readouterr().err
+
+
 def test_verify_quick(tmp_path, capsys):
     out = str(tmp_path / "v1")
     rc = main(["verify", "--out", out, "--level", "quick"])
