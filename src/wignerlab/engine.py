@@ -17,11 +17,20 @@ orthogonal matrix basis, so every map below is an exact linear bijection:
 with cell volumes da = pi/L, db = 2L/n. The sample tensor lives on the dual
 lattice P x Q: the a-axis carries momentum values, the b-axis position values.
 
-Every exp(+-i p q) sum runs through one kernel, centered_dft: on this lattice
-p_a q_l = (2 pi/n)(a - n/2)(l - n/2), so each sum is an FFT and a map costs
-n^(2d) log n rather than the n^(2d+1) of dense phase matrices.
+Every exp(+-i p q) sum is an FFT: on this lattice
+p_a q_l = (2 pi/n)(a - n/2)(l - n/2), so centered_dft is a plain DFT between
+two checkerboards and a map costs n^(2d) log n rather than the n^(2d+1) of
+dense phase matrices.
+
+density_to_wigner and wigner_to_density do not pass through chi. Along each
+axis the DFT l -> a, the cocycle and the DFT a -> q collapse: for an even
+translation s = beta - n/2 they are one gather, T[m - s/2, m + s/2], and for
+an odd s a half-cell shift of the gathered column; one DFT over the beta axes
+finishes the map (docs/math-notes.md, "The direct map"). The per-n index and
+phase tables are built once, on first use, and are read-only.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -66,27 +75,103 @@ def fourier_matrix(n):
     return centered_dft(np.eye(n), (0,), -1) / math.sqrt(n)
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _pairs(d):
+    """Axis order (x1, y1, ..., xd, yd) of an (x1..xd, y1..yd) tensor."""
+    return [k for i in range(d) for k in (i, d + i)]
+
+
+def _unpairs(d):
+    """Axis order (x1..xd, y1..yd) of an (x1, y1, ..., xd, yd) tensor."""
+    return [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+
+
+def _paired_copy(x, dims, scale):
+    """scale * x as a new complex tensor with its axes in pair order."""
+    out = np.empty([k for n in dims for k in (n, n)], dtype=complex)
+    np.multiply(np.reshape(x, dims + dims), scale,
+                out=out.transpose(_unpairs(len(dims))))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def _diag_index(n):
-    """Index pair of the (l, beta) <-> (bra, ket) diagonal gather.
+    """Flat (bra n + ket) index of the (l, beta) diagonal gather.
 
-    Entry (l, beta) is T[l - (beta - n/2), l], the entry that S_b with
-    b = q_beta connects; the DFT along l then leaves the (a, b) layout.
+    Column beta holds the translation s = beta - n/2 (b = s h): the diagonal
+    T[u, u + s] that S_b connects. Row l reads
+    T[l - ceil(s/2), l + floor(s/2)], so an even-s column is centred,
+    T[l - s/2, l + s/2].
     """
+    s = np.arange(n) - n // 2
+    lo = (s + 1) // 2
     l = np.arange(n)[:, None]
-    return (l - np.arange(n) + n // 2) % n, l
+    return _frozen((((l - lo) % n) * n + (l + s - lo) % n).ravel())
 
 
-def _cocycle(ndim, i, n, sign):
-    """exp(sign i p_a q_b / 2) on the (a, b) axes (i, ndim/2 + i) of a tensor.
+@functools.lru_cache(maxsize=None)
+def _scatter_index(n):
+    """The inverse permutation of _diag_index(n): the scatter, as a gather."""
+    inv = np.empty(n * n, dtype=np.intp)
+    inv[_diag_index(n)] = np.arange(n * n)
+    return _frozen(inv)
 
-    p_a q_b / 2 = (pi/n)(a - n/2)(b - n/2): the phase is read from a table of
-    the 2n distinct values, not evaluated n^2 times.
+
+@functools.lru_cache(maxsize=None)
+def _half_cell(n):
+    """exp(i pi j / n) for the centered momentum index j = -n/2 .. n/2 - 1.
+
+    The cocycle exp(i p_a q_b / 2) = exp(i pi j s / n) is a shift of
+    floor(s/2) cells along l, which the gather makes, times this phase on
+    the odd-s columns: the half cell no integer shift can make.
     """
-    j = np.arange(n) - n // 2
-    table = np.exp(sign * 1j * math.pi / n * np.arange(2 * n))
-    shape = [1] * ndim
-    shape[i] = shape[ndim // 2 + i] = n
-    return table[np.outer(j, j) % (2 * n)].reshape(shape)
+    return _frozen(np.exp(1j * math.pi / n * (np.arange(n) - n // 2)))
+
+
+def _take_pairs(X, dims, inverse=False):
+    """Gather every (row, column) axis pair of the paired tensor X.
+
+    Output pair i at (l, beta) is input pair i at flat index
+    _diag_index(n_i)[l n_i + beta]; inverse=True reads at the inverse
+    permutation instead, which undoes the gather.
+    """
+    for i, n in enumerate(dims):
+        index = _scatter_index(n) if inverse else _diag_index(n)
+        X = X.reshape(math.prod(dims[:i]) ** 2, n * n, -1).take(index, axis=1)
+    return X.reshape([k for n in dims for k in (n, n)])
+
+
+def _odd_columns(V, dims, i):
+    """Writable view of pair i's odd-s columns in the paired tensor V."""
+    n = dims[i]
+    V = V.reshape((math.prod(dims[:i]) ** 2, n, n, -1), copy=False)
+    return V[:, :, (n // 2 + 1) % 2::2]
+
+
+def _shift_odd_columns(V, dims, sign):
+    """Shift the odd-s columns of every (l, beta) pair of V by half a cell
+    along l and negate them, in place; sign = -1 applies the inverse.
+
+    The negation is the (-1)^s that the centered DFT over beta puts on
+    these columns."""
+    for i, n in enumerate(dims):
+        odd = _odd_columns(V, dims, i)
+        phase = -np.fft.ifftshift(_half_cell(n))
+        np.fft.fft(odd, axis=1, out=odd)
+        odd *= (phase if sign > 0 else phase.conj())[:, None, None]
+        np.fft.ifft(odd, axis=1, out=odd)
+
+
+def _checkers(dims, scale):
+    """scale * prod_i (-1)^(k_i) on the (k1..kd) grid."""
+    c = np.asarray(scale)
+    for n in dims:
+        c = np.multiply.outer(c, 1.0 - 2.0 * (np.arange(n) % 2))
+    return c
 
 
 def _cell(axes):
@@ -97,8 +182,9 @@ def _cell(axes):
 def density_to_chi(T, axes):
     """Weyl-function samples of a density tensor.
 
-    Per axis: gather the diagonals T[l - (beta - n/2), l], DFT along l, then
-    multiply by the cocycle exp(i p_a q_b / 2).
+    Per axis: the diagonal gather, the DFT along l, and the half-cell phase
+    on the odd-s columns; with the gather's shift of floor(s/2) cells that
+    is the cocycle exp(i p_a q_b / 2).
 
     Parameters
     ----------
@@ -112,32 +198,27 @@ def density_to_chi(T, axes):
     ndarray, shape (n1..nd, n1..nd)
         chi with a-axes first (momentum-valued), b-axes second.
     """
-    d = len(axes)
     dims = [n for n, _ in axes]
-    X = np.asarray(T, dtype=complex).reshape(dims + dims)
-    for i, (n, _) in enumerate(axes):
-        A = np.moveaxis(X, (i, d + i), (0, 1))[_diag_index(n)]    # (l, beta, rest)
-        X = np.moveaxis(A, (0, 1), (i, d + i))
-    chi = centered_dft(X, range(d), -1)                           # l -> a
-    for i, (n, _) in enumerate(axes):
-        chi *= _cocycle(2 * d, i, n, +1)
-    return chi
+    d = len(dims)
+    X = np.asarray(T, dtype=complex).reshape(dims + dims).transpose(_pairs(d))
+    chi = centered_dft(_take_pairs(X, dims), range(0, 2 * d, 2), -1)  # l -> a
+    for i, n in enumerate(dims):
+        odd = _odd_columns(chi, dims, i)
+        odd *= _half_cell(n)[:, None, None]
+    return chi.transpose(_unpairs(d))
 
 
 def chi_to_density(chi, axes):
     """Inverse of density_to_chi (exact lattice completeness)."""
-    d = len(axes)
-    C = np.multiply(chi, 1.0 / math.prod(n for n, _ in axes), dtype=complex)
-    for i, (n, _) in enumerate(axes):
-        C *= _cocycle(2 * d, i, n, -1)
-    G = centered_dft(C, range(d), +1)                             # a -> l
+    dims = [n for n, _ in axes]
+    d = len(dims)
+    C = _paired_copy(chi, dims, 1.0 / math.prod(dims))
+    for i, n in enumerate(dims):
+        odd = _odd_columns(C, dims, i)
+        odd *= _half_cell(n).conj()[:, None, None]
+    G = centered_dft(C, range(0, 2 * d, 2), +1)                    # a -> l
     del C                       # release it before the scatter allocates T
-    for i, (n, _) in enumerate(axes):
-        G = np.moveaxis(G, (i, d + i), (0, 1))                    # (l, beta, rest)
-        T = np.empty_like(G)
-        T[_diag_index(n)] = G
-        G = np.moveaxis(T, (0, 1), (i, d + i))
-    return G
+    return _take_pairs(G, dims, inverse=True).transpose(_unpairs(d))
 
 
 def chi_to_wigner(chi, axes):
@@ -157,13 +238,38 @@ def wigner_to_chi(W, axes):
 
 
 def density_to_wigner(T, axes):
-    return chi_to_wigner(density_to_chi(T, axes), axes)
+    """Wigner field of a density tensor: chi_to_wigner(density_to_chi(T)),
+    without the Weyl samples in between.
+
+    Along each axis the DFT l -> a, the cocycle and the DFT a -> q collapse:
+    an even-s column of the diagonal gather is already the row m = l, and an
+    odd-s column needs only a half-cell shift along l. Then one DFT over the
+    beta axes; its checkerboards are folded into the odd-s shift and into
+    the final scale (-1)^k.
+    """
+    dims = [n for n, _ in axes]
+    d = len(dims)
+    X = np.asarray(T, dtype=complex).reshape(dims + dims).transpose(_pairs(d))
+    V = _take_pairs(X, dims)
+    _shift_odd_columns(V, dims, +1)
+    W = np.empty(dims + dims, dtype=complex)
+    np.fft.ifftn(V, axes=range(1, 2 * d, 2), norm="forward",
+                 out=W.transpose(_pairs(d)))
+    W *= _checkers(dims, (2.0 * math.pi) ** -d)
+    return W
 
 
 def wigner_to_density(W, axes):
+    """Inverse of density_to_wigner, as an (N, N) matrix: the DFT over p,
+    the inverse half-cell shift of the odd-s columns, then the scatter."""
     dims = [n for n, _ in axes]
-    N = int(np.prod(dims))
-    return chi_to_density(wigner_to_chi(W, axes), axes).reshape(N, N)
+    d = len(dims)
+    V = _paired_copy(W, dims, _checkers(dims, (2.0 * math.pi) ** d))
+    np.fft.fftn(V, axes=range(1, 2 * d, 2), norm="forward", out=V)
+    _shift_odd_columns(V, dims, -1)
+    T = _take_pairs(V, dims, inverse=True)
+    N = math.prod(dims)
+    return T.transpose(_unpairs(d)).reshape(N, N)
 
 
 def weyl_unitary_axis(a, b, n, L):

@@ -78,7 +78,9 @@ def check_pairing(spec, count, rng):
 
 
 def check_route_equivalence(spec, count, rng):
-    """Worst max |W - W from the Weyl samples| (kernel vs Weyl route)."""
+    """Worst max |W - W2| over random states: W by the direct map
+    (wigner_from_density) and W2 through the Weyl samples
+    (wigner_from_weyl_function of weyl_samples_field)."""
     worst = 0.0
     for _ in range(count):
         T = random_mixed(spec, rng)

@@ -220,10 +220,8 @@ def weyl_quantize(symbol, spec):
         if symbol.sampled.shape != shape:
             raise DomainOverflow(
                 f"sampled symbol shape {symbol.sampled.shape} != grid {shape}")
-        axes = spec.axis_geometry()
-        N = spec.hilbert_dim
-        chi = engine.wigner_to_chi(symbol.sampled.astype(complex), axes)
-        out = out + engine.chi_to_density(chi, axes).reshape(N, N) \
+        out = out + engine.wigner_to_density(symbol.sampled,
+                                             spec.axis_geometry()) \
             / (2.0 * math.pi) ** spec.d
     return out
 

@@ -184,7 +184,7 @@ def inverse_wigner(W, validate=True):
     if not abs(mass - 1.0) <= W.tol.normalization_input:
         raise NotNormalized(f"field integrates to {mass}, expected 1")
     axes = W.axes
-    T = engine.wigner_to_density(np.asarray(W.values, complex), axes)
+    T = engine.wigner_to_density(W.values, axes)
     T = 0.5 * (T + T.conj().T)
     out = DensityOperator(T, LEBESGUE, W.space, W.tol)
     if validate:

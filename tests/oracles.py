@@ -1,5 +1,6 @@
 """Independent oracles: finite differences of analytic functions, explicit
-Weyl unitaries, permutation-matrix and Kronecker-product embeddings.
+Weyl unitaries, the lattice maps through the Weyl samples, permutation-matrix
+and Kronecker-product embeddings.
 Deliberately written with different machinery than the library paths they
 check."""
 
@@ -7,7 +8,8 @@ import math
 
 import numpy as np
 
-from wignerlab.engine import SpectralDifferentiator, axis_coords
+from wignerlab.engine import (SpectralDifferentiator, axis_coords,
+                              centered_dft, chi_to_wigner, wigner_to_chi)
 from wignerlab.errors import FactorMismatch, UnknownSubsystem
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK, FeedbackVerdict
 from wignerlab.hilbert import LEBESGUE, DensityOperator, space_dim
@@ -210,6 +212,77 @@ def chi_by_explicit_unitaries(T, spec):
             U = np.exp(0.5j * a * q[beta]) * np.diag(np.exp(-1j * a * q)) @ S
             chi[alpha, beta] = np.sum(T * U.T)
     return chi
+
+
+# --- the lattice maps through the Weyl samples, as they were before the
+# direct map: per-call diagonal index pairs and an n x n cocycle table ---
+
+def _diag_index(n):
+    """Index pair of the (l, beta) <-> (bra, ket) diagonal gather.
+
+    Entry (l, beta) is T[l - (beta - n/2), l], the entry that S_b with
+    b = q_beta connects; the DFT along l then leaves the (a, b) layout.
+    """
+    l = np.arange(n)[:, None]
+    return (l - np.arange(n) + n // 2) % n, l
+
+
+def _cocycle(ndim, i, n, sign):
+    """exp(sign i p_a q_b / 2) on the (a, b) axes (i, ndim/2 + i) of a tensor.
+
+    p_a q_b / 2 = (pi/n)(a - n/2)(b - n/2): the phase is read from a table of
+    the 2n distinct values, not evaluated n^2 times.
+    """
+    j = np.arange(n) - n // 2
+    table = np.exp(sign * 1j * math.pi / n * np.arange(2 * n))
+    shape = [1] * ndim
+    shape[i] = shape[ndim // 2 + i] = n
+    return table[np.outer(j, j) % (2 * n)].reshape(shape)
+
+
+def density_to_chi_by_cocycle(T, axes):
+    """Weyl-function samples: per axis the diagonal gather, the DFT along l
+    and the full cocycle table exp(i p_a q_b / 2)."""
+    d = len(axes)
+    dims = [n for n, _ in axes]
+    X = np.asarray(T, dtype=complex).reshape(dims + dims)
+    for i, (n, _) in enumerate(axes):
+        A = np.moveaxis(X, (i, d + i), (0, 1))[_diag_index(n)]    # (l, beta, rest)
+        X = np.moveaxis(A, (0, 1), (i, d + i))
+    chi = centered_dft(X, range(d), -1)                           # l -> a
+    for i, (n, _) in enumerate(axes):
+        chi *= _cocycle(2 * d, i, n, +1)
+    return chi
+
+
+def chi_to_density_by_cocycle(chi, axes):
+    """Inverse of density_to_chi_by_cocycle."""
+    d = len(axes)
+    C = np.multiply(chi, 1.0 / math.prod(n for n, _ in axes), dtype=complex)
+    for i, (n, _) in enumerate(axes):
+        C *= _cocycle(2 * d, i, n, -1)
+    G = centered_dft(C, range(d), +1)                             # a -> l
+    del C                       # release it before the scatter allocates T
+    for i, (n, _) in enumerate(axes):
+        G = np.moveaxis(G, (i, d + i), (0, 1))                    # (l, beta, rest)
+        T = np.empty_like(G)
+        T[_diag_index(n)] = G
+        G = np.moveaxis(T, (0, 1), (i, d + i))
+    return G
+
+
+def density_to_wigner_by_chi(T, axes):
+    """The Wigner field through the Weyl samples: the reference for the
+    direct map engine.density_to_wigner."""
+    return chi_to_wigner(density_to_chi_by_cocycle(T, axes), axes)
+
+
+def wigner_to_density_by_chi(W, axes):
+    """The inverse through the Weyl samples: the reference for
+    engine.wigner_to_density."""
+    dims = [n for n, _ in axes]
+    N = int(np.prod(dims))
+    return chi_to_density_by_cocycle(wigner_to_chi(W, axes), axes).reshape(N, N)
 
 
 def operator_with_min_eigenvalue(spec, lam_min):

@@ -8,10 +8,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import chi_by_explicit_unitaries, fd4_by_rolls, rfft_derivative
+from oracles import (chi_by_explicit_unitaries, chi_to_density_by_cocycle,
+                     density_to_chi_by_cocycle, density_to_wigner_by_chi,
+                     fd4_by_rolls, rfft_derivative, wigner_to_density_by_chi)
+from wignerlab import engine
 from wignerlab.engine import (apply_along_axis, centered_dft, chi_to_density,
-                              chi_to_wigner, density_to_chi, derivative_matrix,
-                              fd4_matrix, fourier_matrix, wigner_to_chi)
+                              chi_to_wigner, density_to_chi,
+                              density_to_wigner, derivative_matrix,
+                              fd4_matrix, fourier_matrix, wigner_to_chi,
+                              wigner_to_density)
 from wignerlab.lattice import Grid
 from wignerlab.wigner import symplectic_fourier
 
@@ -58,10 +63,23 @@ def test_centered_dft_n2_where_half_n_is_odd():
 
 
 def test_centered_dft_leaves_input_untouched(rng):
+    # and so do the lattice maps; their cached tables are read-only
     x = _complex(rng, (8, 4))
     keep = x.copy()
     centered_dft(x, (0, 1), -1)
     assert np.array_equal(x, keep)
+    axes = [(6, 2.0), (4, 1.5)]
+    T = _complex(rng, (24, 24))
+    keep = T.copy()
+    for f in (density_to_wigner, wigner_to_density, density_to_chi,
+              chi_to_density):
+        f(T.reshape(6, 4, 6, 4), axes)
+        assert np.array_equal(T, keep), f.__name__
+    for table in (engine._diag_index, engine._scatter_index,
+                  engine._half_cell):
+        for n in (4, 6):
+            assert not table(n).flags.writeable
+            assert table(n) is table(n)
 
 
 @given(n=even_n)
@@ -135,6 +153,43 @@ def test_maps_are_exact_inverses_on_arbitrary_matrices(dims, L, seed):
     assert np.abs(back - T).max() < 1e-13 * np.abs(T).max() * N
     again = wigner_to_chi(chi_to_wigner(chi, axes), axes)
     assert np.abs(again - chi).max() < 1e-13 * np.abs(chi).max() * N
+
+
+# shapes of the direct-map references: n/2 odd (2, 6, 10, 30), unequal axes
+# and three axes
+DIRECT_SHAPES = ([2], [6], [10], [30], [64], [256], [32, 32], [6, 10], [8, 6],
+                 [4, 6, 8])
+
+
+def _rel(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+def test_direct_maps_match_the_weyl_sample_route(rng):
+    for dims in DIRECT_SHAPES:
+        axes = [(n, 1.0 + 0.1 * n) for n in dims]
+        N = math.prod(dims)
+        T = _complex(rng, (N, N))
+        W = density_to_wigner(T, axes)
+        assert W.shape == tuple(dims + dims) and W.flags.c_contiguous
+        assert _rel(W, density_to_wigner_by_chi(T, axes)) <= 1e-14, dims
+        V = _complex(rng, dims + dims)
+        back = wigner_to_density(V, axes)
+        assert back.shape == (N, N)
+        assert _rel(back, wigner_to_density_by_chi(V, axes)) <= 1e-14, dims
+        assert _rel(wigner_to_density(W, axes), T) <= 1e-14, dims
+
+
+def test_weyl_samples_match_the_cocycle_table(rng):
+    for dims in DIRECT_SHAPES:
+        axes = [(n, 1.0 + 0.1 * n) for n in dims]
+        N = math.prod(dims)
+        T = _complex(rng, (N, N))
+        assert _rel(density_to_chi(T, axes),
+                    density_to_chi_by_cocycle(T, axes)) <= 1e-14, dims
+        C = _complex(rng, dims + dims)
+        assert _rel(chi_to_density(C, axes),
+                    chi_to_density_by_cocycle(C, axes)) <= 1e-14, dims
 
 
 # --- one-axis derivative matrices -------------------------------------------

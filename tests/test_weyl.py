@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import wigner_to_density_by_chi
 from wignerlab import (HamiltonianSymbol, PhasePoint, expectation,
-                       pure_density, weyl_function, weyl_quantize,
-                       weyl_unitary)
+                       make_phase_space, pure_density, weyl_function,
+                       weyl_quantize, weyl_unitary)
 from wignerlab.errors import DegreeTooHigh, DomainOverflow, NonHermitianInput
 from wignerlab.states import displaced_state, ground_state, random_mixed
+from wignerlab.tolerances import TolerancePolicy
 from wignerlab.weyl import _axis_ops, group_phase
 from wignerlab.wigner import weyl_samples_field
 
@@ -102,6 +104,19 @@ def test_sampled_symbol_roundtrip_and_shape_guard(lab64):
     with pytest.raises(DomainOverflow):
         weyl_quantize(HamiltonianSymbol(sampled=np.ones((n, n // 2)), d=1),
                       lab64)
+
+
+def test_sampled_symbol_matches_the_weyl_sample_route(rng):
+    # the sampled part is wigner_to_density / (2 pi)^d; the reference is the
+    # composition through the Weyl samples it replaced
+    for spec in (make_phase_space(1, 64, 10.0, [[1.0]]),
+                 make_phase_space(2, 16, 5.0, [[1.0, 0.0], [0.0, 1.0]],
+                                  TolerancePolicy(domain_tail_mass=1e-3))):
+        S = rng.normal(size=(spec.n_per_axis,) * (2 * spec.d))
+        G = weyl_quantize(HamiltonianSymbol(sampled=S, d=spec.d), spec)
+        ref = wigner_to_density_by_chi(S, spec.axis_geometry()) \
+            / (2.0 * math.pi) ** spec.d
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_complex_symbol_rejected():

@@ -12,6 +12,7 @@ from wignerlab import (DensityOperator, HamiltonianSymbol, expectation,
                        symplectic_fourier, tensor, total_variation,
                        weyl_samples_field, wigner_from_density,
                        wigner_from_weyl_function)
+from wignerlab import engine
 from wignerlab.engine import density_to_wigner, wigner_to_density
 from wignerlab.errors import (GridMismatch, NonPositiveOperator, NotNormalized,
                               UnderflowRegion, UnknownSubsystem)
@@ -102,6 +103,28 @@ def test_weyl_route_conjugate_symmetric_input_gives_real(lab64, rng):
     T = random_mixed(lab64, rng)
     W = wigner_from_weyl_function(weyl_samples_field(T))
     assert np.isrealobj(W.values)
+
+
+def test_kernel_route_does_not_pass_through_the_weyl_samples(lab64, sys2,
+                                                          monkeypatch, rng):
+    # with the sample maps disabled, the kernel route and its inverse still
+    # run, so the route-equivalence check compares two computations
+    def disabled(*args):
+        raise AssertionError("the kernel route reached the Weyl-sample maps")
+
+    (_, a), (_, b) = sys2.factors
+    states = [random_mixed(lab64, rng),
+              tensor(pure_density(displaced_state(a, 1.0, 0.0)),
+                     pure_density(ground_state(b)), sys2)]
+    via_samples = [wigner_from_weyl_function(weyl_samples_field(T))
+                   for T in states]
+    monkeypatch.setattr(engine, "density_to_chi", disabled)
+    monkeypatch.setattr(engine, "chi_to_wigner", disabled)
+    fields = [wigner_from_density(T) for T in states]
+    for W, W2 in zip(fields, via_samples):
+        assert np.abs(W.values - W2.values).max() < 1e-12
+    back = wigner_from_density(inverse_wigner(fields[0]))
+    assert np.abs(back.values - fields[0].values).max() < 1e-12
 
 
 def test_inverse_roundtrip_smooth(lab64, rng):
