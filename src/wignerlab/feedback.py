@@ -9,7 +9,6 @@ are invariant under K -> alpha K + c I with alpha > 0.
 """
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,9 @@ import numpy as np
 from .errors import (DimensionCap, FactorMismatch, NonHermitianInput,
                      SpecMismatch, UnknownSubsystem, WrongRepresentation)
 from .hilbert import (CompositeSystem, DensityOperator, LEBESGUE,
-                      chebyshev_propagate, chebyshev_terms, exact_propagate,
-                      partial_trace, space_dim, spectral_interval)
+                      _hermitian_defect, _label_tuple, chebyshev_propagate,
+                      chebyshev_terms, exact_propagate, partial_trace,
+                      spectral_interval)
 from .lattice import PhaseSpaceSpec
 from .moyal import MoyalGenerator, evolve
 from .tolerances import DEFAULT_TOL
@@ -27,65 +27,50 @@ from .wigner import reduce_wigner, wigner_from_density
 LAYOUT_DIM_CAP = 65536
 RUN_DIM_CAP = 4096
 EIGH_COST = 10     # one D x D eigh ~ 10 D x D matrix products (9-17 measured)
-HERMITIAN_TILE = 64  # 64 x 64 complex tiles: 64 KiB per operand
 
 ROLE_ORDER = ("P1", "P2", "C1", "C2", "W")
 PLANT_ROLES = ("P1", "P2")
 CONTROLLER_ROLES = ("C1", "C2")
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Labeled plant/controller factors in the fixed order P1, P2, C1, C2, W.
+@dataclass(frozen=True, init=False)
+class SubsystemLayout(CompositeSystem):
+    """A composite whose labels are roles, in the fixed order P1, P2, C1, C2, W.
 
-    P1 and C1 are required; P2, C2 and the perturbation factor W are optional.
+    Built from a role -> space dict; P1 and C1 are required, P2, C2 and the
+    perturbation factor W are optional.
     """
 
-    roles: dict
-
-    def __post_init__(self):
-        unknown = set(self.roles) - set(ROLE_ORDER)
+    def __init__(self, roles):
+        unknown = set(roles) - set(ROLE_ORDER)
         if unknown:
             raise UnknownSubsystem(f"unknown role label(s) {sorted(unknown)}")
         for need in ("P1", "C1"):
-            if need not in self.roles:
+            if need not in roles:
                 raise FactorMismatch(f"role {need} is required")
+        object.__setattr__(self, "factors", tuple(
+            (r, roles[r]) for r in ROLE_ORDER if r in roles))
         if self.dim > LAYOUT_DIM_CAP:
             raise DimensionCap(
                 f"total dimension {self.dim} exceeds the cap {LAYOUT_DIM_CAP}")
 
     @property
-    def labels(self):
-        return tuple(r for r in ROLE_ORDER if r in self.roles)
-
-    @property
-    def dims(self):
-        return tuple(space_dim(self.roles[r]) for r in self.labels)
-
-    @property
-    def dim(self):
-        return int(np.prod(self.dims))
+    def roles(self):
+        return dict(self.factors)
 
     def system(self):
-        return CompositeSystem(tuple((r, self.roles[r]) for r in self.labels))
+        return CompositeSystem(self.factors)
 
     def plant_labels(self):
-        return tuple(r for r in PLANT_ROLES if r in self.roles)
+        return tuple(r for r in PLANT_ROLES if r in self.labels)
 
     def controller_labels(self):
-        return tuple(r for r in CONTROLLER_ROLES if r in self.roles)
-
-    def dim_of(self, labels):
-        return int(np.prod([space_dim(self.roles[r]) for r in labels]))
+        return tuple(r for r in CONTROLLER_ROLES if r in self.labels)
 
     def total_grid_d(self):
-        d = 0
-        for r in self.labels:
-            s = self.roles[r]
-            if not isinstance(s, PhaseSpaceSpec):
-                return None
-            d += s.d
-        return d
+        if all(isinstance(s, PhaseSpaceSpec) for _, s in self.factors):
+            return sum(s.d for _, s in self.factors)
+        return None
 
 
 def _check_hermitian(m, what, tol=DEFAULT_TOL):
@@ -105,52 +90,28 @@ def _check_hermitian(m, what, tol=DEFAULT_TOL):
     return m
 
 
-def _hermitian_defect(m):
-    """max |m - m^H|, compared over upper-triangle tiles m[I, J] vs m[J, I]^H.
-
-    |a - conj(b)| = |b - conj(a)|, so the tiles with J >= I see every pair;
-    no full conjugate copy or transposed full view is read. A NaN in any tile
-    makes the result NaN.
-    """
-    t = HERMITIAN_TILE
-    starts = range(0, m.shape[0], t)
-    worst = [np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T.conj()).max()
-             for i in starts for j in starts if j >= i]
-    return float(np.max(worst))
-
-
-def _add_embedded(out, op, on_labels, layout):
+def _add_embedded(out, op, on_labels, system):
     """Add op (x) I_rest into the C-contiguous D x D array `out`.
 
     op acts on `on_labels` in the order given. The add goes through the
     writable einsum view of `out` on which bra and ket agree on every factor
     outside `on_labels`, so it writes D * d_on entries, not D^2.
     """
-    on_labels = (on_labels,) if isinstance(on_labels, str) else tuple(on_labels)
-    labels = layout.labels
-    missing = set(on_labels) - set(labels)
-    if missing:
-        raise UnknownSubsystem(f"unknown subsystem(s) {sorted(missing)}")
+    on_labels = _label_tuple(on_labels)
+    operand, rest, bra, ket = system.einsum_subscripts(on_labels)
     if len(set(on_labels)) != len(on_labels):
         raise FactorMismatch(f"repeated subsystem in {on_labels}")
-    dims = layout.dims
-    d_on = layout.dim_of(on_labels)
+    d_on = system.dim_of(on_labels)
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_on, d_on):
         raise FactorMismatch(
             f"operator shape {op.shape} != ({d_on}, {d_on}) for {on_labels}")
-    # the view's axes: rest factors (bra = ket), then bra and ket of the
-    # on-factors, both in layout order
-    on = [i for i, r in enumerate(labels) if r in on_labels]
-    rest = [i for i in range(len(labels)) if i not in on]
-    bra = string.ascii_lowercase[:len(labels)]
-    ket = "".join(c if i in rest else c.upper() for i, c in enumerate(bra))
-    kept = "".join(bra[i] for i in rest + on) + "".join(ket[i] for i in on)
-    view = np.einsum(f"{bra}{ket}->{kept}", out.reshape(dims * 2))
-    # op's axes from on_labels order to layout order
-    perm = [on_labels.index(labels[i]) for i in on]
-    shaped = op.reshape([dims[labels.index(r)] for r in on_labels] * 2)
-    view += shaped.transpose(perm + [len(on) + i for i in perm])
+    view = np.einsum(f"{operand}->{rest}{bra}{ket}",
+                     out.reshape(system.dims * 2))
+    # op's axes from on_labels order to system order
+    perm = [on_labels.index(r) for r in system.labels if r in on_labels]
+    shaped = op.reshape([system.dim_of(r) for r in on_labels] * 2)
+    view += shaped.transpose(perm + [len(perm) + i for i in perm])
 
 
 def embed_operator(op, on_labels, layout):
@@ -185,7 +146,7 @@ class CouplingSpec:
 def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
     """H_P (x) I_C + I_P (x) H_C + K1 on P1C1 + K2 on P2C2 (embedded)."""
     for need in ("P1", "P2", "C1", "C2"):
-        if need not in layout.roles:
+        if need not in layout.labels:
             raise FactorMismatch(f"feedback form needs all four roles, missing {need}")
     hp = _check_hermitian(h_plant, "plant Hamiltonian")
     hc = _check_hermitian(h_controller, "controller Hamiltonian")
@@ -232,7 +193,7 @@ class RefinedParts:
 def build_refined_hamiltonian(parts, layout):
     """Refined composite Hamiltonian with internal plant/controller couplings."""
     for need in ("P1", "P2", "C1", "C2"):
-        if need not in layout.roles:
+        if need not in layout.labels:
             raise FactorMismatch(f"refined form needs all four roles, missing {need}")
     pieces = (
         (parts.h_p1, ("P1",)), (parts.h_p2, ("P2",)),
@@ -269,10 +230,9 @@ def _cut_permuted(K, layout):
     want = [r for r in ("P1", "C1") if r in labels] + \
            [r for r in ("P2", "C2") if r in labels] + \
            [r for r in labels if r not in ("P1", "P2", "C1", "C2")]
-    dims = [space_dim(layout.roles[r]) for r in labels]
     k = len(labels)
     perm = [labels.index(r) for r in want]
-    shaped = K.reshape(dims * 2).transpose(perm + [k + i for i in perm])
+    shaped = K.reshape(layout.dims * 2).transpose(perm + [k + i for i in perm])
     d_a = layout.dim_of([r for r in ("P1", "C1") if r in labels])
     d_b = layout.dim // d_a
     return shaped.copy().reshape(layout.dim, layout.dim), d_a, d_b
@@ -442,7 +402,7 @@ def _run_classical(layout, symbol, T0, run, h_plant):
 def _merged_spec(layout):
     """Single PhaseSpaceSpec covering all (identical) grid factors."""
     from .lattice import make_phase_space
-    specs = [layout.roles[r] for r in layout.labels]
+    specs = [s for _, s in layout.factors]
     first = specs[0]
     for s in specs[1:]:
         if (s.n_per_axis, s.half_width) != (first.n_per_axis, first.half_width):

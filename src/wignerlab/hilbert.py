@@ -12,6 +12,7 @@ All values are immutable after construction; operations are pure functions.
 """
 
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ GAUSSIAN = "gaussian"
 
 FACTOR_DROP = 1e-15     # relative eigenvalue size below which a factor is dropped
 CHEB_TAIL = 1e-16       # Chebyshev coefficient size that ends the series
+HERMITIAN_TILE = 64     # 64 x 64 complex tiles: 64 KiB per operand
 
 
 def _frozen(a):
@@ -65,9 +67,20 @@ def space_dim(space):
     raise SpecMismatch(f"unknown space type {type(space)!r}")
 
 
+def _label_tuple(labels):
+    """A label or a sequence of labels, as a tuple."""
+    return (labels,) if isinstance(labels, str) else tuple(labels)
+
+
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Ordered, labeled tensor factors; ordering is fixed at construction."""
+    """Ordered, labeled tensor factors; ordering is fixed at construction.
+
+    The system owns the map from labels to tensor axes: a D x D operator
+    reshaped to `dims * 2` has one bra and one ket axis per factor
+    (`einsum_subscripts`), and a field on the system has every grid factor's
+    q axes in order, then their p axes (`phase_axes`).
+    """
 
     factors: tuple  # of (label, space)
 
@@ -94,26 +107,70 @@ class CompositeSystem:
                 return i
         raise UnknownSubsystem(f"no subsystem {label!r} in {self.labels}")
 
-    def keep(self, labels):
-        """Sub-composite of the kept factors, original order preserved."""
-        keep_set = set(labels)
-        missing = keep_set - set(self.labels)
+    def dim_of(self, labels):
+        """Dimension of the factor subset `labels`."""
+        return math.prod(space_dim(self.factors[self.index_of(lab)][1])
+                         for lab in _label_tuple(labels))
+
+    def _subset(self, labels):
+        """The set of `labels`; UnknownSubsystem if one is not a factor."""
+        chosen = set(_label_tuple(labels))
+        missing = chosen - set(self.labels)
         if missing:
             raise UnknownSubsystem(f"unknown subsystem(s) {sorted(missing)}")
+        return chosen
+
+    def keep(self, labels):
+        """Sub-composite of the kept factors, original order preserved."""
+        chosen = self._subset(labels)
         return CompositeSystem(tuple((lab, s) for lab, s in self.factors
-                                     if lab in keep_set))
+                                     if lab in chosen))
+
+    def einsum_subscripts(self, labels):
+        """einsum letters (operand, rest, bra, ket) of a factor subset.
+
+        `operand` subscripts a D x D operator reshaped to `dims * 2`, with
+        bra and ket sharing one letter on every factor outside the subset:
+        it is the sub-array on which they agree there. `rest` lists those
+        shared letters, `bra` and `ket` the subset's own, all in system
+        order. `operand -> bra ket` sums it (the partial trace onto the
+        subset); `operand -> rest bra ket` is a view of the entries of
+        op (x) I_rest.
+        """
+        chosen = self._subset(labels)
+        k = len(self.factors)
+        bra = string.ascii_letters[:k]
+        on = [lab in chosen for lab in self.labels]
+        ket = "".join(string.ascii_letters[k + i] if o else c
+                      for i, (c, o) in enumerate(zip(bra, on)))
+        rest = "".join(c for c, o in zip(bra, on) if not o)
+        return (bra + ket, rest, "".join(c for c, o in zip(bra, on) if o),
+                "".join(c for c, o in zip(ket, on) if o))
+
+    def _grid_factors(self):
+        """The factors, after checking that each one has a phase-space grid."""
+        for lab, s in self.factors:
+            if not isinstance(s, PhaseSpaceSpec):
+                raise SpecMismatch(f"subsystem {lab!r} has no phase-space grid")
+        return self.factors
 
     def axis_geometry(self):
         """Concatenated per-axis (n, L) of all grid factors.
 
         Raises SpecMismatch if any factor is not grid-based.
         """
-        axes = []
-        for lab, s in self.factors:
-            if not isinstance(s, PhaseSpaceSpec):
-                raise SpecMismatch(f"subsystem {lab!r} has no phase-space grid")
-            axes.extend(s.axis_geometry())
-        return axes
+        return [ax for _, s in self._grid_factors() for ax in s.axis_geometry()]
+
+    def phase_axes(self, labels):
+        """Positions of the subset's q axes, then of its p axes, in a field
+        on this system, all in system order."""
+        chosen = self._subset(labels)
+        q, pos = [], 0
+        for lab, s in self._grid_factors():
+            if lab in chosen:
+                q.extend(range(pos, pos + s.d))
+            pos += s.d
+        return tuple(q) + tuple(pos + i for i in q)
 
 
 def _collapse(space):
@@ -213,7 +270,7 @@ class DensityOperator:
         if self.rep == GAUSSIAN and isinstance(self.space, PhaseSpaceSpec):
             # self-adjointness in the mu-weighted inner product
             return float(np.abs(self.matrix - _gauss_adjoint(self)).max())
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return _hermitian_defect(self.matrix)
 
     def trace(self):
         return float(np.trace(self.matrix).real)
@@ -230,6 +287,20 @@ class DensityOperator:
 
     def min_eigenvalue(self):
         return lowest_eigenvalue(self._hermitian_part())
+
+
+def _hermitian_defect(m):
+    """max |m - m^H|, compared over upper-triangle tiles m[I, J] vs m[J, I]^H.
+
+    |a - conj(b)| = |b - conj(a)|, so the tiles with J >= I see every pair;
+    no full conjugate copy or transposed full view is read. A NaN in any tile
+    makes the result NaN.
+    """
+    t = HERMITIAN_TILE
+    starts = range(0, m.shape[0], t)
+    worst = [np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T.conj()).max()
+             for i in starts for j in starts if j >= i]
+    return float(np.max(worst))
 
 
 def lowest_eigenvalue(H):
@@ -452,27 +523,10 @@ def partial_trace(T, keep):
     sys = T.space
     if not isinstance(sys, CompositeSystem):
         raise UnknownSubsystem("partial_trace needs an operator on a composite system")
-    if isinstance(keep, str):
-        keep = (keep,)
     kept_sys = sys.keep(keep)
-    dims = sys.dims
-    k = len(dims)
-    m = T.matrix.reshape(dims + dims)
-    keep_idx = [sys.index_of(lab) for lab in sys.labels if lab in set(keep)]
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    bra = list(letters[:k])
-    ket = []
-    out_bra, out_ket = [], []
-    for i in range(k):
-        if i in keep_idx:
-            ket.append(letters[k + i])
-            out_bra.append(bra[i])
-            out_ket.append(letters[k + i])
-        else:
-            ket.append(bra[i])
-    expr = "".join(bra) + "".join(ket) + "->" + "".join(out_bra) + "".join(out_ket)
-    red = np.einsum(expr, m)
-    nk = int(np.prod([dims[i] for i in keep_idx]))
+    operand, _, bra, ket = sys.einsum_subscripts(keep)
+    red = np.einsum(f"{operand}->{bra}{ket}", T.matrix.reshape(sys.dims * 2))
+    nk = kept_sys.dim
     return DensityOperator(red.reshape(nk, nk), T.rep, _collapse(kept_sys), T.tol)
 
 

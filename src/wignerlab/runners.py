@@ -7,7 +7,7 @@ import numpy as np
 
 from . import serialize
 from .errors import SpecMismatch
-from .feedback import (CouplingSpec, SubsystemLayout,
+from .feedback import (CouplingSpec, SubsystemLayout, _add_embedded,
                        build_general_hamiltonian, check_run_cap,
                        classify_coupling, run_scenario)
 from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
@@ -60,19 +60,17 @@ def build_composite_state(recipe, system, rng):
 
 
 def assemble_layout(cfg):
-    from .hilbert import space_dim
     layout = SubsystemLayout(dict(cfg.layout_factors))
     check_run_cap(layout)     # before any D x D operator is built
 
     def block(labels):
-        out = None
-        for lab in labels:
-            space = layout.roles[lab]
+        """Sum of the factor Hamiltonians on `labels`, each embedded."""
+        sub = layout.keep(labels)
+        out = np.zeros((sub.dim, sub.dim), dtype=complex)
+        for lab, space in sub.factors:
             sym = cfg.factor_hamiltonians.get(lab)
-            h = (weyl_quantize(sym, space) if sym is not None
-                 else np.zeros((space_dim(space),) * 2, dtype=complex))
-            out = h if out is None else (np.kron(out, np.eye(h.shape[0]))
-                                         + np.kron(np.eye(out.shape[0]), h))
+            if sym is not None:
+                _add_embedded(out, weyl_quantize(sym, space), lab, sub)
         return out
 
     hp = block(layout.plant_labels())

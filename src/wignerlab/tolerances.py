@@ -7,21 +7,16 @@ from dataclasses import dataclass
 class TolerancePolicy:
     covariance_symmetry: float = 1e-12   # relative asymmetry of B
     domain_tail_mass: float = 1e-12      # Gaussian mass allowed outside the box
-    measure_quadrature: float = 1e-10    # grid quadrature of a density vs 1
     state_norm: float = 1e-10
     hermiticity: float = 1e-10           # max-abs of T - T^dagger
     trace_one: float = 1e-8
     psd_floor: float = 1e-8              # min eigenvalue >= -psd_floor
-    unitarity: float = 1e-10
-    kernel_apply: float = 1e-8
     imaginary_residue: float = 1e-8      # tolerated relative imag part of real fields
     field_mass: float = 1e-8
-    pairing: float = 1e-6
     route_equivalence: float = 1e-6
     roundtrip: float = 1e-8
     mass_drift_run: float = 1e-6
     mass_drift_step: float = 1e-4
-    l2_drift: float = 1e-4
     boundary_mass: float = 1e-8
     normalization_input: float = 1e-6    # inverse_wigner input mass check
     underflow_floor: float = 1e-300

@@ -82,15 +82,11 @@ class PhaseSpaceField:
         # factorized product measure: broadcast each factor's density
         d = _total_d(space)
         out = 1.0
-        qpos = 0
-        for _, s in space.factors:
-            sub = s.mu_nu_density_grid()
+        for lab, s in space.factors:
             shape = [1] * (2 * d)
-            for i in range(s.d):
-                shape[qpos + i] = s.n_per_axis
-                shape[d + qpos + i] = s.n_per_axis
-            out = out * sub.reshape(shape)
-            qpos += s.d
+            for i in space.phase_axes(lab):
+                shape[i] = s.n_per_axis
+            out = out * s.mu_nu_density_grid().reshape(shape)
         return out
 
     def eta_integrate(self):
@@ -252,34 +248,22 @@ def pair_expectation(field, symbol):
     raise GridMismatch(f"cannot pair against a {field.role} field")
 
 
-def _dropped_axis_positions(space, keep):
+def _reduction(space, keep):
+    """(dropped phase axes, their cell volume, kept space) of a marginal."""
     if not isinstance(space, CompositeSystem):
         raise UnknownSubsystem("reduction needs a composite-system field")
-    if isinstance(keep, str):
-        keep = (keep,)
-    keep_set = set(keep)
-    missing = keep_set - set(space.labels)
-    if missing:
-        raise UnknownSubsystem(f"unknown subsystem(s) {sorted(missing)}")
-    d = _total_d(space)
-    drop_q = []
-    pos = 0
-    for lab, s in space.factors:
-        if lab not in keep_set:
-            drop_q.extend(range(pos, pos + s.d))
-        pos += s.d
-    drop = tuple(drop_q) + tuple(d + i for i in drop_q)
-    kept_space = _collapse(space.keep(keep))
-    return drop, kept_space
+    kept = space.keep(keep)
+    drop = space.phase_axes([lab for lab in space.labels
+                             if lab not in kept.labels])
+    axes = space.axis_geometry()
+    cell = math.prod((2.0 * L / n) * (math.pi / L)
+                     for n, L in (axes[i] for i in drop[:len(drop) // 2]))
+    return drop, cell, _collapse(kept)
 
 
 def reduce_wigner(W, keep):
     """Marginal Wigner field of the kept subsystem (quadrature over the rest)."""
-    drop, kept_space = _dropped_axis_positions(W.space, keep)
-    cell = 1.0
-    for i in drop[:len(drop) // 2]:
-        n, L = W.axes[i]
-        cell *= (2.0 * L / n) * (math.pi / L)
+    drop, cell, kept_space = _reduction(W.space, keep)
     vals = W.values.sum(axis=drop) * cell
     return PhaseSpaceField(vals, WIGNER, kept_space, "lebesgue", W.tol)
 
@@ -293,13 +277,8 @@ def reduce_eta(phi, keep):
     """
     if phi.role != ETA:
         raise GridMismatch(f"expected an {ETA} field")
-    drop, kept_space = _dropped_axis_positions(phi.space, keep)
-    g = phi.reference_density()
-    cell = 1.0
-    for i in drop[:len(drop) // 2]:
-        n, L = phi.axes[i]
-        cell *= (2.0 * L / n) * (math.pi / L)
-    num = (phi.values * g).sum(axis=drop) * cell
+    drop, cell, kept_space = _reduction(phi.space, keep)
+    num = (phi.values * phi.reference_density()).sum(axis=drop) * cell
     reduced_w = PhaseSpaceField(num, WIGNER, kept_space, "lebesgue", phi.tol)
     return eta_density(reduced_w)
 

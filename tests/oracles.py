@@ -1,6 +1,7 @@
 """Independent oracles: finite differences of analytic functions, explicit
 Weyl unitaries, the lattice maps through the Weyl samples, permutation-matrix
-and Kronecker-product embeddings.
+and Kronecker-product embeddings, and a partial trace with hand-built einsum
+letters.
 Deliberately written with different machinery than the library paths they
 check."""
 
@@ -17,6 +18,7 @@ from wignerlab.moyal import (FD4, bracket_pairs, eta_moyal_rhs, moyal_rhs,
                              sine_coefficient, wick_polynomial)
 from wignerlab.states import oscillator_basis
 from wignerlab.tolerances import DEFAULT_TOL
+from wignerlab.weyl import weyl_quantize
 from wignerlab.wigner import ETA
 
 
@@ -352,6 +354,50 @@ def kron_embed_operator(op, on_labels, layout):
     shaped = shaped.transpose(perm + [k + i for i in perm])
     D = layout.dim
     return shaped.reshape(D, D)
+
+
+def letter_loop_partial_trace(T, keep):
+    """Partial trace with its einsum letters built in a loop over the
+    factors: the reference for `CompositeSystem.einsum_subscripts`."""
+    sys = T.space
+    if isinstance(keep, str):
+        keep = (keep,)
+    kept_sys = sys.keep(keep)
+    dims = sys.dims
+    k = len(dims)
+    m = T.matrix.reshape(dims + dims)
+    keep_idx = [sys.index_of(lab) for lab in sys.labels if lab in set(keep)]
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    bra = list(letters[:k])
+    ket = []
+    out_bra, out_ket = [], []
+    for i in range(k):
+        if i in keep_idx:
+            ket.append(letters[k + i])
+            out_bra.append(bra[i])
+            out_ket.append(letters[k + i])
+        else:
+            ket.append(bra[i])
+    expr = "".join(bra) + "".join(ket) + "->" + "".join(out_bra) + "".join(out_ket)
+    red = np.einsum(expr, m)
+    nk = int(np.prod([dims[i] for i in keep_idx]))
+    space = kept_sys.factors[0][1] if len(kept_sys.factors) == 1 else kept_sys
+    return DensityOperator(red.reshape(nk, nk), T.rep, space, T.tol)
+
+
+def kron_sum_block(cfg, layout, labels):
+    """Sum of the factor Hamiltonians on `labels` as Kronecker sums
+    kron(out, I) + kron(I, h), a zero block for a factor without one: the
+    reference for the embedded plant and controller blocks."""
+    out = None
+    for lab in labels:
+        space = layout.roles[lab]
+        sym = cfg.factor_hamiltonians.get(lab)
+        h = (weyl_quantize(sym, space) if sym is not None
+             else np.zeros((space_dim(space),) * 2, dtype=complex))
+        out = h if out is None else (np.kron(out, np.eye(h.shape[0]))
+                                     + np.kron(np.eye(out.shape[0]), h))
+    return out
 
 
 def _kron_cut_permuted(K, layout):

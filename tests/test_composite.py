@@ -2,12 +2,15 @@
 and the fail-closed hermiticity rule."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import kron_classify_coupling, kron_embed_operator
-from wignerlab import feedback
+from oracles import kron_classify_coupling, kron_embed_operator, kron_sum_block
+from wignerlab import feedback, hilbert
+from wignerlab.config import parse_config
 from wignerlab.errors import FactorMismatch, NonHermitianInput
 from wignerlab.feedback import (CouplingSpec, RefinedParts, SubsystemLayout,
                                 build_feedback_hamiltonian,
@@ -17,6 +20,7 @@ from wignerlab.feedback import (CouplingSpec, RefinedParts, SubsystemLayout,
 from wignerlab.hilbert import (DensityOperator, LEBESGUE, LevelSpace,
                                tensor_many)
 from wignerlab.moyal import EvolutionRun
+from wignerlab.runners import assemble_layout
 
 # 2 to 5 roles with unequal level dims; dict order is not layout order
 LAYOUTS = {
@@ -100,6 +104,34 @@ def test_builders_equal_kron_reference(name, rng):
         build_refined_hamiltonian(RefinedParts(*mats), layout), want)
 
 
+FEEDBACK_LEVELS = Path(__file__).resolve().parents[1] / "configs" / \
+    "feedback_levels.json"
+
+
+def unequal_levels_config():
+    """feedback_levels.json on unequal dims, with no Hamiltonian on P1 (the
+    first plant label) and one on each controller label."""
+    raw = json.loads(FEEDBACK_LEVELS.read_text())
+    for role, dim in (("P1", 3), ("P2", 2), ("C1", 4), ("C2", 2)):
+        raw["layout"][role]["dim"] = dim
+    factors = raw["hamiltonian"]["factors"]
+    factors["P2"] = factors.pop("P1")
+    factors["C2"] = factors["C1"]
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("text", [FEEDBACK_LEVELS.read_text(),
+                                  unequal_levels_config()],
+                         ids=["feedback_levels", "unequal_no_p1_hamiltonian"])
+def test_assembled_blocks_equal_kron_sums(text):
+    cfg = parse_config(text)
+    layout, hp, hc, _ = assemble_layout(cfg)
+    assert np.array_equal(
+        hp, kron_sum_block(cfg, layout, layout.plant_labels()))
+    assert np.array_equal(
+        hc, kron_sum_block(cfg, layout, layout.controller_labels()))
+
+
 def classifier_cases(layout, rng):
     """Couplings of every verdict, with factors given out of layout order."""
     labs = layout.labels
@@ -144,7 +176,10 @@ def test_tiled_defect_equals_dense_defect(n, rng):
     near[n // 3, n - 1] += 1e-9j
     far = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     for m in (near, far):
-        assert feedback._hermitian_defect(m) == np.abs(m - m.conj().T).max()
+        dense = np.abs(m - m.conj().T).max()
+        assert hilbert._hermitian_defect(m) == dense
+        T = DensityOperator(m, LEBESGUE, LevelSpace(n))
+        assert T._hermiticity_defect() == dense
 
 
 # --- fail-closed hermiticity -------------------------------------------------

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import operator_with_min_eigenvalue, reported_eigenvalue
+from oracles import (letter_loop_partial_trace, operator_with_min_eigenvalue,
+                     reported_eigenvalue)
 from wignerlab import (CompositeSystem, DensityOperator, LevelSpace, kernel_of,
                        mix, partial_trace, pure_density, tensor,
                        to_gaussian_rep, to_lebesgue_rep)
@@ -91,6 +93,23 @@ def test_tensor_and_partial_trace_roundtrip(sys2, spec32c):
     assert np.abs(Ta.matrix - a.matrix).max() < 1e-10
     Tb = partial_trace(T, "B")
     assert np.abs(Tb.matrix - b.matrix).max() < 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (2, 3, 2, 3)])
+def test_partial_trace_equals_letter_loop(dims, rng):
+    # every kept subset: non-adjacent ones, and orders like ("C", "A")
+    labels = "ABCD"[:len(dims)]
+    sys = CompositeSystem(tuple((lab, LevelSpace(d))
+                                for lab, d in zip(labels, dims)))
+    x = rng.normal(size=(sys.dim, sys.dim)) \
+        + 1j * rng.normal(size=(sys.dim, sys.dim))
+    T = DensityOperator(x @ x.conj().T, LEBESGUE, sys)
+    for r in range(1, len(labels) + 1):
+        for keep in itertools.permutations(labels, r):
+            got = partial_trace(T, keep)
+            want = letter_loop_partial_trace(T, keep)
+            assert np.array_equal(got.matrix, want.matrix), keep
+            assert got.space == want.space, keep
 
 
 def test_tensor_mismatches(sys2, spec32c, lab64):

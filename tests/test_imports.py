@@ -1,4 +1,5 @@
-"""Guard against dead imports in the library, the scripts and the tests.
+"""Guard against dead imports in the library, the scripts, the tests and the
+benchmark.
 
 No linter is assumed: the source is parsed with `ast`. A name bound by an
 import must be referenced somewhere in its module. Package `__init__.py`
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for top in ("src", "scripts", "tests")
+SOURCES = sorted(p for top in ("src", "scripts", "tests", "bench")
                  for p in (ROOT / top).rglob("*.py")
                  if p.name != "__init__.py")
 

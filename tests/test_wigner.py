@@ -16,9 +16,10 @@ from wignerlab import engine
 from wignerlab.engine import density_to_wigner, wigner_to_density
 from wignerlab.errors import (GridMismatch, NonPositiveOperator, NotNormalized,
                               UnderflowRegion, UnknownSubsystem)
-from wignerlab.hilbert import LEBESGUE
+from wignerlab.hilbert import LEBESGUE, CompositeSystem
 from wignerlab.states import (analytic_gaussian_wigner, cat_state,
                               displaced_state, ground_state, random_mixed)
+from wignerlab.tolerances import TolerancePolicy
 from wignerlab.verify import check_normalization_and_bound
 from wignerlab.wigner import (WEYL_SAMPLES, PhaseSpaceField, marginal_momentum,
                               marginal_position)
@@ -276,7 +277,6 @@ def test_underflow_region_detected():
     # a huge box drives the reference density below the floor; a field that
     # is non-negligible there must be refused, not silently divided
     from wignerlab import make_phase_space
-    from wignerlab.tolerances import TolerancePolicy
     big = make_phase_space(1, 1024, 40.0, [[1.0]],
                            TolerancePolicy(domain_tail_mass=1.0))
     const = PhaseSpaceField(np.full((1024, 1024), 1e-3),
@@ -313,6 +313,22 @@ def test_reduce_entangled_matches_partial_trace(sys2, spec32c):
     Wdirect = wigner_from_density(partial_trace(T, "A"))
     assert np.abs(Wred.values - Wdirect.values).max() < 1e-8
     assert purity_estimate(Wred) < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("keep", [("A", "C"), ("C", "A"), ("B",)])
+def test_reduction_square_on_three_factors(keep, rng):
+    # reduce_wigner(W[T]) == W[partial_trace(T)]: the phase axes and the
+    # einsum subscripts of one factor subset name the same factors
+    tol = TolerancePolicy(domain_tail_mass=1.0, imaginary_residue=1.0)
+    spec = make_phase_space(1, 8, 4.0, [[1.0]], tol)
+    sys3 = CompositeSystem(tuple((lab, spec) for lab in "ABC"))
+    F = rng.normal(size=(sys3.dim, 3)) + 1j * rng.normal(size=(sys3.dim, 3))
+    m = F @ F.conj().T
+    T = DensityOperator(m / np.trace(m).real, LEBESGUE, sys3, tol)
+    Wred = reduce_wigner(wigner_from_density(T), keep)
+    Wdirect = wigner_from_density(partial_trace(T, keep))
+    assert Wred.space == Wdirect.space
+    assert np.abs(Wred.values - Wdirect.values).max() <= 1e-12
 
 
 def test_reduce_eta_form(sys2, spec32c):
