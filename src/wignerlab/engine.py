@@ -344,17 +344,24 @@ def fd4_matrix(n, spacing, order):
     return np.linalg.matrix_power(S / spacing, order)
 
 
-def apply_along_axis(M, x, axis):
+def apply_along_axis(M, x, axis, out=None):
     """M applied to every 1-D slice of x along `axis`: one (batched) GEMM.
 
     The last axis is one product x.reshape(-1, n) @ M.T (a C-contiguous
     operand when M is stored in Fortran order); any other axis is
     M @ x.reshape(pre, n, post), a single GEMM when the axis is the first.
-    x is an ndarray.
+    x is an ndarray. `out`, when given, is a C-contiguous array of x's shape
+    that does not overlap x; the product is written there and it is returned.
     """
     shape = x.shape
     n = shape[axis]
     if axis == x.ndim - 1:
-        return (x.reshape(-1, n) @ M.T).reshape(shape)
-    pre = math.prod(shape[:axis])
-    return np.matmul(M, x.reshape(pre, n, -1)).reshape(shape)
+        x = x.reshape(-1, n)
+        a, b = x, M.T
+    else:
+        x = x.reshape(math.prod(shape[:axis]), n, -1)
+        a, b = M, x
+    if out is None:
+        return np.matmul(a, b).reshape(shape)
+    np.matmul(a, b, out=out.reshape(x.shape, copy=False))
+    return out

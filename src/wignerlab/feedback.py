@@ -9,7 +9,8 @@ are invariant under K -> alpha K + c I with alpha > 0.
 """
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,21 +74,65 @@ class SubsystemLayout(CompositeSystem):
         return None
 
 
-def _check_hermitian(m, what, tol=DEFAULT_TOL):
-    """Return m as a complex array, or raise unless it is finite and Hermitian.
+# id(view) -> (weak reference to the view, defect bound, peak bound) of each
+# builder-made operator; an entry leaves with its view
+_CHECKED = {}
 
-    The comparisons fail closed: a NaN or infinite entry is rejected, never
-    waved through by a comparison that is False on NaN.
+
+def _hermitian_record(m, what, tol=DEFAULT_TOL):
+    """(m as a complex array, (defect, peak)), or raise unless m is finite
+    and Hermitian.
+
+    A builder-made operator (`_registered`) whose defect bound is at most
+    tol.hermiticity is returned with its record and not read again: that is
+    the full check's own bound at peak <= 1, so nothing it would reject
+    passes. Every other array, a copy or slice of a registered one included,
+    takes the full tiled pass. Its comparisons fail closed: a NaN or
+    infinite entry is rejected, never waved through by a comparison that is
+    False on NaN.
     """
+    entry = _CHECKED.get(id(m))
+    if (entry is not None and entry[0]() is m and not m.flags.writeable
+            and not m.base.flags.writeable and entry[1] <= tol.hermiticity):
+        return m, entry[1:]
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"{what} is not a square matrix")
-    peak = float(np.abs(m).max())
+    defect, peak = _hermitian_defect(m, with_peak=True)
     if not math.isfinite(peak):
         raise NonHermitianInput(f"{what} has non-finite entries")
-    if not _hermitian_defect(m) <= tol.hermiticity * max(peak, 1.0):
+    if not defect <= tol.hermiticity * max(peak, 1.0):
         raise NonHermitianInput(f"{what} is not Hermitian")
-    return m
+    return m, (defect, peak)
+
+
+def _check_hermitian(m, what, tol=DEFAULT_TOL):
+    """m as a complex array, checked by `_hermitian_record`."""
+    return _hermitian_record(m, what, tol)[0]
+
+
+def _registered(out, records):
+    """A read-only view of the builder output `out`, recorded as checked.
+
+    `records` holds the (defect, peak) of each of the k checked operators
+    added into `out`. Embedding copies entries, so op (x) I has op's defect
+    and peak. Each entry of the sum adds up k terms, and its real and
+    imaginary parts each err by at most (k - 1) eps sum(peak); counted on
+    m[i, j] and m[j, i], with the rounding of the inputs' own defects, the
+    defect of `out` stays below sum(defect) + 4 k eps sum(peak). `out` is
+    frozen and reachable only as the view's base; the view cannot be made
+    writable while it is, and `_hermitian_record` ignores the record of a
+    view whose base has been made writable again.
+    """
+    k = len(records)
+    peak = sum(p for _, p in records)
+    bound = sum(d for d, _ in records) + 4 * k * np.finfo(float).eps * peak
+    out.flags.writeable = False
+    view = out.view()
+    key = id(view)
+    gone = weakref.ref(view, lambda _: _CHECKED.pop(key, None))
+    _CHECKED[key] = (gone, bound, peak)
+    return view
 
 
 def _add_embedded(out, op, on_labels, system):
@@ -124,23 +169,33 @@ def embed_operator(op, on_labels, layout):
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Sum of Hermitian terms, each on a named factor subset."""
+    """Sum of Hermitian terms, each on a named factor subset.
+
+    Each term is kept as a checked, read-only copy, so the record of its
+    check still holds when `assemble` adds it.
+    """
 
     terms: tuple  # of (labels tuple, matrix)
+    _records: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        checked = []
+        checked, records = [], []
         for labels, m in self.terms:
-            labels = (labels,) if isinstance(labels, str) else tuple(labels)
-            checked.append((labels, _check_hermitian(m, f"coupling on {labels}")))
+            labels = _label_tuple(labels)
+            m = np.array(m, dtype=complex)
+            m.flags.writeable = False
+            m, record = _hermitian_record(m, f"coupling on {labels}")
+            checked.append((labels, m))
+            records.append(record)
         object.__setattr__(self, "terms", tuple(checked))
+        object.__setattr__(self, "_records", tuple(records))
 
     def assemble(self, layout):
         D = layout.dim
         out = np.zeros((D, D), dtype=complex)
         for labels, m in self.terms:
             _add_embedded(out, m, labels, layout)
-        return out
+        return _registered(out, self._records)
 
 
 def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
@@ -148,10 +203,10 @@ def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
     for need in ("P1", "P2", "C1", "C2"):
         if need not in layout.labels:
             raise FactorMismatch(f"feedback form needs all four roles, missing {need}")
-    hp = _check_hermitian(h_plant, "plant Hamiltonian")
-    hc = _check_hermitian(h_controller, "controller Hamiltonian")
-    k1 = _check_hermitian(k1, "K1")
-    k2 = _check_hermitian(k2, "K2")
+    hp, rp = _hermitian_record(h_plant, "plant Hamiltonian")
+    hc, rc = _hermitian_record(h_controller, "controller Hamiltonian")
+    k1, r1 = _hermitian_record(k1, "K1")
+    k2, r2 = _hermitian_record(k2, "K2")
     if hp.shape[0] != layout.dim_of(layout.plant_labels()):
         raise FactorMismatch("plant Hamiltonian dimension mismatch")
     if hc.shape[0] != layout.dim_of(layout.controller_labels()):
@@ -160,20 +215,20 @@ def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
     _add_embedded(out, hc, layout.controller_labels(), layout)
     _add_embedded(out, k1, ("P1", "C1"), layout)
     _add_embedded(out, k2, ("P2", "C2"), layout)
-    return out
+    return _registered(out, (rp, rc, r1, r2))
 
 
 def build_general_hamiltonian(h_plant, h_controller, coupling, layout):
     """H_P (x) I + I (x) H_C + K with K Hermitian on the full space."""
-    hp = _check_hermitian(h_plant, "plant Hamiltonian")
-    hc = _check_hermitian(h_controller, "controller Hamiltonian")
-    K = _check_hermitian(coupling, "coupling")
+    hp, rp = _hermitian_record(h_plant, "plant Hamiltonian")
+    hc, rc = _hermitian_record(h_controller, "controller Hamiltonian")
+    K, rk = _hermitian_record(coupling, "coupling")
     if K.shape[0] != layout.dim:
         raise FactorMismatch("coupling must act on the full composite space")
     out = embed_operator(hp, layout.plant_labels(), layout)
     _add_embedded(out, hc, layout.controller_labels(), layout)
     out += K
-    return out
+    return _registered(out, (rp, rc, rk))
 
 
 @dataclass(frozen=True)
@@ -203,10 +258,12 @@ def build_refined_hamiltonian(parts, layout):
     )
     D = layout.dim
     out = np.zeros((D, D), dtype=complex)
+    records = []
     for m, labels in pieces:
-        _add_embedded(out, _check_hermitian(m, f"term on {labels}"),
-                      labels, layout)
-    return out
+        m, record = _hermitian_record(m, f"term on {labels}")
+        _add_embedded(out, m, labels, layout)
+        records.append(record)
+    return _registered(out, records)
 
 
 # --- classifier ---------------------------------------------------------------
@@ -276,7 +333,9 @@ def classify_coupling(K, layout, tol=DEFAULT_TOL):
         kind = FEEDBACK if (a_active and b_active) else NO_FEEDBACK
     else:
         kind = GENERAL
-    return FeedbackVerdict(kind, A * scale, B * scale, residual)
+    A *= scale
+    B *= scale
+    return FeedbackVerdict(kind, A, B, residual)
 
 
 # --- scenario runner -----------------------------------------------------------
@@ -324,7 +383,11 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
             f"the exact scenario needs a lebesgue T0, got {T0.rep}")
     purity, energy, states, wigners, squares = [], [], [], [], []
     for t, Tm in zip(times, _propagated(H, T0, times)):
-        Tt = DensityOperator(Tm, LEBESGUE, system, T0.tol)
+        # T(0) is T0 itself, which keeps the record of its product parts
+        if t == 0 and T0.space == system:
+            Tt = T0
+        else:
+            Tt = DensityOperator(Tm, LEBESGUE, system, T0.tol)
         TP = partial_trace(Tt, plant)
         states.append((t, TP))
         purity.append(TP.purity())
@@ -350,6 +413,7 @@ def check_run_cap(layout):
 def _propagated(H, T0, times):
     """T(t) = e^{-iHt} T0 e^{iHt} at each of `times`, by the cheaper route.
 
+    At t == 0 it is T0's own matrix, not formed again by either route.
     Costs are counted in H-column products (D^2 complex multiply-adds each).
     Factor route, when T0 records factors T0 = F diag(w) F^H of rank r:
     X = e^{-iHt} F by a Chebyshev series stepped from one snapshot to the
@@ -368,13 +432,14 @@ def _propagated(H, T0, times):
         terms = sum(chebyshev_terms(interval, dt) for dt in steps)
         eigh_cost = D * (EIGH_COST + 3 * np.count_nonzero(times))
         if w.size * (terms + len(times)) <= eigh_cost:
-            for dt in steps:
+            for t, dt in zip(times, steps):
                 X = chebyshev_propagate(H, X, dt, interval)
-                yield (X * w) @ X.conj().T
+                yield T0.matrix if t == 0 else (X * w) @ X.conj().T
             return
     evals, evecs = np.linalg.eigh(H)
     for t in times:
-        yield exact_propagate(T0.matrix, evals, evecs, t)
+        yield T0.matrix if t == 0 else exact_propagate(T0.matrix, evals,
+                                                       evecs, t)
 
 
 def _run_classical(layout, symbol, T0, run, h_plant):

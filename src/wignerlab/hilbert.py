@@ -228,6 +228,10 @@ class DensityOperator:
 
     `factors`, when recorded, is (F, w) with F of shape (D, r) and w a real
     r-vector such that matrix == F diag(w) F^H (see `factorization`).
+    `parts`, when recorded, holds one Lebesgue-representation operator per
+    factor of a composite space such that matrix is their Kronecker product
+    (see `tensor_many`). Neither record is compared, and no operator
+    derived from this one inherits them.
     """
 
     matrix: np.ndarray
@@ -235,6 +239,7 @@ class DensityOperator:
     space: object
     tol: object = DEFAULT_TOL
     factors: tuple = field(default=None, compare=False, repr=False)
+    parts: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -249,6 +254,8 @@ class DensityOperator:
                 raise SpecMismatch(
                     f"factors of shapes {F.shape}, {w.shape} do not fit dim {N}")
             object.__setattr__(self, "factors", (_frozen(F), _frozen(w)))
+        if self.parts is not None:
+            object.__setattr__(self, "parts", _checked_parts(self))
 
     def validate(self):
         """Check Hermiticity, unit trace, PSD floor; raise on violation.
@@ -289,17 +296,43 @@ class DensityOperator:
         return lowest_eigenvalue(self._hermitian_part())
 
 
-def _hermitian_defect(m):
+def _checked_parts(T):
+    """T.parts as a tuple, after checking it against T's factors."""
+    parts = tuple(T.parts)
+    factors = T.space.factors if isinstance(T.space, CompositeSystem) else ()
+    if len(parts) != len(factors) or not all(
+            isinstance(op, DensityOperator)
+            and space_dim(op.space) == space_dim(s)
+            for op, (_, s) in zip(parts, factors)):
+        raise SpecMismatch("parts need one operator per factor, each of "
+                           "its factor's dimension")
+    if any(op.rep != LEBESGUE for op in (T, *parts)):
+        raise RepresentationMismatch("parts are recorded for lebesgue "
+                                     "operators only")
+    return parts
+
+
+def _hermitian_defect(m, with_peak=False):
     """max |m - m^H|, compared over upper-triangle tiles m[I, J] vs m[J, I]^H.
 
     |a - conj(b)| = |b - conj(a)|, so the tiles with J >= I see every pair;
     no full conjugate copy or transposed full view is read. A NaN in any tile
-    makes the result NaN.
+    makes the result NaN. with_peak=True returns (defect, max |m|), the peak
+    read from the same rows of tiles, one row of 64 at a time, so no D x D
+    |m| is formed.
     """
     t = HERMITIAN_TILE
     starts = range(0, m.shape[0], t)
-    worst = [np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T.conj()).max()
-             for i in starts for j in starts if j >= i]
+    worst, peak = [], []
+    with np.errstate(invalid="ignore"):     # inf - inf: the NaN is the answer
+        for i in starts:
+            if with_peak:
+                peak.append(np.abs(m[i:i + t]).max())
+            for j in starts[i // t:]:
+                a, b = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
+                worst.append(np.abs(a - b.T.conj()).max())
+    if with_peak:
+        return float(np.max(worst)), float(np.max(peak))
     return float(np.max(worst))
 
 
@@ -491,10 +524,12 @@ def tensor_many(ops, sys):
 
     Every operator must match its factor's dimension and the first operator's
     representation; the result keeps the first operator's tolerances. A
-    Lebesgue product of rank r <= D/2 records its factors: the kron of each
-    operator's `factorization`. A higher rank records none: F would cost as
-    much memory as the matrix, and `feedback.run_scenario` propagates such a
-    state by the eigh route, which needs no factors.
+    Lebesgue product records its `parts`, the operators themselves, which
+    `wigner.wigner_from_density` maps factor by factor. It also records its
+    factors when its rank r is <= D/2: the kron of each operator's
+    `factorization`. A higher rank records none: F would cost as much memory
+    as the matrix, and `feedback.run_scenario` propagates such a state by
+    the eigh route, which needs no factors.
     """
     if len(ops) != len(sys.factors):
         raise SpecMismatch("one operator per factor required")
@@ -507,15 +542,16 @@ def tensor_many(ops, sys):
     m = first.matrix
     for op in ops[1:]:
         m = np.kron(m, op.matrix)
-    factors = None
+    factors = parts = None
     if first.rep == LEBESGUE:
-        parts = [factorization(op) for op in ops]
-        if 2 * math.prod(w.size for _, w in parts) <= sys.dim:
-            F, w = parts[0]
-            for Fo, wo in parts[1:]:
+        parts = tuple(ops)
+        pairs = [factorization(op) for op in ops]
+        if 2 * math.prod(w.size for _, w in pairs) <= sys.dim:
+            F, w = pairs[0]
+            for Fo, wo in pairs[1:]:
                 F, w = np.kron(F, Fo), np.kron(w, wo)
             factors = (F, w)
-    return DensityOperator(m, first.rep, sys, first.tol, factors)
+    return DensityOperator(m, first.rep, sys, first.tol, factors, parts)
 
 
 def partial_trace(T, keep):

@@ -202,7 +202,9 @@ class BracketPlan:
     fourth-order finite-difference scheme) and applied along its axis as one
     (batched) GEMM; a mixed order applies one matrix per axis it
     differentiates. A last-axis matrix is stored in Fortran order, so the
-    M.T that apply_along_axis multiplies by is C-contiguous.
+    M.T that apply_along_axis multiplies by is C-contiguous. Each term keeps
+    its last (axis, matrix) apart, the step that writes into the one scratch
+    field an `apply` call allocates.
     """
 
     def __init__(self, weights, spec, scheme=SPECTRAL):
@@ -212,7 +214,7 @@ class BracketPlan:
         kernel = fd4_matrix if scheme == FD4 else derivative_matrix
         matrices = {}
         self.zero = None
-        self.terms = []         # ([(axis, matrix), ...], weight)
+        self.terms = []         # ([(axis, matrix), ...], axis, matrix, weight)
         for orders, w in weights.items():
             w = np.asarray(w)
             if not w.any():
@@ -225,7 +227,9 @@ class BracketPlan:
                 if (ax, o) not in matrices:
                     M = kernel(n, spacings[ax], o)
                     matrices[ax, o] = np.asfortranarray(M) if ax == last else M
-            self.terms.append(([(ax, matrices[ax, o]) for ax, o in steps], w))
+            *head, (ax, o) = steps
+            self.terms.append(([(a, matrices[a, k]) for a, k in head],
+                               ax, matrices[ax, o], w))
 
     def apply(self, values, out=None):
         """The right-hand side of a float array `values`, written into `out`.
@@ -239,12 +243,14 @@ class BracketPlan:
             out.fill(0.0)
         else:
             np.multiply(values, self.zero, out=out)
-        for steps, weight in self.terms:
+        scratch = np.empty(values.shape) if self.terms else None
+        for head, last, M, weight in self.terms:
             dv = values
-            for ax, M in steps:
-                dv = apply_along_axis(M, dv, ax)
-            dv *= weight
-            out += dv
+            for ax, Mh in head:
+                dv = apply_along_axis(Mh, dv, ax)
+            apply_along_axis(M, dv, last, out=scratch)
+            scratch *= weight
+            out += scratch
         return out
 
 
@@ -533,32 +539,33 @@ def pair_snapshots(left, right):
     return [(t, x, y) for (t, x), (_, y) in zip(left, right)]
 
 
-def _rk4_step(values, rhs, gen, dt, k1, k2, k3, k4, stage):
-    """One classical RK4 step of `values`, in place.
+def _rk4_step(values, rhs, gen, dt, acc, k, stage):
+    """One classical RK4 step of `values`, in place, on three field buffers.
 
-    The stage slopes go to k1..k4 and each stage input to `stage`, buffers
-    the caller allocates once. The arithmetic is that of
-    values + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with stage inputs
-    values + (dt/2) k, operation for operation and in the same order, so the
-    step is bitwise that of the allocating form.
+    `acc` gathers k1 + 2 k2 + 2 k3 + k4, `k` holds the current stage slope
+    and `stage` each stage input values + (dt/2) k; the caller allocates them
+    once. 2 k2 and 2 k3 join the sum as soon as each slope has given its
+    stage input. The arithmetic is that of
+    values + (dt/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation and in
+    the same order, so the step is bitwise that of the allocating form.
     """
-    rhs(values, gen, out=k1)
-    np.multiply(k1, 0.5 * dt, out=stage)
+    rhs(values, gen, out=acc)
+    np.multiply(acc, 0.5 * dt, out=stage)
     stage += values
-    rhs(stage, gen, out=k2)
-    np.multiply(k2, 0.5 * dt, out=stage)
+    rhs(stage, gen, out=k)
+    np.multiply(k, 0.5 * dt, out=stage)
     stage += values
-    rhs(stage, gen, out=k3)
-    np.multiply(k3, dt, out=stage)
+    k *= 2.0
+    acc += k
+    rhs(stage, gen, out=k)
+    np.multiply(k, dt, out=stage)
     stage += values
-    rhs(stage, gen, out=k4)
-    k2 *= 2.0
-    k1 += k2
-    k3 *= 2.0
-    k1 += k3
-    k1 += k4
-    k1 *= dt / 6.0
-    values += k1
+    k *= 2.0
+    acc += k
+    rhs(stage, gen, out=k)
+    acc += k
+    acc *= dt / 6.0
+    values += acc
 
 
 def _boundary_ring(shape):
@@ -637,7 +644,7 @@ def evolve(field0, gen, run):
                 f"boundary mass {edge:.3e} at t={t:g}", diagnostics=diags)
 
     values = np.array(field0.values, dtype=float)
-    k1, k2, k3, k4, stage = (np.empty_like(values) for _ in range(5))
+    acc, k, stage = (np.empty_like(values) for _ in range(3))
     t = 0.0
     record(0.0, values)
     snapshots.append((0.0, field0))
@@ -650,7 +657,7 @@ def evolve(field0, gen, run):
             # lands on it
             gap = target - t
             _rk4_step(values, rhs, gen, run.dt if gap > run.dt - 1e-12 else gap,
-                      k1, k2, k3, k4, stage)
+                      acc, k, stage)
             steps += 1
             t = start + steps * run.dt
             if t > target - 1e-12:

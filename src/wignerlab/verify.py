@@ -8,7 +8,8 @@ takes what its callers vary and returns the worst residual it saw:
   return a float, or a dict of named floats when one loop measures several
   things (mass and peak; mass, pairing and inverse);
 - the series check takes a Wigner field, the reduction check a composite
-  density operator, the Wick check a generator;
+  density operator, the product check a composite system of grid factors
+  (with a count and a generator), the Wick check a generator;
 - the evolution checks take the initial state, symbol, truncation and
   `EvolutionRun` and return [(t, error)] over the snapshots paired by time;
   `check_oracle_agreement` also returns the `EvolutionResult`, and
@@ -27,10 +28,11 @@ import math
 
 import numpy as np
 
+from . import engine
 from .feedback import (FEEDBACK, GENERAL, NO_FEEDBACK, SubsystemLayout,
                        classify_coupling, embed_operator)
-from .hilbert import (CompositeSystem, LevelSpace, partial_trace,
-                      pure_density, tensor)
+from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, LevelSpace,
+                      partial_trace, pure_density, tensor, tensor_many)
 from .lattice import GaussianMeasure, make_phase_space
 from .moyal import (EvolutionRun, MoyalGenerator, evolve,
                     gaussian_measure_derivative, moyal_rhs, pair_snapshots,
@@ -166,6 +168,27 @@ def check_reduction_square(T):
                         ).max())
 
 
+def check_product_wigner(system, count, rng):
+    """Worst max |W - W_full| over products of random states, one per grid
+    factor of `system`: W by `wigner_from_density`, which maps a product
+    factor by factor, W_full by the full lattice map of the product's
+    matrix. The states mix modes of up to one quantum, which the n = 32
+    boxes resolve within their imaginary-residue policy. A product that
+    records no parts would compare the full map with itself, so it reads
+    inf instead.
+    """
+    worst = 0.0
+    for _ in range(count):
+        T = tensor_many([random_mixed(s, rng, max_quanta=1)
+                         for _, s in system.factors], system)
+        if T.parts is None:
+            return math.inf
+        full = engine.density_to_wigner(T.matrix, system.axis_geometry())
+        worst = max(worst, float(np.abs(wigner_from_density(T).values
+                                        - full.real).max()))
+    return worst
+
+
 def feedback_couplings():
     """Four qutrit roles and one position coupling of each class.
 
@@ -228,9 +251,13 @@ def run_suite(level="quick"):
         analytic_gaussian_eta(spec, 1.5, 0.0), OSC, 1,
         EvolutionRun(dt=dt, t_end=t_eta, stride=max(1, int(t_eta / dt) // 2)))
     spec2 = make_phase_space(1, 32, 7.2, [[1.0]], _QUICK_TOL)
-    product = tensor(pure_density(displaced_state(spec2, 1.0, 0.0)),
-                     pure_density(ground_state(spec2)),
-                     CompositeSystem((("A", spec2), ("B", spec2))))
+    pair = CompositeSystem((("A", spec2), ("B", spec2)))
+    # the square reduces the full two-mode map, so the product is passed
+    # without its parts; product_wigner checks the factor-by-factor map
+    product = DensityOperator(
+        tensor(pure_density(displaced_state(spec2, 1.0, 0.0)),
+               pure_density(ground_state(spec2)), pair).matrix,
+        LEBESGUE, pair, _QUICK_TOL)
     verdicts = check_feedback_axioms()
     return [
         ("wigner_normalization_and_bound",
@@ -253,4 +280,6 @@ def run_suite(level="quick"):
              verdicts[FEEDBACK].residual, verdicts[NO_FEEDBACK].residual),
          1e-8),
         ("wick_formulas", check_wick(np.random.default_rng(4)), 1e-7),
+        ("product_wigner",
+         check_product_wigner(pair, few, np.random.default_rng(6)), 1e-12),
     ]

@@ -120,21 +120,55 @@ class PhaseSpaceField:
         return grids
 
 
+def _peak(x):
+    """max |x| of a real array, read as max(max x, -min x): no |x| copy."""
+    return max(float(x.max()), -float(x.min()))
+
+
 def _real_with_residue_check(values, tol, what):
-    scale = max(float(np.abs(values.real).max()), 1e-30)
-    resid = float(np.abs(values.imag).max()) / scale
+    """The real part of `values` as a contiguous array, with a warning when
+    the imaginary part exceeds tol.imaginary_residue relative to it."""
+    real = np.ascontiguousarray(values.real)
+    scale = max(_peak(real), 1e-30)
+    resid = _peak(values.imag) / scale
     if resid > tol.imaginary_residue:
         import warnings
         warnings.warn(f"{what}: relative imaginary residue {resid:.2e}",
                       RuntimeWarning, stacklevel=3)
-    return values.real
+    return real
+
+
+def _product_field(T, ndim):
+    """Complex Wigner field, with `ndim` axes, of a product T from its parts.
+
+    The lattice map acts axis by axis, so the map of T_1 (x) ... (x) T_k is
+    the product of each factor's map, broadcast onto the factor's
+    `phase_axes` (docs/math-notes.md, "Products").
+    """
+    system = T.space
+    W = None
+    for (lab, s), op in zip(system.factors, T.parts):
+        f = engine.density_to_wigner(op.matrix, s.axis_geometry())
+        shape = [1] * ndim
+        for ax, n in zip(system.phase_axes(lab), f.shape):
+            shape[ax] = n
+        f = f.reshape(shape)
+        W = f if W is None else W * f
+    return W
 
 
 def wigner_from_density(T):
-    """Wigner field of a density operator (exact lattice kernel transform)."""
+    """Wigner field of a density operator (exact lattice kernel transform).
+
+    A Lebesgue product that records its parts (`hilbert.tensor_many`) is
+    mapped factor by factor; every other operator by the full map.
+    """
     Tl = T if T.rep == LEBESGUE else to_lebesgue_rep(T)
     axes = _space_axes(T.space)
-    W = engine.density_to_wigner(Tl.matrix, axes)
+    if Tl.parts is not None:
+        W = _product_field(Tl, 2 * len(axes))
+    else:
+        W = engine.density_to_wigner(Tl.matrix, axes)
     vals = _real_with_residue_check(W, T.tol, "wigner_from_density")
     return PhaseSpaceField(vals, WIGNER, T.space, "lebesgue", T.tol)
 

@@ -290,7 +290,7 @@ def test_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
         "weyl_route_equivalence", "inversion_roundtrip",
         "eta_density_consistency", "quadratic_exactness", "oracle_agreement",
         "eta_route", "reduction_commuting_square", "feedback_axioms",
-        "wick_formulas"]
+        "wick_formulas", "product_wigner"]
 
 
 def test_seed_override_controls_random_recipes(tmp_path):

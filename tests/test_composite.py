@@ -1,6 +1,9 @@
 """In-place composite operators against their Kronecker-product references,
-and the fail-closed hermiticity rule."""
+the fail-closed hermiticity rule and its check record, and products mapped
+factor by factor."""
 
+import dataclasses
+import gc
 import itertools
 import json
 from pathlib import Path
@@ -9,18 +12,26 @@ import numpy as np
 import pytest
 
 from oracles import kron_classify_coupling, kron_embed_operator, kron_sum_block
-from wignerlab import feedback, hilbert
+from wignerlab import cli, engine, feedback, hilbert, make_phase_space
 from wignerlab.config import parse_config
-from wignerlab.errors import FactorMismatch, NonHermitianInput
+from wignerlab.errors import (FactorMismatch, NonHermitianInput,
+                              RepresentationMismatch, SpecMismatch)
 from wignerlab.feedback import (CouplingSpec, RefinedParts, SubsystemLayout,
                                 build_feedback_hamiltonian,
                                 build_general_hamiltonian,
                                 build_refined_hamiltonian, classify_coupling,
                                 embed_operator, run_scenario)
-from wignerlab.hilbert import (DensityOperator, LEBESGUE, LevelSpace,
-                               tensor_many)
+from wignerlab.hilbert import (DensityOperator, GAUSSIAN, LEBESGUE,
+                               CompositeSystem, LevelSpace, mix, partial_trace,
+                               pure_density, tensor, tensor_many,
+                               to_gaussian_rep)
 from wignerlab.moyal import EvolutionRun
 from wignerlab.runners import assemble_layout
+from wignerlab.states import displaced_state, ground_state
+from wignerlab.tolerances import TolerancePolicy
+from wignerlab.verify import OSC, check_product_wigner
+from wignerlab.weyl import HamiltonianSymbol, weyl_quantize
+from wignerlab.wigner import wigner_from_density
 
 # 2 to 5 roles with unequal level dims; dict order is not layout order
 LAYOUTS = {
@@ -239,3 +250,221 @@ def test_non_square_rejected():
         feedback._check_hermitian(np.ones(4), "vector")
     with pytest.raises(NonHermitianInput):
         feedback._check_hermitian(np.ones((2, 3)), "block")
+
+
+# --- the check record of builder-made operators ----------------------------
+
+@pytest.fixture()
+def passes(monkeypatch):
+    """Shapes of the full hermiticity passes `_check_hermitian` makes."""
+    shapes = []
+    real = hilbert._hermitian_defect
+
+    def counting(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(feedback, "_hermitian_defect", counting)
+    return shapes
+
+
+def level_scenario(scale=1.0):
+    """A coupled qutrit pair: builder-made H, product T0 and a short run."""
+    layout = pair_layout()
+    lv = LevelSpace(3)
+    h = scale * lv.number_op()
+    K = 0.3 * np.kron(lv.position_op(), lv.position_op())
+    H = build_general_hamiltonian(h, h, K, layout)
+    ground = DensityOperator(np.diag([1.0, 0.0, 0.0]).astype(complex),
+                             LEBESGUE, lv)
+    T0 = tensor_many([ground, ground], layout.system())
+    return layout, H, T0, EvolutionRun(dt=0.1, t_end=0.2, stride=1)
+
+
+def test_builder_made_operators_are_not_checked_again(passes):
+    layout, H, T0, run = level_scenario()
+    K = CouplingSpec(((("P1", "C1"), np.eye(9)),)).assemble(layout)
+    passes.clear()
+    run_scenario(layout, H, T0, run)
+    classify_coupling(K, layout)
+    build_general_hamiltonian(np.eye(3), np.eye(3), K, layout)
+    assert passes == [(3, 3), (3, 3)]       # the two foreign factor blocks
+    with pytest.raises(ValueError):
+        H.flags.writeable = True
+
+
+def test_copies_slices_and_unfit_bounds_are_checked(passes):
+    layout, H, T0, run = level_scenario()
+    for other in (H.copy(), H[:, :], np.array(H)):
+        passes.clear()
+        run_scenario(layout, other, T0, run)
+        assert passes == [(9, 9)]
+    # a record no longer holds once its private base is writable again
+    H.base.flags.writeable = True
+    passes.clear()
+    run_scenario(layout, H, T0, run)
+    assert passes == [(9, 9)]
+    # peaks of 1e6 put the rounding term above tol.hermiticity
+    layout, H, T0, run = level_scenario(scale=1e6)
+    assert feedback._CHECKED[id(H)][1] > feedback.DEFAULT_TOL.hermiticity
+    passes.clear()
+    run_scenario(layout, H, T0, run)
+    assert passes == [(9, 9)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_spoiled_copies_of_builder_made_operators_raise(bad):
+    layout, H, T0, run = level_scenario()
+    spoilt = H.copy()
+    spoilt[2, 5] = bad
+    with pytest.raises(NonHermitianInput):
+        run_scenario(layout, spoilt, T0, run)
+    with pytest.raises(NonHermitianInput):
+        classify_coupling(spoilt, layout)
+
+
+def test_check_record_leaves_with_its_operator():
+    H = level_scenario()[1]
+    key = id(H)
+    assert key in feedback._CHECKED
+    del H
+    gc.collect()
+    assert key not in feedback._CHECKED
+
+
+def test_feedback_command_checks_no_operator_twice(tmp_path, passes):
+    assert cli.main(["feedback", "--config", str(FEEDBACK_LEVELS),
+                     "--out", str(tmp_path)]) == 0
+    assert passes and all(shape == (16, 16) for shape in passes)
+
+
+# --- products mapped factor by factor ---------------------------------------
+
+def small_spec(d, n, L):
+    # coarse grids: the product identity is exact on any grid, so the tails
+    # and residues of these boxes do not matter here
+    tol = TolerancePolicy(domain_tail_mass=0.5, imaginary_residue=1.0)
+    return make_phase_space(d, n, L, np.eye(d), tol)
+
+
+PRODUCT_SYSTEMS = {     # labels out of system order; unequal n; a d = 2 factor
+    "pair": (("B", (1, 8, 3.0)), ("A", (1, 16, 4.0))),
+    "three": (("C", (1, 4, 2.0)), ("A", (2, 4, 2.0)), ("B", (1, 8, 3.0))),
+}
+
+
+@pytest.fixture()
+def maps(monkeypatch):
+    """Axis counts of the engine.density_to_wigner calls."""
+    counts = []
+    real = engine.density_to_wigner
+
+    def recording(T, axes):
+        counts.append(len(axes))
+        return real(T, axes)
+
+    monkeypatch.setattr(engine, "density_to_wigner", recording)
+    return counts
+
+
+@pytest.mark.parametrize("name", PRODUCT_SYSTEMS)
+def test_product_map_equals_full_map(name, rng, maps):
+    system = CompositeSystem(tuple((lab, small_spec(*geometry))
+                                   for lab, geometry in PRODUCT_SYSTEMS[name]))
+    assert check_product_wigner(system, 3, rng) <= 1e-15
+    total = len(system.axis_geometry())
+    # the three full maps are the references; the products were mapped per
+    # factor, one call of each factor's d
+    assert maps.count(total) == 3
+    assert sorted(maps) == sorted([total] * 3 + [s.d for _, s in
+                                                 system.factors] * 3)
+
+
+def test_product_map_on_the_two_mode_grid(sys2, rng):
+    assert check_product_wigner(sys2, 1, rng) <= 1e-15
+
+
+def test_gaussian_products_and_mixtures_take_the_full_map(sys2, spec32c,
+                                                          maps):
+    a = pure_density(displaced_state(spec32c, 1.0, 0.0))
+    b = pure_density(ground_state(spec32c))
+    gauss = tensor(to_gaussian_rep(a), to_gaussian_rep(b), sys2)
+    assert gauss.rep == GAUSSIAN and gauss.parts is None
+    mixed = mix([(0.5, tensor(a, b, sys2)), (0.5, tensor(b, a, sys2))])
+    assert mixed.parts is None
+    wigner_from_density(mixed)
+    assert maps == [2]
+
+
+def test_parts_record(spec32c, sys2):
+    a = pure_density(displaced_state(spec32c, 1.0, 0.0))
+    b = pure_density(ground_state(spec32c))
+    T = tensor(a, b, sys2)
+    assert isinstance(T.parts, tuple) and T.parts[0] is a and T.parts[1] is b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.parts = None
+    # validated against the factors
+    qutrit = DensityOperator(np.eye(3) / 3, LEBESGUE, LevelSpace(3))
+    for parts in ((a,), (a, b, b), (a, qutrit)):
+        with pytest.raises(SpecMismatch):
+            DensityOperator(T.matrix, LEBESGUE, sys2, parts=parts)
+    with pytest.raises(SpecMismatch):
+        DensityOperator(a.matrix, LEBESGUE, spec32c, parts=(a,))
+    with pytest.raises(RepresentationMismatch):
+        DensityOperator(T.matrix, LEBESGUE, sys2,
+                        parts=(to_gaussian_rep(a), b))
+    # not compared and not shown
+    plain = DensityOperator(T.matrix, LEBESGUE, sys2, T.tol)
+    assert plain == T and plain.parts is None
+    assert "parts" not in repr(T)
+    # no derived operator inherits it
+    lv = LevelSpace(2)
+    three = CompositeSystem((("x", lv), ("y", lv), ("z", lv)))
+    up = DensityOperator(np.diag([1.0, 0.0]).astype(complex), LEBESGUE, lv)
+    T3 = tensor_many([up, up, up], three)
+    assert T3.parts is not None
+    assert partial_trace(T3, ("x", "z")).parts is None
+    assert mix([(1.0, T3)]).parts is None
+    assert mix([(1.0, T)]).parts is None
+
+
+def two_mode_scenario(spec32c):
+    layout = SubsystemLayout({"P1": spec32c, "C1": spec32c})
+    osc = weyl_quantize(OSC, spec32c)
+    qh = weyl_quantize(HamiltonianSymbol((((1,), (0,), 1.0),), d=1), spec32c)
+    H = build_general_hamiltonian(osc, osc, 0.4 * np.kron(qh, qh), layout)
+    T0 = tensor(pure_density(displaced_state(spec32c, 1.0, 0.0)),
+                pure_density(ground_state(spec32c)), layout.system())
+    return layout, H, osc, T0
+
+
+def test_scenario_snapshot_at_zero_is_built_from_t0(spec32c, maps):
+    layout, H, osc, T0 = two_mode_scenario(spec32c)
+    run = EvolutionRun(dt=1e-2, t_end=0.1, stride=10)
+    res = run_scenario(layout, H, T0, run, h_plant=osc)
+    TP = partial_trace(T0, "P1")
+    (t, got), (_, W0) = res.plant_states[0], res.plant_wigner[0]
+    assert t == 0.0 and np.array_equal(got.matrix, TP.matrix)
+    assert res.plant_purity[0] == TP.purity()
+    assert res.plant_energy[0] == float(np.trace(TP.matrix @ osc).real)
+    assert np.array_equal(W0.values, wigner_from_density(TP).values)
+    assert res.square_residuals[0] <= 1e-15
+    # the product T0 is mapped per factor; only the entangled T(0.1) takes
+    # the full two-mode map
+    assert maps.count(2) == 1
+
+
+def test_propagation_does_not_form_t_at_zero(monkeypatch):
+    layout, H, T0, run = level_scenario()
+    times = []
+    real = feedback.exact_propagate
+
+    def recording(T, evals, evecs, t):
+        times.append(t)
+        return real(T, evals, evecs, t)
+
+    monkeypatch.setattr(feedback, "exact_propagate", recording)
+    full_rank = DensityOperator(np.eye(9, dtype=complex) / 9, LEBESGUE,
+                                layout.system())
+    res = run_scenario(layout, H, full_rank, run)
+    assert times == [0.1, 0.2] and res.plant_states[0][1].trace() == 1.0

@@ -280,3 +280,20 @@ def test_last_axis_gemm_is_bitwise_free_of_matrix_order(rng):
             got = apply_along_axis(np.asfortranarray(M), x, len(shape) - 1)
             assert got.tobytes() == apply_along_axis(M, x, len(shape) - 1) \
                 .tobytes(), (shape, build, o)
+
+
+def test_gemm_into_out_is_bitwise_the_allocating_product(rng):
+    # the bracket plan writes each term's last derivative into one scratch
+    # field; that must be the same product, on every axis
+    for shape in ((64, 64), (32,) * 4):
+        n = shape[-1]
+        x = rng.normal(size=shape)
+        out = np.empty(shape)
+        for ax in range(len(shape)):
+            M = derivative_matrix(n, _spacing(n), 1)
+            if ax == len(shape) - 1:
+                M = np.asfortranarray(M)
+            got = apply_along_axis(M, x, ax, out=out)
+            assert got is out
+            assert out.tobytes() == apply_along_axis(M, x, ax).tobytes(), \
+                (shape, ax)
