@@ -505,6 +505,8 @@ def to_lebesgue_rep(x):
     if x.rep != GAUSSIAN:
         raise WrongRepresentation(f"expected gaussian input, got {x.rep}")
     spec = x.space
+    if not isinstance(spec, PhaseSpaceSpec):
+        raise WrongRepresentation("representation change needs a grid space")
     s = np.sqrt(spec.mu_density_grid().ravel())
     if isinstance(x, StateVector):
         return StateVector(x.values * s, LEBESGUE, spec, x.tol)

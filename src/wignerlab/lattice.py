@@ -5,6 +5,10 @@ per axis over [-L, L), together with the Gaussian reference measures mu (on Q),
 nu (on P, same covariance) and mu x nu (on Q x P). All other modules consume
 this geometry. Everything here is immutable after construction and all
 operations are pure functions, so values are safe to share across threads.
+A spec's density grids are the one exception to "built at construction": each
+is computed on first use and then kept, read-only, on that spec instance (so
+it is freed with the spec). Two threads may both compute one; both get equal
+values.
 """
 
 import math
@@ -139,11 +143,19 @@ class PhaseSpaceSpec:
         """(n, L) per position axis; composite systems concatenate these."""
         return [(self.n_per_axis, self.half_width)] * self.d
 
+    def _kept_grid(self, name, measure, mesh):
+        """measure's density over mesh(), computed once per spec, read-only."""
+        grid = self.__dict__.get(name)
+        if grid is None:
+            grid = _frozen(measure.density_mesh(mesh()))
+            self.__dict__[name] = grid
+        return grid
+
     def mu_density_grid(self):
-        return self.mu.density_mesh(self.grid.position_mesh())
+        return self._kept_grid("_mu_grid", self.mu, self.grid.position_mesh)
 
     def mu_nu_density_grid(self):
-        return self.mu_nu.density_mesh(self.grid.phase_mesh())
+        return self._kept_grid("_mu_nu_grid", self.mu_nu, self.grid.phase_mesh)
 
     def __eq__(self, other):
         return (isinstance(other, PhaseSpaceSpec)

@@ -623,12 +623,15 @@ def evolve(field0, gen, run):
     purity_scale = (2 * math.pi) ** len(field0.axes)
 
     def record(t, vals):
+        # w**2 and hfield*w go into stage, which each RK4 step writes
+        # before it reads
         w = vals if role == WIGNER else vals * g
-        sq = (w ** 2).sum()
+        sq = np.square(w, out=stage).sum()
         diags["t"].append(t)
         diags["mass"].append(float(w.sum() * cell))
         diags["l2"].append(float(math.sqrt(sq * cell)))
-        diags["energy"].append(float((hfield * w).sum() * cell))
+        diags["energy"].append(
+            float(np.multiply(hfield, w, out=stage).sum() * cell))
         diags["min_w"].append(float(w.min()))
         diags["purity_est"].append(float(purity_scale * sq * cell))
         return w

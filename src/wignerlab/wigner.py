@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .errors import (GridMismatch, NotNormalized, SpecMismatch, UnderflowRegion,
-                     UnknownSubsystem)
+from .errors import (GridMismatch, InvalidDensity, NotNormalized, SpecMismatch,
+                     UnderflowRegion, UnknownSubsystem)
 from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, _collapse,
                       certify_psd, to_lebesgue_rep)
 from .lattice import PhaseSpaceSpec
@@ -127,10 +127,15 @@ def _peak(x):
 
 def _real_with_residue_check(values, tol, what):
     """The real part of `values` as a contiguous array, with a warning when
-    the imaginary part exceeds tol.imaginary_residue relative to it."""
+    the imaginary part exceeds tol.imaginary_residue relative to it.
+
+    A NaN or infinite entry makes the peak or the residue non-finite and
+    raises InvalidDensity: such a field is never returned."""
     real = np.ascontiguousarray(values.real)
     scale = max(_peak(real), 1e-30)
     resid = _peak(values.imag) / scale
+    if not (math.isfinite(scale) and math.isfinite(resid)):
+        raise InvalidDensity(f"{what}: the field has non-finite values")
     if resid > tol.imaginary_residue:
         import warnings
         warnings.warn(f"{what}: relative imaginary residue {resid:.2e}",
@@ -165,11 +170,13 @@ def wigner_from_density(T):
     """
     Tl = T if T.rep == LEBESGUE else to_lebesgue_rep(T)
     axes = _space_axes(T.space)
-    if Tl.parts is not None:
-        W = _product_field(Tl, 2 * len(axes))
-    else:
-        W = engine.density_to_wigner(Tl.matrix, axes)
-    vals = _real_with_residue_check(W, T.tol, "wigner_from_density")
+    # a non-finite entry is rejected by the residue check, not by a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        if Tl.parts is not None:
+            W = _product_field(Tl, 2 * len(axes))
+        else:
+            W = engine.density_to_wigner(Tl.matrix, axes)
+        vals = _real_with_residue_check(W, T.tol, "wigner_from_density")
     return PhaseSpaceField(vals, WIGNER, T.space, "lebesgue", T.tol)
 
 
@@ -186,8 +193,9 @@ def wigner_from_weyl_function(samples):
     else:
         raise GridMismatch("wigner_from_weyl_function needs a PhaseSpaceField")
     axes = _space_axes(space)
-    W = engine.chi_to_wigner(np.asarray(vals, complex), axes)
-    out = _real_with_residue_check(W, tol, "wigner_from_weyl_function")
+    with np.errstate(invalid="ignore", over="ignore"):
+        W = engine.chi_to_wigner(np.asarray(vals, complex), axes)
+        out = _real_with_residue_check(W, tol, "wigner_from_weyl_function")
     return PhaseSpaceField(out, WIGNER, space, "lebesgue", tol)
 
 
@@ -247,13 +255,15 @@ def eta_density(W):
         raise GridMismatch(f"eta_density expects a {WIGNER} field")
     g = W.reference_density()
     floor = W.tol.underflow_floor
-    bad = (g < floor) & (np.abs(W.values) > W.tol.underflow_field)
+    low = g < floor
+    if not low.any():
+        return PhaseSpaceField(W.values / g, ETA, W.space, "mu_nu", W.tol)
+    bad = low & (np.abs(W.values) > W.tol.underflow_field)
     if bad.any():
         raise UnderflowRegion(
             f"reference density below {floor:g} at {int(bad.sum())} points "
             "with non-negligible W; enlarge the domain")
-    safe = np.where(g < floor, 1.0, g)
-    vals = np.where(g < floor, 0.0, W.values / safe)
+    vals = np.where(low, 0.0, W.values / np.where(low, 1.0, g))
     return PhaseSpaceField(vals, ETA, W.space, "mu_nu", W.tol)
 
 

@@ -206,6 +206,19 @@ def test_feedback_rerun_byte_identical(tmp_path):
     assert first == second
 
 
+def test_transform_rerun_byte_identical(tmp_path):
+    # one process, two runs: the spec kept grids of the first run must not
+    # show in the second's fields or summary
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "transform.json")
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["transform", "--config", path, "--out", str(out)]) == 0
+    for name in ("wigner.bin", "eta.bin", "summary.csv"):
+        first, second = [(out / name).read_bytes() for out in outs]
+        assert first == second, name
+
+
 def test_feedback_form_verdict(tmp_path):
     cfg = json.loads(json.dumps({
         "version": "1",

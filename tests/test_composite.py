@@ -15,7 +15,8 @@ from oracles import kron_classify_coupling, kron_embed_operator, kron_sum_block
 from wignerlab import cli, engine, feedback, hilbert, make_phase_space
 from wignerlab.config import parse_config
 from wignerlab.errors import (FactorMismatch, NonHermitianInput,
-                              RepresentationMismatch, SpecMismatch)
+                              RepresentationMismatch, SpecMismatch,
+                              WrongRepresentation)
 from wignerlab.feedback import (CouplingSpec, RefinedParts, SubsystemLayout,
                                 build_feedback_hamiltonian,
                                 build_general_hamiltonian,
@@ -394,6 +395,16 @@ def test_gaussian_products_and_mixtures_take_the_full_map(sys2, spec32c,
     assert mixed.parts is None
     wigner_from_density(mixed)
     assert maps == [2]
+
+
+def test_gaussian_product_map_raises_library_error(sys2, spec32c):
+    a = pure_density(displaced_state(spec32c, 1.0, 0.0))
+    b = pure_density(ground_state(spec32c))
+    gauss = tensor(to_gaussian_rep(a), to_gaussian_rep(b), sys2)
+    with pytest.raises(WrongRepresentation):
+        wigner_from_density(gauss)
+    with pytest.raises(WrongRepresentation):
+        hilbert.to_lebesgue_rep(gauss)
 
 
 def test_parts_record(spec32c, sys2):

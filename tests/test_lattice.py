@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -134,3 +136,61 @@ def test_spd_covariance_quadrature_property(s, c):
     spec = make_phase_space(2, 128, L, B)
     cell = spec.grid.position_cell
     assert abs(spec.mu_density_grid().sum() * cell - 1.0) < 1e-10
+
+
+def test_density_grids_are_kept_read_only():
+    spec = make_phase_space(1, 64, 10.0, [[1.3]])
+    for get, build in (
+            (spec.mu_nu_density_grid,
+             lambda: spec.mu_nu.density_mesh(spec.grid.phase_mesh())),
+            (spec.mu_density_grid,
+             lambda: spec.mu.density_mesh(spec.grid.position_mesh()))):
+        g = get()
+        assert get() is g
+        assert not g.flags.writeable
+        assert np.array_equal(g, build())
+        with pytest.raises(ValueError):
+            g[0] = 0.0
+        with pytest.raises(ValueError):
+            g *= 2.0
+        assert np.array_equal(get(), build())
+
+
+def test_unequal_specs_keep_their_own_grids():
+    a = make_phase_space(1, 64, 10.0, [[1.0]])
+    b = make_phase_space(1, 64, 10.0, [[1.5]])
+    c = make_phase_space(1, 64, 10.0, [[1.0]])
+    ga, gb, gc = (s.mu_nu_density_grid() for s in (a, b, c))
+    assert a != b and not np.array_equal(ga, gb)
+    assert np.array_equal(gb, b.mu_nu.density_mesh(b.grid.phase_mesh()))
+    # an equal spec is another instance: it builds its own, equal, grid
+    assert a == c and gc is not ga and np.array_equal(gc, ga)
+    # the kept grids are no part of equality, hashing or the repr
+    assert hash(a) == hash(c) and repr(a) == repr(c)
+
+
+def test_threads_share_equal_read_only_grids():
+    # a grid two threads both build on first use is equal in both
+    spec = make_phase_space(1, 64, 10.0, [[0.8]])
+    want = spec.mu_nu.density_mesh(spec.grid.phase_mesh())
+    got = []
+    start = threading.Barrier(6)
+
+    def work():
+        start.wait(timeout=10)
+        got.append(spec.mu_nu_density_grid())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6
+    assert all(not g.flags.writeable and np.array_equal(g, want) for g in got)
+    assert spec.mu_nu_density_grid() is spec.mu_nu_density_grid()

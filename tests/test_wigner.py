@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from wignerlab import (DensityOperator, HamiltonianSymbol, expectation,
                        wigner_from_weyl_function)
 from wignerlab import engine
 from wignerlab.engine import density_to_wigner, wigner_to_density
-from wignerlab.errors import (GridMismatch, NonPositiveOperator, NotNormalized,
-                              UnderflowRegion, UnknownSubsystem)
+from wignerlab.errors import (GridMismatch, InvalidDensity, NonPositiveOperator,
+                              NotNormalized, UnderflowRegion, UnknownSubsystem)
 from wignerlab.hilbert import LEBESGUE, CompositeSystem
 from wignerlab.states import (analytic_gaussian_wigner, cat_state,
                               displaced_state, ground_state, random_mixed)
@@ -283,6 +284,52 @@ def test_underflow_region_detected():
                             "wigner_measure_density", big)
     with pytest.raises(UnderflowRegion):
         eta_density(const)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_has_no_field(lab64, rng, bad):
+    # DensityOperator does not validate on construction; the maps must not
+    # hand back a field of NaN or inf values, nor stop at a warning first
+    T = random_mixed(lab64, rng)
+    m = T.matrix.copy()
+    m[5, 5] = bad
+    chi = weyl_samples_field(T).values.copy()
+    chi[7, 9] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDensity):
+            wigner_from_density(DensityOperator(m, LEBESGUE, lab64))
+        with pytest.raises(InvalidDensity):
+            wigner_from_weyl_function(
+                PhaseSpaceField(chi, WEYL_SAMPLES, lab64))
+
+
+def test_eta_quotient_is_w_over_g(lab64, rng):
+    W = wigner_from_density(random_mixed(lab64, rng))
+    g = W.reference_density()
+    assert g.min() >= W.tol.underflow_floor
+    assert np.array_equal(eta_density(W).values, W.values / g)
+    # NaN in W stays NaN in Phi
+    vals = W.values.copy()
+    vals[10, 20] = np.nan
+    phi = eta_density(PhaseSpaceField(vals, "wigner_measure_density", lab64))
+    assert np.isnan(phi.values[10, 20])
+    assert np.isnan(phi.values).sum() == 1
+
+
+def test_underflow_points_are_zeroed():
+    # |q| > ~37 drives mu x nu below the 1e-300 floor on this box; there
+    # the ground-state W plus a flat 1e-13 is below the field threshold
+    spec = make_phase_space(1, 256, 40.0, [[1.0]])
+    q, p = spec.grid.phase_mesh()
+    W = PhaseSpaceField(np.exp(-(q ** 2 + p ** 2)) / math.pi + 1e-13,
+                        "wigner_measure_density", spec)
+    g = W.reference_density()
+    low = g < W.tol.underflow_floor
+    assert 0 < low.sum() < low.size
+    phi = eta_density(W).values
+    assert np.all(phi[low] == 0.0)
+    assert np.array_equal(phi[~low], W.values[~low] / g[~low])
 
 
 def test_reduce_product_state(sys2, spec32c):
