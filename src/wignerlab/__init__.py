@@ -9,8 +9,7 @@ classification.
 __version__ = "0.1.0"
 
 from .errors import WignerLabError
-from .lattice import GaussianMeasure, Grid, PhaseSpaceSpec, gaussian_density, \
-    make_phase_space
+from .lattice import GaussianMeasure, Grid, PhaseSpaceSpec, make_phase_space
 from .hilbert import (CompositeSystem, DensityOperator, IntegralKernel,
                       LevelSpace, StateVector, kernel_of, mix, partial_trace,
                       pure_density, tensor, to_gaussian_rep, to_lebesgue_rep)

@@ -208,33 +208,14 @@ def density_to_chi(T, axes):
     return chi.transpose(_unpairs(d))
 
 
-def chi_to_density(chi, axes):
-    """Inverse of density_to_chi (exact lattice completeness)."""
-    dims = [n for n, _ in axes]
-    d = len(dims)
-    C = _paired_copy(chi, dims, 1.0 / math.prod(dims))
-    for i, n in enumerate(dims):
-        odd = _odd_columns(C, dims, i)
-        odd *= _half_cell(n).conj()[:, None, None]
-    G = centered_dft(C, range(0, 2 * d, 2), +1)                    # a -> l
-    del C                       # release it before the scatter allocates T
-    return _take_pairs(G, dims, inverse=True).transpose(_unpairs(d))
-
-
 def chi_to_wigner(chi, axes):
-    """Wigner field from Weyl-function samples; exact inverse of wigner_to_chi.
+    """Wigner field from Weyl-function samples (an exact bijection).
 
     One centered DFT over every axis: a-axes go to q, b-axes go to p.
     """
     W = centered_dft(chi, range(2 * len(axes)), +1)
     W *= _cell(axes) / (2.0 * math.pi) ** (2 * len(axes))
     return W
-
-
-def wigner_to_chi(W, axes):
-    C = centered_dft(W, range(2 * len(axes)), -1)
-    C *= _cell(axes)
-    return C
 
 
 def density_to_wigner(T, axes):

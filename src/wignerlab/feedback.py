@@ -20,10 +20,10 @@ from .hilbert import (CompositeSystem, DensityOperator, LEBESGUE,
                       _hermitian_defect, _label_tuple, chebyshev_propagate,
                       chebyshev_terms, exact_propagate, partial_trace,
                       spectral_interval)
-from .lattice import PhaseSpaceSpec
+from .lattice import PhaseSpaceSpec, make_phase_space
 from .moyal import MoyalGenerator, evolve
 from .tolerances import DEFAULT_TOL
-from .wigner import reduce_wigner, wigner_from_density
+from .wigner import PhaseSpaceField, reduce_wigner, wigner_from_density
 
 LAYOUT_DIM_CAP = 65536
 RUN_DIM_CAP = 4096
@@ -466,7 +466,6 @@ def _run_classical(layout, symbol, T0, run, h_plant):
 
 def _merged_spec(layout):
     """Single PhaseSpaceSpec covering all (identical) grid factors."""
-    from .lattice import make_phase_space
     specs = [s for _, s in layout.factors]
     first = specs[0]
     for s in specs[1:]:
@@ -483,6 +482,5 @@ def _merged_spec(layout):
 
 
 def _refield(field, space):
-    from .wigner import PhaseSpaceField
     return PhaseSpaceField(field.values, field.role, space, field.measure,
                            field.tol)

@@ -514,6 +514,11 @@ def to_lebesgue_rep(x):
     return DensityOperator(m, LEBESGUE, spec, x.tol)
 
 
+def _lebesgue(x):
+    """x itself in the Lebesgue representation, else to_lebesgue_rep(x)."""
+    return x if x.rep == LEBESGUE else to_lebesgue_rep(x)
+
+
 def tensor(a, b, sys):
     """Kronecker product of two density operators in the system's order."""
     if len(sys.factors) != 2:
@@ -621,18 +626,10 @@ def kernel_of(T, kind=RHO1):
     spec = T.space
     if not isinstance(spec, PhaseSpaceSpec):
         raise SpecMismatch("kernels need a grid space")
-    Tl = T if T.rep == LEBESGUE else to_lebesgue_rep(T)
-    K = Tl.matrix / spec.grid.position_cell
+    K = _lebesgue(T).matrix / spec.grid.position_cell
     if kind == RHO1:
         c_mu = math.exp(spec.mu.log_norm)
         return IntegralKernel(_frozen(K / c_mu), RHO1, spec)
     if kind == RHO2:
         return IntegralKernel(_frozen(K), RHO2, spec)
     raise SpecMismatch(f"unknown kernel kind {kind!r}")
-
-
-def apply_operator(T, phi):
-    """Tphi as a function-valued state (not renormalized)."""
-    if T.rep != phi.rep:
-        raise RepresentationMismatch(f"{T.rep} vs {phi.rep}")
-    return T.matrix @ phi.values

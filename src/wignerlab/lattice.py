@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import axis_coords, centered_dft, fourier_matrix
+from .engine import axis_coords
 from .errors import (BadGridSize, InsufficientDomain, NonPositiveCovariance,
                      NonSymmetricCovariance)
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -61,10 +61,6 @@ class Grid:
     def position_cell(self):
         return self.h ** self.d
 
-    @property
-    def momentum_cell(self):
-        return self.dp ** self.d
-
     def position_mesh(self):
         """d arrays broadcastable over the position grid (q1, ..., qd)."""
         axes = [self.positions] * self.d
@@ -74,18 +70,6 @@ class Grid:
         """2d sparse arrays broadcastable over the phase grid (q-axes, p-axes)."""
         axes = [self.positions] * self.d + [self.momenta] * self.d
         return np.meshgrid(*axes, indexing="ij", sparse=True)
-
-    def fourier_matrix(self):
-        """Unitary centered DFT: F[m, j] = exp(-i p_m q_j)/sqrt(n)."""
-        return fourier_matrix(self.n)
-
-    def to_momentum(self, values):
-        """F @ values, along the first axis."""
-        return centered_dft(values, (0,), -1) / math.sqrt(self.n)
-
-    def from_momentum(self, values):
-        """F^H @ values, along the first axis."""
-        return centered_dft(values, (0,), +1) / math.sqrt(self.n)
 
 
 @dataclass(frozen=True)
@@ -240,8 +224,3 @@ def make_phase_space(d, n_per_axis, half_width, covariance, tol=DEFAULT_TOL):
     B2[d:, d:] = B
     mu_nu = GaussianMeasure.from_covariance(B2)
     return PhaseSpaceSpec(d, n, L, _frozen(B), grid, mu, nu, mu_nu, tol)
-
-
-def gaussian_density(measure, point):
-    """Value of the normalized Gaussian density at a point (total function)."""
-    return measure.density(point)

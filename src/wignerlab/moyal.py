@@ -26,11 +26,10 @@ from .engine import (SpectralDifferentiator, apply_along_axis, axis_coords,
                      derivative_matrix, fd4_matrix)
 from .errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
                      SpecMismatch, UnstableStep)
-from .hilbert import (DensityOperator, LEBESGUE, exact_propagate,
-                      to_lebesgue_rep)
+from .hilbert import DensityOperator, LEBESGUE, _lebesgue, exact_propagate
 from .tolerances import DEFAULT_TOL
-from .wigner import ETA, WIGNER, PhaseSpaceField
-from .weyl import weyl_quantize
+from .wigner import ETA, SYMBOL, WIGNER, PhaseSpaceField
+from .weyl import HamiltonianSymbol, weyl_quantize
 
 MAX_BRACKET_ORDER = 7
 
@@ -282,7 +281,6 @@ class MoyalGenerator:
         self._rebuild(self.symbol.terms_at(0.0))
 
     def _rebuild(self, terms):
-        from .weyl import HamiltonianSymbol
         d = self.spec.d
         sym = HamiltonianSymbol(terms, sampled=self.symbol.sampled, d=d)
         orders = [2 * j - 1 for j in range(1, self.effective_truncation(sym) + 1)]
@@ -360,10 +358,6 @@ class MoyalGenerator:
         deg = sym.degree
         return min(self.truncation, max(1, (deg + 1) // 2))
 
-    def derivative_field(self, k, m):
-        """Stored field of d_q^m d_p^k H (zero fields are pruned to None)."""
-        return self._fields.get((tuple(k), tuple(m)))
-
     def energy_field(self):
         """H of the active schedule segment on the phase grid (broadcastable)."""
         return self._energy
@@ -427,7 +421,7 @@ def poisson_power(psi, symbol, n, spec=None, scheme=SPECTRAL):
     values = psi.values if isinstance(psi, PhaseSpaceField) else psi
     out = BracketPlan(weights, spec, scheme).apply(np.asarray(values, float))
     if isinstance(psi, PhaseSpaceField):
-        return PhaseSpaceField(out, "symbol", spec, "lebesgue", psi.tol)
+        return PhaseSpaceField(out, SYMBOL, spec, "lebesgue", psi.tol)
     return out
 
 
@@ -501,13 +495,10 @@ class EvolutionRun:
     t_end: float
     stride: int = 10
     enforce_cfl: bool = True
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0 or self.stride < 1:
             raise UnstableStep("dt must be positive and stride >= 1")
-        if self.integrator != "rk4":
-            raise UnstableStep("only the classical 4-stage Runge-Kutta is provided")
 
     def snapshot_times(self):
         nfull = int(math.floor(self.t_end / self.dt + 1e-12))
@@ -684,7 +675,7 @@ def von_neumann_oracle(T0, hamiltonian, run):
     T0's space). Snapshots are taken at the same times evolve() would use.
     Trace and purity are conserved to eigensolver accuracy.
     """
-    Tl = T0 if T0.rep == LEBESGUE else to_lebesgue_rep(T0)
+    Tl = _lebesgue(T0)
     times = run.snapshot_times()
     schedule = getattr(hamiltonian, "schedule", None)
 
@@ -701,7 +692,6 @@ def von_neumann_oracle(T0, hamiltonian, run):
                 for t in times]
     # piecewise-constant schedule: exact propagation from event to event,
     # one eigendecomposition per segment
-    from .weyl import HamiltonianSymbol
     bounds = {t0 for t0, _ in schedule if 0.0 < t0 < run.t_end}
     out = []
     T, t_prev, terms = Tl.matrix, 0.0, None

@@ -1,5 +1,6 @@
 """Command implementations shared by the CLI: build, run, persist."""
 
+import json
 import math
 import os
 
@@ -201,7 +202,6 @@ def cmd_compare(cfg, out_dir):
     tolerance = float(cfg.run["compare_tolerance"])
     report = {"max_abs_error": worst, "tolerance": tolerance,
               "pass": bool(worst <= tolerance)}
-    import json
     with open(os.path.join(out_dir, "compare.json"), "w") as fjson:
         json.dump(report, fjson, indent=1, sort_keys=True)
     return [] if report["pass"] else \
@@ -214,7 +214,6 @@ def cmd_feedback(cfg, out_dir):
     layout, hp, hc, K = assemble_layout(cfg)
     H = build_general_hamiltonian(hp, hc, K, layout)
     verdict = classify_coupling(K, layout)
-    import json
     with open(os.path.join(out_dir, "verdict.json"), "w") as f:
         json.dump({"class": verdict.kind,
                    "residual": verdict.residual,

@@ -17,8 +17,10 @@ import os
 
 import numpy as np
 
+from . import __version__
+from .engine import axis_coords
 from .errors import IoFailure
-from .hilbert import CompositeSystem, DensityOperator, LEBESGUE
+from .hilbert import CompositeSystem
 from .lattice import PhaseSpaceSpec
 from .wigner import PhaseSpaceField
 
@@ -55,17 +57,6 @@ def save_density(T, path_base):
             json.dump(sidecar, f, indent=1, sort_keys=True)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-
-
-def load_density(path_base, space, tol):
-    try:
-        with open(path_base + ".json") as f:
-            meta = json.load(f)
-        raw = np.fromfile(path_base + ".bin", dtype=meta["dtype"])
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    m = raw.reshape(meta["shape"])
-    return DensityOperator(m, meta.get("rep", LEBESGUE), space, tol)
 
 
 def save_field_binary(field, path_base):
@@ -105,7 +96,6 @@ def save_field_csv(field, path):
     block, and the block goes out as one string, so the file is never held
     in memory whole.
     """
-    from .engine import axis_coords
     d = len(field.axes)
     coords = [axis_coords(n, L) for n, L in field.axes]
     # q1..qd, then p1..pd: the field's axis order
@@ -176,7 +166,6 @@ def gnuplot_script(csv_path, out_path, title="phase-space field"):
 
 def write_manifest(out_dir, config_text, command, tol, extra=None):
     """Config hash, tool version and tolerances; no timestamps (reproducible)."""
-    from . import __version__
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "tool_version": __version__,

@@ -117,8 +117,7 @@ def _mode_count(spec, max_quanta):
     if spec.d == 1:
         return max_quanta + 1
     # all modes with total quanta <= max_quanta
-    from math import comb
-    return sum(comb(k + spec.d - 1, spec.d - 1) for k in range(max_quanta + 1))
+    return sum(math.comb(k + spec.d - 1, spec.d - 1) for k in range(max_quanta + 1))
 
 
 # --- level-space recipes ----------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine
 from .errors import (DegreeTooHigh, DomainOverflow, GridMismatch,
                      NonHermitianInput, SpecMismatch)
-from .hilbert import LevelSpace
+from .hilbert import LevelSpace, _lebesgue
 from .lattice import PhaseSpaceSpec
 
 MAX_DEGREE = 6
@@ -48,16 +48,6 @@ class PhasePoint:
 def symplectic_area(h1, h2):
     """sym(h1, h2) = <q1, p2> - <p1, q2>."""
     return float(h1.q @ h2.p - h1.p @ h2.q)
-
-
-def group_phase(h1, h2):
-    """theta with W(h1) W(h2) = exp(i theta) W(h1 + h2).
-
-    Half the symplectic area, oriented by the pairing convention of h-hat:
-    theta = (1/2)(<q2, p1> - <q1, p2>). Exact on the dual lattice (q-slots on
-    the momentum lattice, p-slots on the position lattice), spectral off it.
-    """
-    return -0.5 * symplectic_area(h1, h2)
 
 
 @dataclass(frozen=True)
@@ -241,12 +231,7 @@ def weyl_unitary(h, spec):
 
 def weyl_function(T, h):
     """W_T(h) = tr(T W(h)); bounded by 1, equals 1 at h = 0."""
-    spec = T.space
-    m = T.matrix if T.rep == "lebesgue" else None
-    if m is None:
-        from .hilbert import to_lebesgue_rep
-        m = to_lebesgue_rep(T).matrix
-    return complex(np.trace(m @ weyl_unitary(h, spec)))
+    return complex(np.trace(_lebesgue(T).matrix @ weyl_unitary(h, T.space)))
 
 
 def expectation(T, symbol):
@@ -256,9 +241,7 @@ def expectation(T, symbol):
 
 def operator_expectation(T, G):
     """tr(T G) for a quantized operator G; the imaginary residue is checked."""
-    from .hilbert import to_lebesgue_rep
-    m = T.matrix if T.rep == "lebesgue" else to_lebesgue_rep(T).matrix
-    val = complex(np.trace(m @ G))
+    val = complex(np.trace(_lebesgue(T).matrix @ G))
     scale = max(abs(val), 1.0)
     if abs(val.imag) > 1e-10 * scale:
         raise NonHermitianInput(f"expectation has imaginary residue {val.imag:g}")

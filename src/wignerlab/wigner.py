@@ -1,8 +1,9 @@
 """Wigner fields: transforms, Gaussian-relative densities, pairing, reduction.
 
-wigner_from_density and inverse_wigner are exact mutual inverses (lattice
-transform through the Weyl-function samples); wigner_from_weyl_function
-inverts externally supplied samples of the Weyl function on the dual lattice.
+wigner_from_density and inverse_wigner are exact mutual inverses (the direct
+lattice maps of engine, which do not form the Weyl-function samples);
+wigner_from_weyl_function maps supplied samples of the Weyl function on the
+dual lattice.
 The Gaussian-relative field (eta density) is produced by explicit pointwise
 division at the end of the weight-invariant Lebesgue pipeline; all comparisons
 between eta-relative objects use the total-variation metric, the natural norm
@@ -10,6 +11,7 @@ for densities relative to mu x nu.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from . import engine
 from .errors import (GridMismatch, InvalidDensity, NotNormalized, SpecMismatch,
                      UnderflowRegion, UnknownSubsystem)
 from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, _collapse,
-                      certify_psd, to_lebesgue_rep)
+                      _lebesgue, certify_psd)
 from .lattice import PhaseSpaceSpec
 from .tolerances import DEFAULT_TOL
 
@@ -29,9 +31,7 @@ WEYL_SAMPLES = "weyl_function_samples"
 
 
 def _space_axes(space):
-    if isinstance(space, PhaseSpaceSpec):
-        return space.axis_geometry()
-    if isinstance(space, CompositeSystem):
+    if isinstance(space, (PhaseSpaceSpec, CompositeSystem)):
         return space.axis_geometry()
     raise SpecMismatch("phase-space fields need grid-based spaces")
 
@@ -99,25 +99,23 @@ class PhaseSpaceField:
             return self.eta_integrate().real
         return self.integrate().real
 
-    def q_mesh(self):
-        d = _total_d(self.space)
-        coords = [engine.axis_coords(n, L)[0] for n, L in self.axes]
+    def _mesh(self, side):
+        """Per-axis q (side 0) or p (side 1) coordinates, broadcastable over
+        the field's axes."""
+        axes = self.axes
+        d = len(axes)
         grids = []
-        for i in range(d):
+        for i, (n, L) in enumerate(axes):
             shape = [1] * (2 * d)
-            shape[i] = coords[i].size
-            grids.append(coords[i].reshape(shape))
+            shape[side * d + i] = n
+            grids.append(engine.axis_coords(n, L)[side].reshape(shape))
         return grids
 
+    def q_mesh(self):
+        return self._mesh(0)
+
     def p_mesh(self):
-        d = _total_d(self.space)
-        coords = [engine.axis_coords(n, L)[1] for n, L in self.axes]
-        grids = []
-        for i in range(d):
-            shape = [1] * (2 * d)
-            shape[d + i] = coords[i].size
-            grids.append(coords[i].reshape(shape))
-        return grids
+        return self._mesh(1)
 
 
 def _peak(x):
@@ -137,7 +135,6 @@ def _real_with_residue_check(values, tol, what):
     if not (math.isfinite(scale) and math.isfinite(resid)):
         raise InvalidDensity(f"{what}: the field has non-finite values")
     if resid > tol.imaginary_residue:
-        import warnings
         warnings.warn(f"{what}: relative imaginary residue {resid:.2e}",
                       RuntimeWarning, stacklevel=3)
     return real
@@ -168,7 +165,7 @@ def wigner_from_density(T):
     A Lebesgue product that records its parts (`hilbert.tensor_many`) is
     mapped factor by factor; every other operator by the full map.
     """
-    Tl = T if T.rep == LEBESGUE else to_lebesgue_rep(T)
+    Tl = _lebesgue(T)
     axes = _space_axes(T.space)
     # a non-finite entry is rejected by the residue check, not by a warning
     with np.errstate(invalid="ignore", over="ignore"):
@@ -183,27 +180,25 @@ def wigner_from_density(T):
 def wigner_from_weyl_function(samples):
     """Wigner field from Weyl-function samples on the dual lattice.
 
-    Accepts a PhaseSpaceField with role weyl_function_samples or a raw complex
-    array shaped like the dual grid of the target space.
+    `samples` is a PhaseSpaceField with role weyl_function_samples (as
+    `weyl_samples_field` makes); anything else, a raw array included, raises
+    GridMismatch.
     """
-    if isinstance(samples, PhaseSpaceField):
-        if samples.role != WEYL_SAMPLES:
-            raise GridMismatch(f"expected {WEYL_SAMPLES} role, got {samples.role}")
-        space, vals, tol = samples.space, samples.values, samples.tol
-    else:
-        raise GridMismatch("wigner_from_weyl_function needs a PhaseSpaceField")
-    axes = _space_axes(space)
+    if not (isinstance(samples, PhaseSpaceField)
+            and samples.role == WEYL_SAMPLES):
+        raise GridMismatch(f"wigner_from_weyl_function needs a {WEYL_SAMPLES} "
+                           "PhaseSpaceField")
     with np.errstate(invalid="ignore", over="ignore"):
-        W = engine.chi_to_wigner(np.asarray(vals, complex), axes)
-        out = _real_with_residue_check(W, tol, "wigner_from_weyl_function")
-    return PhaseSpaceField(out, WIGNER, space, "lebesgue", tol)
+        W = engine.chi_to_wigner(np.asarray(samples.values, complex),
+                                 samples.axes)
+        out = _real_with_residue_check(W, samples.tol,
+                                       "wigner_from_weyl_function")
+    return PhaseSpaceField(out, WIGNER, samples.space, "lebesgue", samples.tol)
 
 
 def weyl_samples_field(T):
     """Weyl-function samples of T as a dual-lattice field."""
-    Tl = T if T.rep == LEBESGUE else to_lebesgue_rep(T)
-    axes = _space_axes(T.space)
-    chi = engine.density_to_chi(Tl.matrix, axes)
+    chi = engine.density_to_chi(_lebesgue(T).matrix, _space_axes(T.space))
     return PhaseSpaceField(chi, WEYL_SAMPLES, T.space, "lebesgue", T.tol)
 
 
@@ -325,23 +320,6 @@ def reduce_eta(phi, keep):
     num = (phi.values * phi.reference_density()).sum(axis=drop) * cell
     reduced_w = PhaseSpaceField(num, WIGNER, kept_space, "lebesgue", phi.tol)
     return eta_density(reduced_w)
-
-
-def marginal_position(W):
-    """Position density: integral of W over all momenta."""
-    d = _total_d(W.space)
-    cell = 1.0
-    for n, L in W.axes:
-        cell *= math.pi / L
-    return W.values.sum(axis=tuple(range(d, 2 * d))) * cell
-
-
-def marginal_momentum(W):
-    d = _total_d(W.space)
-    cell = 1.0
-    for n, L in W.axes:
-        cell *= 2.0 * L / n
-    return W.values.sum(axis=tuple(range(d))) * cell
 
 
 def purity_estimate(W):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from wignerlab.engine import (SpectralDifferentiator, axis_coords,
-                              centered_dft, chi_to_wigner, wigner_to_chi)
+                              centered_dft, chi_to_wigner)
 from wignerlab.errors import FactorMismatch, UnknownSubsystem
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK, FeedbackVerdict
 from wignerlab.hilbert import LEBESGUE, DensityOperator, space_dim
@@ -95,7 +95,7 @@ def term_by_term_rhs(values, gen, eta=False):
     out = np.zeros(np.shape(values))
     for j in range(1, gen.truncation + 1):
         for k, m, mult, sign in bracket_pairs(2 * j - 1, d):
-            hf = gen.derivative_field(k, m)
+            hf = gen._fields.get((k, m))
             if hf is None:
                 continue
             if not eta:
@@ -271,6 +271,14 @@ def chi_to_density_by_cocycle(chi, axes):
         T[_diag_index(n)] = G
         G = np.moveaxis(T, (0, 1), (i, d + i))
     return G
+
+
+def wigner_to_chi(W, axes):
+    """Weyl-function samples of a Wigner field: the inverse of
+    engine.chi_to_wigner, one centered DFT over every axis."""
+    C = centered_dft(W, range(2 * len(axes)), -1)
+    C *= math.prod(2.0 * math.pi / n for n, _ in axes)
+    return C
 
 
 def density_to_wigner_by_chi(T, axes):

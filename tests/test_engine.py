@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from oracles import (chi_by_explicit_unitaries, chi_to_density_by_cocycle,
                      density_to_chi_by_cocycle, density_to_wigner_by_chi,
-                     fd4_by_rolls, rfft_derivative, wigner_to_density_by_chi)
+                     fd4_by_rolls, rfft_derivative, wigner_to_chi,
+                     wigner_to_density_by_chi)
 from wignerlab import engine
-from wignerlab.engine import (apply_along_axis, centered_dft, chi_to_density,
-                              chi_to_wigner, density_to_chi,
-                              density_to_wigner, derivative_matrix,
-                              fd4_matrix, fourier_matrix, wigner_to_chi,
+from wignerlab.engine import (apply_along_axis, centered_dft, chi_to_wigner,
+                              density_to_chi, density_to_wigner,
+                              derivative_matrix, fd4_matrix, fourier_matrix,
                               wigner_to_density)
 from wignerlab.lattice import Grid
 from wignerlab.wigner import symplectic_fourier
@@ -71,8 +71,7 @@ def test_centered_dft_leaves_input_untouched(rng):
     axes = [(6, 2.0), (4, 1.5)]
     T = _complex(rng, (24, 24))
     keep = T.copy()
-    for f in (density_to_wigner, wigner_to_density, density_to_chi,
-              chi_to_density):
+    for f in (density_to_wigner, wigner_to_density, density_to_chi):
         f(T.reshape(6, 4, 6, 4), axes)
         assert np.array_equal(T, keep), f.__name__
     for table in (engine._diag_index, engine._scatter_index,
@@ -88,14 +87,6 @@ def test_fourier_matrix_is_the_unitary_dense_dft(n):
     F = fourier_matrix(n)
     assert np.abs(F - _dense_centered(np.eye(n), (0,), -1) / math.sqrt(n)).max() < 1e-13
     assert np.abs(F @ F.conj().T - np.eye(n)).max() < 1e-13
-
-
-def test_grid_momentum_maps_act_along_the_first_axis(rng):
-    grid = Grid(1, 16, 5.0)
-    V = _complex(rng, (16, 3))
-    F = grid.fourier_matrix()
-    assert np.abs(grid.to_momentum(V) - F @ V).max() < 1e-13
-    assert np.abs(grid.from_momentum(V) - F.conj().T @ V).max() < 1e-13
 
 
 def _spec_stub(n, L):
@@ -149,7 +140,7 @@ def test_maps_are_exact_inverses_on_arbitrary_matrices(dims, L, seed):
     N = math.prod(dims)
     T = _complex(np.random.default_rng(seed), (N, N))
     chi = density_to_chi(T, axes)
-    back = chi_to_density(chi, axes).reshape(N, N)
+    back = chi_to_density_by_cocycle(chi, axes).reshape(N, N)
     assert np.abs(back - T).max() < 1e-13 * np.abs(T).max() * N
     again = wigner_to_chi(chi_to_wigner(chi, axes), axes)
     assert np.abs(again - chi).max() < 1e-13 * np.abs(chi).max() * N
@@ -187,9 +178,6 @@ def test_weyl_samples_match_the_cocycle_table(rng):
         T = _complex(rng, (N, N))
         assert _rel(density_to_chi(T, axes),
                     density_to_chi_by_cocycle(T, axes)) <= 1e-14, dims
-        C = _complex(rng, dims + dims)
-        assert _rel(chi_to_density(C, axes),
-                    chi_to_density_by_cocycle(C, axes)) <= 1e-14, dims
 
 
 # --- one-axis derivative matrices -------------------------------------------

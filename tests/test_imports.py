@@ -1,10 +1,17 @@
 """Guard against dead imports in the library, the scripts, the tests and the
-benchmark.
+benchmark, against library definitions that only the tests use, and against
+imports inside library functions.
 
 No linter is assumed: the source is parsed with `ast`. A name bound by an
 import must be referenced somewhere in its module. Package `__init__.py`
 files are skipped, since their imports are the public re-exports, and so is
 any name listed in a module's `__all__`.
+
+Every top-level function, class and ALL-CAPS constant of a library module
+must be read somewhere in the library, the benchmark or the scripts (a
+load of that name, or of an attribute of that name), or be re-exported by
+the package `__init__.py`; a definition only the tests call belongs in
+`tests/`. Library modules import at module level only.
 """
 
 import ast
@@ -16,6 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for top in ("src", "scripts", "tests", "bench")
                  for p in (ROOT / top).rglob("*.py")
                  if p.name != "__init__.py")
+PACKAGE = ROOT / "src" / "wignerlab"
+LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+USERS = sorted(p for top in ("src", "scripts", "bench")
+               for p in (ROOT / top).rglob("*.py"))
 
 
 def _exported(tree):
@@ -57,3 +68,84 @@ def test_guard_sees_unused_and_keeps_used():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _read_names(tree):
+    """Names `tree` loads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _definitions(tree):
+    """(line, name) of the top-level functions, classes and ALL-CAPS
+    constants of a module."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(node.lineno, t.id) for t in targets
+                    if isinstance(t, ast.Name) and t.id.isupper()]
+    return out
+
+
+def unused_definitions(modules, users, init):
+    """Sorted (module, line, name) of the definitions in `modules` (name ->
+    source) that no source in `users` reads and `init` does not re-export."""
+    read = set()
+    for source in users:
+        read |= _read_names(ast.parse(source))
+    read |= {alias.name for node in ast.walk(ast.parse(init))
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted((module, line, name)
+                  for module, source in modules.items()
+                  for line, name in _definitions(ast.parse(source))
+                  if name not in read)
+
+
+def local_imports(source):
+    """Sorted lines of the import statements inside a function body."""
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(node.lineno for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def test_guard_sees_unused_definitions_and_keeps_used():
+    lib = ("import math\nLIMIT = 3\nlower = 2\nclass Box:\n    pass\n"
+           "def used(x):\n    return helper(x)\ndef helper(x):\n"
+           "    return x\ndef exported():\n    pass\ndef dead():\n"
+           "    pass\nclass Orphan:\n    pass\n")
+    user = "from lib import used\nimport lib\nlib.Box()\nused(lib.LIMIT)\n"
+    init = "from .lib import exported\n"
+    assert unused_definitions({"lib": lib}, [lib, user], init) == [
+        ("lib", 12, "dead"), ("lib", 14, "Orphan")]
+
+
+def test_no_definition_only_the_tests_use():
+    modules = {p.name: p.read_text() for p in LIBRARY}
+    users = [p.read_text() for p in USERS]
+    init = (PACKAGE / "__init__.py").read_text()
+    assert unused_definitions(modules, users, init) == []
+
+
+def test_guard_sees_imports_inside_functions():
+    src = ("import os\ndef f():\n    import json\n    def g():\n"
+           "        from . import x\n    return json, g\nclass C:\n"
+           "    def m(self):\n        from math import pi\n        return pi\n")
+    assert local_imports(src) == [3, 5, 9]
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_library_imports_at_module_level(path):
+    assert local_imports(path.read_text()) == []

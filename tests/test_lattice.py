@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab import GaussianMeasure, gaussian_density, make_phase_space
+from wignerlab import GaussianMeasure, make_phase_space
+from wignerlab.engine import fourier_matrix
 from wignerlab.errors import (BadGridSize, InsufficientDomain,
                               NonPositiveCovariance, NonSymmetricCovariance)
 
 
 def test_standard_normal_density_at_origin(lab64):
-    assert gaussian_density(lab64.mu, [0.0]) == pytest.approx(
+    assert lab64.mu.density([0.0]) == pytest.approx(
         1 / math.sqrt(2 * math.pi), abs=1e-15)
 
 
 def test_density_direct_substitution(lab64):
-    val = gaussian_density(lab64.mu, [1.0])
+    val = lab64.mu.density([1.0])
     assert val == pytest.approx(math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-15)
 
 
@@ -28,15 +29,15 @@ def test_density_matches_hand_formula_diag():
     x, y = 1.0, 2.0
     expected = (1 / (2 * math.pi * math.sqrt(4.0))) * math.exp(
         -0.5 * (x ** 2 / 1.0 + y ** 2 / 4.0))
-    assert gaussian_density(mu, [x, y]) == pytest.approx(expected, rel=1e-14)
+    assert mu.density([x, y]) == pytest.approx(expected, rel=1e-14)
 
 
 def test_density_even_symmetry(lab64):
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.uniform(-8, 8, size=1)
-        assert gaussian_density(lab64.mu, x) == pytest.approx(
-            gaussian_density(lab64.mu, -x), abs=1e-15)
+        assert lab64.mu.density(x) == pytest.approx(
+            lab64.mu.density(-x), abs=1e-15)
 
 
 def test_nonpositive_covariance_rejected():
@@ -69,11 +70,15 @@ def test_cell_quadrature_exact(lab64):
 
 
 def test_momentum_grid_is_fourier_dual(lab64, rng):
-    F = lab64.grid.fourier_matrix()
+    # the unitary centered DFT is exp(-i p_m q_j)/sqrt(n) on the spec's grids
+    grid = lab64.grid
     n = lab64.n_per_axis
+    F = fourier_matrix(n)
+    dense = np.exp(-1j * np.outer(grid.momenta, grid.positions)) / math.sqrt(n)
+    assert np.abs(F - dense).max() < 1e-12
     assert np.abs(F @ F.conj().T - np.eye(n)).max() < 1e-12
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    back = lab64.grid.from_momentum(lab64.grid.to_momentum(v))
+    back = F.conj().T @ (F @ v)
     assert np.abs(back - v).max() < 1e-12
 
 
@@ -96,7 +101,7 @@ def test_measure_quadrature_d2_diag():
     pm = spec.grid.momenta
     nu_q = spec.nu.density_mesh(
         np.meshgrid(pm, pm, indexing="ij", sparse=True)).sum() \
-        * spec.grid.momentum_cell
+        * spec.grid.dp ** spec.d
     assert abs(mu_q - 1.0) < 1e-10
     assert abs(nu_q - 1.0) < 1e-10
     assert abs(mu_q * nu_q - 1.0) < 1e-10

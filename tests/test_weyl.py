@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import wigner_to_density_by_chi
 from wignerlab import (HamiltonianSymbol, PhasePoint, expectation,
-                       make_phase_space, pure_density, weyl_function,
-                       weyl_quantize, weyl_unitary)
+                       make_phase_space, pure_density, symplectic_area,
+                       weyl_function, weyl_quantize, weyl_unitary)
 from wignerlab.errors import DegreeTooHigh, DomainOverflow, NonHermitianInput
 from wignerlab.states import displaced_state, ground_state, random_mixed
 from wignerlab.tolerances import TolerancePolicy
-from wignerlab.weyl import _axis_ops, group_phase
+from wignerlab.weyl import _axis_ops
 from wignerlab.wigner import weyl_samples_field
 
 
@@ -160,7 +160,8 @@ def test_group_law_on_dual_lattice(lab64, rng):
         U1 = weyl_unitary(h1, lab64)
         U2 = weyl_unitary(h2, lab64)
         U12 = weyl_unitary(h1 + h2, lab64)
-        theta = group_phase(h1, h2)
+        # W(h1) W(h2) = exp(i theta) W(h1 + h2), theta = -sym(h1, h2)/2
+        theta = -0.5 * symplectic_area(h1, h2)
         assert np.abs(U1 @ U2 - np.exp(1j * theta) * U12).max() < 1e-8
 
 

@@ -22,8 +22,7 @@ from wignerlab.states import (analytic_gaussian_wigner, cat_state,
                               displaced_state, ground_state, random_mixed)
 from wignerlab.tolerances import TolerancePolicy
 from wignerlab.verify import check_normalization_and_bound
-from wignerlab.wigner import (WEYL_SAMPLES, PhaseSpaceField, marginal_momentum,
-                              marginal_position)
+from wignerlab.wigner import WEYL_SAMPLES, PhaseSpaceField
 
 
 def test_ground_state_closed_form(lab64):
@@ -70,7 +69,7 @@ def test_pointwise_bound_random_states(lab64, rng):
 def test_marginals(lab64):
     T = pure_density(displaced_state(lab64, 1.0, -0.5))
     W = wigner_from_density(T)
-    pos = marginal_position(W)
+    pos = W.values.sum(axis=1) * lab64.grid.dp
     diag = np.real(np.diag(T.matrix)) / lab64.grid.position_cell
     assert np.abs(pos - diag).max() < 1e-8
     # momentum marginal against the Fourier-side density
@@ -79,7 +78,8 @@ def test_marginals(lab64):
     q = lab64.grid.positions
     psihat = (np.exp(-1j * np.outer(p, q)) @ psi) * lab64.grid.h \
         / math.sqrt(2 * math.pi)
-    assert np.abs(marginal_momentum(W) - np.abs(psihat) ** 2).max() < 1e-8
+    mom = W.values.sum(axis=0) * lab64.grid.h
+    assert np.abs(mom - np.abs(psihat) ** 2).max() < 1e-8
 
 
 def test_route_equivalence_vs_explicit_unitaries(lab64, rng):
@@ -99,6 +99,15 @@ def test_weyl_route_zero_frequency_is_mass(lab64, rng):
     assert abs(samples.values[n // 2, n // 2] - 1.0) < 1e-10
     W = wigner_from_weyl_function(samples)
     assert abs(W.integrate().real - 1.0) < 1e-8
+
+
+def test_weyl_route_takes_only_weyl_sample_fields(lab64, rng):
+    T = random_mixed(lab64, rng)
+    samples = weyl_samples_field(T)
+    with pytest.raises(GridMismatch):
+        wigner_from_weyl_function(np.asarray(samples.values))
+    with pytest.raises(GridMismatch):
+        wigner_from_weyl_function(wigner_from_density(T))
 
 
 def test_weyl_route_conjugate_symmetric_input_gives_real(lab64, rng):
