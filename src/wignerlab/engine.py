@@ -329,8 +329,8 @@ def apply_along_axis(M, x, axis, out=None):
     """M applied to every 1-D slice of x along `axis`: one (batched) GEMM.
 
     The last axis is one product x.reshape(-1, n) @ M.T (a C-contiguous
-    operand when M is stored in Fortran order); any other axis is
-    M @ x.reshape(pre, n, post), a single GEMM when the axis is the first.
+    operand when M is stored in Fortran order), the first one product
+    M @ x.reshape(n, -1), and any other axis M @ x.reshape(pre, n, post).
     x is an ndarray. `out`, when given, is a C-contiguous array of x's shape
     that does not overlap x; the product is written there and it is returned.
     """
@@ -340,7 +340,9 @@ def apply_along_axis(M, x, axis, out=None):
         x = x.reshape(-1, n)
         a, b = x, M.T
     else:
-        x = x.reshape(math.prod(shape[:axis]), n, -1)
+        # a 2-D operand skips matmul's batch loop (math-notes § Time stepping)
+        x = (x.reshape(n, -1) if axis == 0
+             else x.reshape(math.prod(shape[:axis]), n, -1))
         a, b = M, x
     if out is None:
         return np.matmul(a, b).reshape(shape)

@@ -24,14 +24,19 @@ import numpy as np
 
 from .engine import (SpectralDifferentiator, apply_along_axis, axis_coords,
                      derivative_matrix, fd4_matrix)
-from .errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
-                     SpecMismatch, UnstableStep)
+from .errors import (EscapeDetected, InvalidDensity, OrderOverflow,
+                     SnapshotMismatch, SpecMismatch, UnstableStep)
 from .hilbert import DensityOperator, LEBESGUE, _lebesgue, exact_propagate
 from .tolerances import DEFAULT_TOL
 from .wigner import ETA, SYMBOL, WIGNER, PhaseSpaceField
 from .weyl import HamiltonianSymbol, weyl_quantize
 
 MAX_BRACKET_ORDER = 7
+# grids up to this many points keep their bracket weights at full size: a
+# broadcast multiply allocates a buffer of min(np.getbufsize(), size) values
+# per call and is slower there, while at d = 2, n = 32 it is as fast as a
+# full-size weight that would hold 8 MB (math-notes § Time stepping)
+FULL_WEIGHT_POINTS = 1 << 16
 
 SPECTRAL = "spectral"
 FD4 = "finite_difference_4th"
@@ -202,14 +207,19 @@ class BracketPlan:
     (batched) GEMM; a mixed order applies one matrix per axis it
     differentiates. A last-axis matrix is stored in Fortran order, so the
     M.T that apply_along_axis multiplies by is C-contiguous. Each term keeps
-    its last (axis, matrix) apart, the step that writes into the one scratch
-    field an `apply` call allocates.
+    its last (axis, matrix) apart, the step that writes into `out` or a
+    scratch buffer. `buffers` counts the field-sized scratch buffers `apply`
+    works in: one for the terms, plus one or two for mixed-order heads. On a
+    grid of at most FULL_WEIGHT_POINTS points the weights are stored at the
+    field's full shape.
     """
 
     def __init__(self, weights, spec, scheme=SPECTRAL):
         n = spec.n_per_axis
         spacings = _spacings(spec)
         last = len(spacings) - 1
+        shape = (n,) * len(spacings)
+        full = math.prod(shape) <= FULL_WEIGHT_POINTS
         kernel = fd4_matrix if scheme == FD4 else derivative_matrix
         matrices = {}
         self.zero = None
@@ -218,6 +228,8 @@ class BracketPlan:
             w = np.asarray(w)
             if not w.any():
                 continue
+            if full:
+                w = np.ascontiguousarray(np.broadcast_to(w, shape))
             steps = [(ax, o) for ax, o in enumerate(orders) if o]
             if not steps:
                 self.zero = w
@@ -229,28 +241,49 @@ class BracketPlan:
             *head, (ax, o) = steps
             self.terms.append(([(a, matrices[a, k]) for a, k in head],
                                ax, matrices[ax, o], w))
+        depth = max((len(head) for head, _, _, _ in self.terms), default=0)
+        self.buffers = 1 + min(depth, 2) if self.terms else 0
 
-    def apply(self, values, out=None):
+    def apply(self, values, out=None, scratch=None):
         """The right-hand side of a float array `values`, written into `out`.
 
-        `out` (allocated when None) must not overlap `values`. Without a
-        zero-order term the sum starts from +0.0, so a -0.0 term leaves +0.0.
+        `out` (allocated when None) must not overlap `values`. `scratch` holds
+        at least `buffers` float arrays of values' shape that overlap neither;
+        when None or shorter they are allocated for this call. Without a
+        zero-order term the first term is written into `out` and then takes
+        `+= 0.0`; IEEE addition commutes, so that is bitwise the sum started
+        from +0.0, and a -0.0 term leaves +0.0.
         """
         if out is None:
             out = np.empty(values.shape)
-        if self.zero is None:
-            out.fill(0.0)
-        else:
+        if scratch is None or len(scratch) < self.buffers:
+            scratch = [np.empty(values.shape) for _ in range(self.buffers)]
+        terms = iter(self.terms)
+        if self.zero is not None:
             np.multiply(values, self.zero, out=out)
-        scratch = np.empty(values.shape) if self.terms else None
-        for head, last, M, weight in self.terms:
-            dv = values
-            for ax, Mh in head:
-                dv = apply_along_axis(Mh, dv, ax)
-            apply_along_axis(M, dv, last, out=scratch)
-            scratch *= weight
-            out += scratch
+        elif self.terms:
+            self._term(values, next(terms), out, scratch)
+            out += 0.0
+        else:
+            out.fill(0.0)
+        for term in terms:
+            out += self._term(values, term, scratch[0], scratch)
         return out
+
+    @staticmethod
+    def _term(values, term, dest, scratch):
+        """D^o(values) * F_o of one term, written into and returned as `dest`.
+
+        A mixed order's head products alternate between scratch[1] and
+        scratch[2], so no product reads the buffer it writes.
+        """
+        head, last, M, weight = term
+        dv = values
+        for i, (ax, Mh) in enumerate(head):
+            dv = apply_along_axis(Mh, dv, ax, out=scratch[1 + i % 2])
+        apply_along_axis(M, dv, last, out=dest)
+        dest *= weight
+        return dest
 
 
 @dataclass
@@ -289,7 +322,10 @@ class MoyalGenerator:
         energy = np.asarray(sym.evaluate(mesh[:d], mesh[d:]), float)
         if sym.sampled is not None:
             energy = energy + sym.sampled
-        self._energy = energy
+        # at full size (copied only from a broadcast shape), so evolve's
+        # energy diagnostic multiplies without a broadcast buffer
+        self._energy = np.ascontiguousarray(np.broadcast_to(
+            energy, (self.spec.n_per_axis,) * (2 * d)))
         weights = {}
         for k, m, c, hf in self._bracket_terms():
             _accumulate(weights, k + m, c * hf)
@@ -359,7 +395,7 @@ class MoyalGenerator:
         return min(self.truncation, max(1, (deg + 1) // 2))
 
     def energy_field(self):
-        """H of the active schedule segment on the phase grid (broadcastable)."""
+        """H of the active schedule segment on the phase grid."""
         return self._energy
 
     def set_time(self, t):
@@ -454,27 +490,29 @@ def _like(field, rhs, out):
                            field.space, field.measure, field.tol)
 
 
-def moyal_rhs(W, gen, out=None):
+def moyal_rhs(W, gen, out=None, scratch=None):
     """Truncated sine-series right-hand side on a Wigner-density field.
 
     With `out` (a float array of the grid's shape that does not overlap W)
     the values are written there, and an array input returns `out` itself.
+    `scratch` is a list of the plan's work buffers (BracketPlan.apply),
+    owned by the caller and reused across calls.
     """
     values = _grid_values(W, gen, LEBESGUE)
-    return _like(W, gen._plan.apply(values, out), out)
+    return _like(W, gen._plan.apply(values, out, scratch), out)
 
 
-def eta_moyal_rhs(phi, gen, out=None):
+def eta_moyal_rhs(phi, gen, out=None, scratch=None):
     """Sine-series action on an eta density through the Leibniz/Wick route.
 
     Expands every derivative of Phi * g by the Leibniz rule, replacing
     derivatives of the Gaussian reference density by Wick polynomials, and
     never multiplies or divides by the density itself. Equals
     eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic. `out`
-    works as in moyal_rhs.
+    and `scratch` work as in moyal_rhs.
     """
     values = _grid_values(phi, gen, "mu_nu")
-    return _like(phi, gen.eta_plan().apply(values, out), out)
+    return _like(phi, gen.eta_plan().apply(values, out, scratch), out)
 
 
 def _sub_multi(alpha):
@@ -530,30 +568,30 @@ def pair_snapshots(left, right):
     return [(t, x, y) for (t, x), (_, y) in zip(left, right)]
 
 
-def _rk4_step(values, rhs, gen, dt, acc, k, stage):
+def _rk4_step(values, rhs, gen, dt, acc, k, stage, scratch):
     """One classical RK4 step of `values`, in place, on three field buffers.
 
     `acc` gathers k1 + 2 k2 + 2 k3 + k4, `k` holds the current stage slope
     and `stage` each stage input values + (dt/2) k; the caller allocates them
-    once. 2 k2 and 2 k3 join the sum as soon as each slope has given its
-    stage input. The arithmetic is that of
+    once, as it does the plan's `scratch`. 2 k2 and 2 k3 join the sum as
+    soon as each slope has given its stage input. The arithmetic is that of
     values + (dt/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation and in
     the same order, so the step is bitwise that of the allocating form.
     """
-    rhs(values, gen, out=acc)
+    rhs(values, gen, out=acc, scratch=scratch)
     np.multiply(acc, 0.5 * dt, out=stage)
     stage += values
-    rhs(stage, gen, out=k)
+    rhs(stage, gen, out=k, scratch=scratch)
     np.multiply(k, 0.5 * dt, out=stage)
     stage += values
     k *= 2.0
     acc += k
-    rhs(stage, gen, out=k)
+    rhs(stage, gen, out=k, scratch=scratch)
     np.multiply(k, dt, out=stage)
     stage += values
     k *= 2.0
     acc += k
-    rhs(stage, gen, out=k)
+    rhs(stage, gen, out=k, scratch=scratch)
     acc += k
     acc *= dt / 6.0
     values += acc
@@ -580,12 +618,19 @@ def evolve(field0, gen, run):
     off the dt lattice), and t is set to that event time on arrival. Raises
     UnstableStep when dt exceeds the CFL guard of any schedule segment the
     run reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
-    on per-step mass drift and EscapeDetected on boundary mass. Raises
-    SpecMismatch, before the first step, when field0 lives on another phase
-    space than the generator or carries another measure than its role's.
+    on per-step mass drift and EscapeDetected on boundary mass, a NaN drift
+    or boundary mass included. Raises SpecMismatch, before the first step,
+    when field0 lives on another phase space than the generator or carries
+    another measure than its role's, and InvalidDensity when it holds a NaN
+    or infinite value.
     """
     role = field0.role
     _grid_values(field0, gen, LEBESGUE if role == WIGNER else "mu_nu")
+    # min and max carry any NaN or infinity, with no field-sized temporary
+    v = field0.values
+    if not (np.isfinite(v.min()) and np.isfinite(v.max())):
+        bad = v.size - np.isfinite(v).sum()
+        raise InvalidDensity(f"initial field has {bad} NaN or infinite values")
     spec = field0.space
     tol = field0.tol
     cell = field0.cell_volume()
@@ -613,10 +658,23 @@ def evolve(field0, gen, run):
     rhs = moyal_rhs if role == WIGNER else eta_moyal_rhs
     purity_scale = (2 * math.pi) ** len(field0.axes)
 
+    # the run's buffers: the RK4 step's three, the plan's scratch and the
+    # boundary ring's values
+    values = np.array(field0.values, dtype=float)
+    acc, k, stage = (np.empty_like(values) for _ in range(3))
+    scratch = []
+    edge = np.empty(ring.size)
+
+    def fit_scratch():
+        # fetched again after a breakpoint rebuilds the plan
+        plan = gen._plan if role == WIGNER else gen.eta_plan()
+        scratch.extend(np.empty_like(values)
+                       for _ in range(plan.buffers - len(scratch)))
+
     def record(t, vals):
-        # w**2 and hfield*w go into stage, which each RK4 step writes
-        # before it reads
-        w = vals if role == WIGNER else vals * g
+        # w**2 and hfield*w go into stage, an eta run's w = vals*g into k;
+        # each RK4 step writes both before it reads them
+        w = vals if role == WIGNER else np.multiply(vals, g, out=k)
         sq = np.square(w, out=stage).sum()
         diags["t"].append(t)
         diags["mass"].append(float(w.sum() * cell))
@@ -628,17 +686,19 @@ def evolve(field0, gen, run):
         return w
 
     def check(t, w):
-        if abs(diags["mass"][-1] - diags["mass"][-2]) > tol.mass_drift_step:
-            raise UnstableStep(
-                f"mass drifted by {abs(diags['mass'][-1] - diags['mass'][-2]):.3e}"
-                f" in one step at t={t:g}", diagnostics=diags)
-        edge = float(np.abs(w.take(ring)).sum() * cell)
-        if edge > tol.boundary_mass:
+        # `not value <= bound`, so that a NaN fails the guard
+        drift = abs(diags["mass"][-1] - diags["mass"][-2])
+        if not drift <= tol.mass_drift_step:
+            raise UnstableStep(f"mass drifted by {drift:.3e} in one step at "
+                               f"t={t:g}", diagnostics=diags)
+        # mode "clip": the default "raise" copies through a temporary
+        np.take(w, ring, out=edge, mode="clip")
+        boundary = float(np.abs(edge, out=edge).sum() * cell)
+        if not boundary <= tol.boundary_mass:
             raise EscapeDetected(
-                f"boundary mass {edge:.3e} at t={t:g}", diagnostics=diags)
+                f"boundary mass {boundary:.3e} at t={t:g}", diagnostics=diags)
 
-    values = np.array(field0.values, dtype=float)
-    acc, k, stage = (np.empty_like(values) for _ in range(3))
+    fit_scratch()
     t = 0.0
     record(0.0, values)
     snapshots.append((0.0, field0))
@@ -651,7 +711,7 @@ def evolve(field0, gen, run):
             # lands on it
             gap = target - t
             _rk4_step(values, rhs, gen, run.dt if gap > run.dt - 1e-12 else gap,
-                      acc, k, stage)
+                      acc, k, stage, scratch)
             steps += 1
             t = start + steps * run.dt
             if t > target - 1e-12:
@@ -661,6 +721,7 @@ def evolve(field0, gen, run):
         if target in breakpoints:
             gen.set_time(t + 1e-12)
             hfield = gen.energy_field()
+            fit_scratch()
         if target in times:
             snapshots.append((t, PhaseSpaceField(values.copy(), role, spec,
                                                  field0.measure, tol)))

@@ -167,6 +167,43 @@ def textbook_rk4(field0, gen, run):
     return snapshots, {k: np.asarray(v) for k, v in diags.items()}
 
 
+def _gemm_along_axis(M, x, axis, out=None):
+    """engine.apply_along_axis as the fill-and-scratch kernel called it: the
+    last axis as x.reshape(-1, n) @ M.T, any other as the batched
+    M @ x.reshape(pre, n, post)."""
+    shape = x.shape
+    n = shape[axis]
+    if axis == x.ndim - 1:
+        x = x.reshape(-1, n)
+        a, b = x, M.T
+    else:
+        x = x.reshape(math.prod(shape[:axis]), n, -1)
+        a, b = M, x
+    if out is None:
+        return np.matmul(a, b).reshape(shape)
+    np.matmul(a, b, out=out.reshape(x.shape, copy=False))
+    return out
+
+
+def fill_and_scratch_apply(plan, values, out):
+    """BracketPlan.apply in its fill-and-scratch form: `out` starts from
+    fill(0.0), or from the zero-order product, and every term is computed in
+    one scratch field allocated per call, weighted and added to `out`."""
+    if plan.zero is None:
+        out.fill(0.0)
+    else:
+        np.multiply(values, plan.zero, out=out)
+    scratch = np.empty(values.shape) if plan.terms else None
+    for head, last, M, weight in plan.terms:
+        dv = values
+        for ax, Mh in head:
+            dv = _gemm_along_axis(Mh, dv, ax)
+        _gemm_along_axis(M, dv, last, out=scratch)
+        scratch *= weight
+        out += scratch
+    return out
+
+
 def rfft_derivative(x, axis, spacing, order):
     """One-axis spectral derivative by an rfft/irfft pair: the multiplier
     (i k)^order on the rfft layout, its Nyquist bin zeroed for odd orders.

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import fd_bracket, term_by_term_rhs, textbook_rk4
+from oracles import (fd_bracket, fill_and_scratch_apply, term_by_term_rhs,
+                     textbook_rk4)
 from wignerlab import (GaussianMeasure, HamiltonianSymbol, make_phase_space,
                        moyal, pure_density, wigner_from_density)
-from wignerlab.errors import (EscapeDetected, OrderOverflow, SnapshotMismatch,
-                              SpecMismatch, UnstableStep)
+from wignerlab.errors import (EscapeDetected, InvalidDensity, OrderOverflow,
+                              SnapshotMismatch, SpecMismatch, UnstableStep)
 from wignerlab.moyal import (FD4, EvolutionRun, MoyalGenerator, evolve,
                              gaussian_measure_derivative, moyal_rhs,
                              pair_snapshots, poisson_power, eta_moyal_rhs,
@@ -235,6 +237,56 @@ def test_wigner_rhs_sum_starts_from_positive_zero(lab64):
     zeros = got == 0.0
     assert zeros.sum() > 0
     assert not np.signbit(got[zeros]).any()
+
+
+def _kernel_case(case, lab64):
+    """(plan, values, has a zero-order term, scratch buffers) of one kernel
+    check; the d = 1 fields carry exact signed zeros."""
+    values = _field_with_exact_zeros(lab64)
+    # q^2 p^2 makes the third-order terms mixed: one head product each
+    mixed = HamiltonianSymbol(OSC.terms + (((2,), (2,), 0.1),), d=1)
+    if case == "harmonic":
+        return MoyalGenerator(OSC, lab64, truncation=1)._plan, values, False, 1
+    if case == "quartic":
+        return MoyalGenerator(QUARTIC, lab64, truncation=2)._plan, values, \
+            False, 1
+    if case == "eta":
+        gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
+        return gen.eta_plan(), values, True, 1
+    if case == "fd4":
+        gen = MoyalGenerator(OSC, lab64, truncation=1, scheme=FD4)
+        return gen._plan, values, False, 1
+    if case == "mixed":
+        return MoyalGenerator(mixed, lab64, truncation=2)._plan, values, \
+            False, 2
+    if case == "mixed_eta":
+        gen = MoyalGenerator(mixed, lab64, truncation=2)
+        return gen.eta_plan(), values, True, 2
+    sym, K, spec, W = _plan_case("coupled_d2", lab64)
+    if case == "coupled_d2":
+        return MoyalGenerator(sym, spec, truncation=K)._plan, W.values, \
+            False, 1
+    # q1 q2 p1 p2: third-order terms on three axes, two head products each
+    sym = HamiltonianSymbol(sym.terms + (((1, 1), (1, 1), 0.1),), d=2)
+    return MoyalGenerator(sym, spec, truncation=2)._plan, W.values, False, 3
+
+
+@pytest.mark.parametrize("case", ["harmonic", "quartic", "eta", "fd4",
+                                  "coupled_d2", "mixed", "mixed_eta",
+                                  "mixed_d2"])
+def test_apply_is_bitwise_the_fill_and_scratch_kernel(case, lab64):
+    # the first term written into out and then += 0.0 is bitwise the sum
+    # from out.fill(0.0); stale out and scratch buffers (-0.0 and NaN) are
+    # overwritten everywhere
+    plan, values, zero_order, buffers = _kernel_case(case, lab64)
+    assert (plan.zero is not None, plan.buffers) == (zero_order, buffers)
+    expected = fill_and_scratch_apply(plan, values, np.empty(values.shape))
+    out = np.full(values.shape, -0.0)
+    out.reshape(-1)[::3] = np.nan
+    scratch = [out.copy() for _ in range(plan.buffers)]
+    assert plan.apply(values, out, scratch) is out
+    assert out.tobytes() == expected.tobytes()
+    assert plan.apply(values).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("route", ["wigner", "eta"])
@@ -497,6 +549,96 @@ def test_evolve_rejects_another_phase_space_before_stepping(lab64, role,
         field0 = PhaseSpaceField(W.values, W.role, lab64, "mu_nu", W.tol)
     with pytest.raises(SpecMismatch):
         evolve(field0, gen, EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
+
+
+def _start_field(lab64, role):
+    if role == "wigner":
+        return analytic_gaussian_wigner(lab64, 1.0, 0.3)
+    return analytic_gaussian_eta(lab64, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("role", ["wigner", "eta"])
+def test_evolve_rejects_a_non_finite_field_before_stepping(lab64, role, bad,
+                                                          monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a right-hand side was evaluated")
+
+    monkeypatch.setattr(moyal, "moyal_rhs", no_step)
+    monkeypatch.setattr(moyal, "eta_moyal_rhs", no_step)
+    f = _start_field(lab64, role)
+    values = f.values.copy()
+    values[20, 41] = bad
+    field0 = PhaseSpaceField(values, f.role, lab64, f.measure, f.tol)
+    gen = MoyalGenerator(OSC, lab64, truncation=1)
+    with pytest.raises(InvalidDensity, match="1 NaN or infinite"):
+        evolve(field0, gen, EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
+
+
+@pytest.mark.parametrize("role", ["wigner", "eta"])
+def test_evolve_fails_closed_when_the_field_turns_nan(lab64, role,
+                                                     monkeypatch):
+    # a NaN drift fails `not drift <= bound`; `drift > bound` let it through
+    name = "moyal_rhs" if role == "wigner" else "eta_moyal_rhs"
+    rhs, calls = getattr(moyal, name), []
+
+    def poisoned(field, gen, **kwargs):
+        got = rhs(field, gen, **kwargs)
+        calls.append(None)
+        if len(calls) == 9:                 # the third step's first stage
+            got[30, 30] = np.nan
+        return got
+
+    monkeypatch.setattr(moyal, name, poisoned)
+    gen = MoyalGenerator(OSC, lab64, truncation=1)
+    with pytest.raises(UnstableStep) as err:
+        evolve(_start_field(lab64, role), gen,
+               EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
+    assert len(calls) == 12
+    assert math.isnan(err.value.diagnostics["mass"][-1])
+
+
+@pytest.mark.parametrize("role,sym", [("wigner", OSC), ("eta", OSC),
+                                      ("wigner", FREE)])
+def test_evolve_allocates_no_field_per_step(lab64, role, sym, monkeypatch):
+    # the memory held between two right-hand-side calls never rises by a
+    # field-sized temporary, and the run's peak stays within its buffers,
+    # its snapshot copies and one field; FREE's energy is a function of p
+    # alone
+    name = "moyal_rhs" if role == "wigner" else "eta_moyal_rhs"
+    rhs = getattr(moyal, name)
+    # calls, the largest rise between two calls after the first, the peak;
+    # kept in one preallocated array so the probe itself holds no memory
+    stats = np.zeros(3, dtype=np.int64)
+
+    def probe(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if stats[0]:
+            stats[1] = max(stats[1], peak - current)
+        stats[0] += 1
+        stats[2] = max(stats[2], peak)
+        tracemalloc.reset_peak()
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(moyal, name, probe)
+    field0 = _start_field(lab64, role)
+    gen = MoyalGenerator(sym, lab64, truncation=1)
+    plan = gen._plan if role == "wigner" else gen.eta_plan()
+    run = EvolutionRun(dt=1e-3, t_end=0.05, stride=10)
+    nbytes = field0.values.nbytes
+    tracemalloc.start()
+    try:
+        res = evolve(field0, gen, run)
+        stats[2] = max(stats[2], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert stats[0] == 4 * 50
+    assert stats[1] < nbytes / 4
+    # values, acc, k, stage and the plan's scratch; the first snapshot is
+    # field0 itself
+    buffers = 4 + plan.buffers
+    copies = len(res.snapshots) - 1
+    assert stats[2] <= (buffers + copies + 1) * nbytes
 
 
 # --- von Neumann oracle -------------------------------------------------------
