@@ -15,7 +15,7 @@ import warnings
 
 from . import runners, serialize, verify
 from .config import parse_config
-from .errors import SchemaViolation, UnknownVersion, WignerLabError
+from .errors import SchemaViolation, WignerLabError
 from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _run(args):
             for path, reason in exc.violations:
                 print(f"config error at {path}: {reason}", file=sys.stderr)
             return EXIT_ERROR
-        except (UnknownVersion, WignerLabError) as exc:
+        except WignerLabError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_ERROR
     elif args.command != "verify":

@@ -17,17 +17,16 @@ import numpy as np
 from .errors import (DimensionCap, FactorMismatch, NonHermitianInput,
                      SpecMismatch, UnknownSubsystem, WrongRepresentation)
 from .hilbert import (CompositeSystem, DensityOperator, LEBESGUE,
-                      _hermitian_defect, _label_tuple, chebyshev_propagate,
-                      chebyshev_terms, exact_propagate, partial_trace,
-                      spectral_interval)
+                      _hermitian_defect, _label_tuple, partial_trace,
+                      propagate)
 from .lattice import PhaseSpaceSpec, make_phase_space
 from .moyal import MoyalGenerator, evolve
 from .tolerances import DEFAULT_TOL
-from .wigner import PhaseSpaceField, reduce_wigner, wigner_from_density
+from .wigner import (PhaseSpaceField, purity_estimate, reduce_wigner,
+                     wigner_from_density)
 
 LAYOUT_DIM_CAP = 65536
 RUN_DIM_CAP = 4096
-EIGH_COST = 10     # one D x D eigh ~ 10 D x D matrix products (9-17 measured)
 
 ROLE_ORDER = ("P1", "P2", "C1", "C2", "W")
 PLANT_ROLES = ("P1", "P2")
@@ -356,7 +355,7 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
     """Evolve the composite and observe the plant through reduction.
 
     The composite is propagated exactly, by the cheaper of two routes (see
-    `_propagated`); T0 must be a Lebesgue-representation operator. The
+    `hilbert.propagate`); T0 must be a Lebesgue-representation operator. The
     dimension cap is 4096. When every factor is grid-based with total
     d <= 2, reduced plant Wigner snapshots are produced and the reduction
     commuting square (composite reduction vs reduced transform) is
@@ -382,7 +381,7 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
         raise WrongRepresentation(
             f"the exact scenario needs a lebesgue T0, got {T0.rep}")
     purity, energy, states, wigners, squares = [], [], [], [], []
-    for t, Tm in zip(times, _propagated(H, T0, times)):
+    for t, Tm in zip(times, propagate(H, T0, times)):
         # T(0) is T0 itself, which keeps the record of its product parts
         if t == 0 and T0.space == system:
             Tt = T0
@@ -410,38 +409,6 @@ def check_run_cap(layout):
             f"composite dimension {layout.dim} exceeds run cap {RUN_DIM_CAP}")
 
 
-def _propagated(H, T0, times):
-    """T(t) = e^{-iHt} T0 e^{iHt} at each of `times`, by the cheaper route.
-
-    At t == 0 it is T0's own matrix, not formed again by either route.
-    Costs are counted in H-column products (D^2 complex multiply-adds each).
-    Factor route, when T0 records factors T0 = F diag(w) F^H of rank r:
-    X = e^{-iHt} F by a Chebyshev series stepped from one snapshot to the
-    next, then T(t) = X diag(w) X^H, r (terms + snapshots) in all. Eigh route:
-    one eigh of H, about EIGH_COST D, then `exact_propagate`'s three D x D
-    products per snapshot at t != 0. The series wins for low rank over short
-    horizons; a full-rank product or a long horizon takes the eigh route, and
-    so does a T0 without recorded factors, which would need an eigh of its
-    own to be factored.
-    """
-    D = H.shape[0]
-    steps = np.diff(times, prepend=0.0)
-    if T0.factors is not None:
-        X, w = T0.factors
-        interval = spectral_interval(H)
-        terms = sum(chebyshev_terms(interval, dt) for dt in steps)
-        eigh_cost = D * (EIGH_COST + 3 * np.count_nonzero(times))
-        if w.size * (terms + len(times)) <= eigh_cost:
-            for t, dt in zip(times, steps):
-                X = chebyshev_propagate(H, X, dt, interval)
-                yield T0.matrix if t == 0 else (X * w) @ X.conj().T
-            return
-    evals, evecs = np.linalg.eigh(H)
-    for t in times:
-        yield T0.matrix if t == 0 else exact_propagate(T0.matrix, evals,
-                                                       evecs, t)
-
-
 def _run_classical(layout, symbol, T0, run, h_plant):
     """Classical-feedback mode: Liouville flow of the composite Wigner field."""
     system = layout.system()
@@ -456,9 +423,7 @@ def _run_classical(layout, symbol, T0, run, h_plant):
         fc = _refield(f, system)
         Wred = reduce_wigner(fc, plant)
         wigners.append((t, Wred))
-        d = len(Wred.axes)
-        purity.append(float((2 * math.pi) ** d
-                            * (Wred.values ** 2).sum() * Wred.cell_volume()))
+        purity.append(purity_estimate(Wred))
     times = np.asarray([t for t, _ in res.snapshots])
     return ScenarioResult(times, np.asarray(purity), np.asarray([]),
                           [], wigners, np.asarray([]), None)

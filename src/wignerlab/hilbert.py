@@ -29,6 +29,7 @@ GAUSSIAN = "gaussian"
 FACTOR_DROP = 1e-15     # relative eigenvalue size below which a factor is dropped
 CHEB_TAIL = 1e-16       # Chebyshev coefficient size that ends the series
 HERMITIAN_TILE = 64     # 64 x 64 complex tiles: 64 KiB per operand
+EIGH_COST = 10          # one D x D eigh ~ 10 D x D matrix products (9-17 measured)
 
 
 def _frozen(a):
@@ -216,29 +217,21 @@ class StateVector:
     def norm(self):
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2 * self._weights())))
 
-    def inner(self, other):
-        if other.rep != self.rep:
-            raise RepresentationMismatch("inner product needs matching representations")
-        return complex(np.sum(np.conj(self.values) * other.values * self._weights()))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian PSD trace-one matrix over the position basis.
 
-    `factors`, when recorded, is (F, w) with F of shape (D, r) and w a real
-    r-vector such that matrix == F diag(w) F^H (see `factorization`).
     `parts`, when recorded, holds one Lebesgue-representation operator per
     factor of a composite space such that matrix is their Kronecker product
-    (see `tensor_many`). Neither record is compared, and no operator
-    derived from this one inherits them.
+    (see `tensor_many`). The record is not compared, and no operator
+    derived from this one inherits it.
     """
 
     matrix: np.ndarray
     rep: str
     space: object
     tol: object = DEFAULT_TOL
-    factors: tuple = field(default=None, compare=False, repr=False)
     parts: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -247,13 +240,6 @@ class DensityOperator:
         if m.shape != (N, N):
             raise SpecMismatch(f"matrix shape {m.shape} != ({N}, {N})")
         object.__setattr__(self, "matrix", _frozen(m))
-        if self.factors is not None:
-            F = np.asarray(self.factors[0], dtype=complex)
-            w = np.asarray(self.factors[1], dtype=float)
-            if F.ndim != 2 or F.shape[0] != N or w.shape != (F.shape[1],):
-                raise SpecMismatch(
-                    f"factors of shapes {F.shape}, {w.shape} do not fit dim {N}")
-            object.__setattr__(self, "factors", (_frozen(F), _frozen(w)))
         if self.parts is not None:
             object.__setattr__(self, "parts", _checked_parts(self))
 
@@ -291,9 +277,6 @@ class DensityOperator:
         if self.rep == GAUSSIAN and isinstance(self.space, PhaseSpaceSpec):
             m = to_lebesgue_rep(self).matrix
         return 0.5 * (m + m.conj().T)
-
-    def min_eigenvalue(self):
-        return lowest_eigenvalue(self._hermitian_part())
 
 
 def _checked_parts(T):
@@ -378,15 +361,13 @@ def exact_propagate(T, evals, evecs, t):
 def factorization(T):
     """(F, w) with T.matrix == F diag(w) F^H for a Lebesgue-representation T.
 
-    Returns the recorded factors, else factors T once by eigh. Eigenpairs
-    with |lambda| <= FACTOR_DROP * max|lambda| are dropped; the kept weights
-    keep their sign, so a Hermitian T that is not PSD is factored exactly.
+    One eigh of T; eigenpairs with |lambda| <= FACTOR_DROP * max|lambda|
+    are dropped. The kept weights keep their sign, so a Hermitian T that is
+    not PSD is factored exactly.
     """
     if T.rep != LEBESGUE:
         raise WrongRepresentation(
             f"factors need a lebesgue operator, got {T.rep}")
-    if T.factors is not None:
-        return T.factors
     lam, V = np.linalg.eigh(T.matrix)
     keep = np.abs(lam) > FACTOR_DROP * np.abs(lam).max(initial=0.0)
     return V[:, keep], lam[keep]
@@ -458,6 +439,45 @@ def chebyshev_propagate(H, X, t, interval):
         prev, cur = cur, 2 * scaled(cur) - prev
         out += ck * cur
     return np.exp(-1j * b * t) * out
+
+
+def propagate(H, T0, times):
+    """T(t) = e^{-iHt} T0 e^{iHt} at each of `times`, by the cheaper route.
+
+    T0 is a Lebesgue-representation operator; at t == 0 it is T0's own
+    matrix, not formed again by either route. Costs are counted in H-column
+    products (D^2 complex multiply-adds each). Series route, for a T0 with
+    `parts`: each part is factored, and their kron is T0 = F diag(w) F^H of
+    rank r, the product of the parts' ranks. X = e^{-iHt} F by a Chebyshev
+    series stepped from one snapshot to the next, then T(t) = X diag(w)
+    X^H, r (terms + snapshots) in all. Eigh route: one eigh of H, about
+    EIGH_COST D, then `exact_propagate`'s three D x D products per snapshot
+    at t != 0. The series is taken when 2 r <= D, since F would otherwise
+    take as much memory as T0, and its count is not larger; F is formed
+    only then. A T0 without parts takes the eigh route: factoring it would
+    need an eigh of its own.
+    """
+    D = H.shape[0]
+    if T0.parts is not None:
+        pairs = [factorization(op) for op in T0.parts]
+        rank = math.prod(w.size for _, w in pairs)
+        if 2 * rank <= D:
+            steps = np.diff(times, prepend=0.0)
+            interval = spectral_interval(H)
+            terms = sum(chebyshev_terms(interval, dt) for dt in steps)
+            if rank * (terms + len(times)) <= D * (
+                    EIGH_COST + 3 * np.count_nonzero(times)):
+                X, w = pairs[0]
+                for Fo, wo in pairs[1:]:
+                    X, w = np.kron(X, Fo), np.kron(w, wo)
+                for t, dt in zip(times, steps):
+                    X = chebyshev_propagate(H, X, dt, interval)
+                    yield T0.matrix if t == 0 else (X * w) @ X.conj().T
+                return
+    evals, evecs = np.linalg.eigh(H)
+    for t in times:
+        yield T0.matrix if t == 0 else exact_propagate(T0.matrix, evals,
+                                                       evecs, t)
 
 
 def _gauss_adjoint(T):
@@ -532,11 +552,8 @@ def tensor_many(ops, sys):
     Every operator must match its factor's dimension and the first operator's
     representation; the result keeps the first operator's tolerances. A
     Lebesgue product records its `parts`, the operators themselves, which
-    `wigner.wigner_from_density` maps factor by factor. It also records its
-    factors when its rank r is <= D/2: the kron of each operator's
-    `factorization`. A higher rank records none: F would cost as much memory
-    as the matrix, and `feedback.run_scenario` propagates such a state by
-    the eigh route, which needs no factors.
+    `wigner.wigner_from_density` maps factor by factor and `propagate`
+    factors one by one.
     """
     if len(ops) != len(sys.factors):
         raise SpecMismatch("one operator per factor required")
@@ -549,16 +566,8 @@ def tensor_many(ops, sys):
     m = first.matrix
     for op in ops[1:]:
         m = np.kron(m, op.matrix)
-    factors = parts = None
-    if first.rep == LEBESGUE:
-        parts = tuple(ops)
-        pairs = [factorization(op) for op in ops]
-        if 2 * math.prod(w.size for _, w in pairs) <= sys.dim:
-            F, w = pairs[0]
-            for Fo, wo in pairs[1:]:
-                F, w = np.kron(F, Fo), np.kron(w, wo)
-            factors = (F, w)
-    return DensityOperator(m, first.rep, sys, first.tol, factors, parts)
+    parts = tuple(ops) if first.rep == LEBESGUE else None
+    return DensityOperator(m, first.rep, sys, first.tol, parts)
 
 
 def partial_trace(T, keep):

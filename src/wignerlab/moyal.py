@@ -26,7 +26,8 @@ from .engine import (SpectralDifferentiator, apply_along_axis, axis_coords,
                      derivative_matrix, fd4_matrix)
 from .errors import (EscapeDetected, InvalidDensity, OrderOverflow,
                      SnapshotMismatch, SpecMismatch, UnstableStep)
-from .hilbert import DensityOperator, LEBESGUE, _lebesgue, exact_propagate
+from .hilbert import (DensityOperator, LEBESGUE, _lebesgue, exact_propagate,
+                      propagate)
 from .tolerances import DEFAULT_TOL
 from .wigner import ETA, SYMBOL, WIGNER, PhaseSpaceField
 from .weyl import HamiltonianSymbol, weyl_quantize
@@ -93,14 +94,16 @@ def wick_polynomial(precision, directions):
     return w
 
 
-def _poly_eval_point(poly, x):
+def _poly_eval(poly, x):
+    """A coefficient-dict polynomial at x: a point, or one broadcastable
+    coordinate mesh per variable."""
     out = 0.0
     for alpha, c in poly.items():
         term = c
         for xi, ai in zip(x, alpha):
             if ai:
-                term *= xi ** ai
-        out += term
+                term = term * xi ** ai
+        out = out + term
     return out
 
 
@@ -114,7 +117,7 @@ def gaussian_measure_derivative(measure, directions, point):
         raise OrderOverflow(f"directional order {len(directions)} exceeds 4")
     x = np.asarray(point, dtype=float)
     w = wick_polynomial(measure.precision, directions)
-    return measure.density(x) * _poly_eval_point(w, x)
+    return measure.density(x) * _poly_eval(w, x)
 
 
 # --- bracket contractions -----------------------------------------------------
@@ -174,9 +177,10 @@ def _derivative_fields(symbol, spec, orders):
     Identically zero fields are pruned. A sampled part is differentiated
     through one SpectralDifferentiator shared by every order.
     """
+    sampled = symbol.sampled_on(spec)
     sampled_diff = None
-    if symbol.sampled is not None:
-        sampled_diff = SpectralDifferentiator(symbol.sampled, _spacings(spec))
+    if sampled is not None:
+        sampled_diff = SpectralDifferentiator(sampled, _spacings(spec))
     fields = {}
     for n in orders:
         for k, m, _, _ in bracket_pairs(n, spec.d):
@@ -318,14 +322,9 @@ class MoyalGenerator:
         sym = HamiltonianSymbol(terms, sampled=self.symbol.sampled, d=d)
         orders = [2 * j - 1 for j in range(1, self.effective_truncation(sym) + 1)]
         self._fields = _derivative_fields(sym, self.spec, orders)
-        mesh = self.spec.grid.phase_mesh()
-        energy = np.asarray(sym.evaluate(mesh[:d], mesh[d:]), float)
-        if sym.sampled is not None:
-            energy = energy + sym.sampled
-        # at full size (copied only from a broadcast shape), so evolve's
-        # energy diagnostic multiplies without a broadcast buffer
-        self._energy = np.ascontiguousarray(np.broadcast_to(
-            energy, (self.spec.n_per_axis,) * (2 * d)))
+        # contiguous (copied only from a broadcast view), so evolve's energy
+        # diagnostic multiplies without a broadcast buffer
+        self._energy = np.ascontiguousarray(sym.evaluate_phase_grid(self.spec))
         weights = {}
         for k, m, c, hf in self._bracket_terms():
             _accumulate(weights, k + m, c * hf)
@@ -376,15 +375,8 @@ class MoyalGenerator:
                 e[ax] = 1.0
                 directions.extend([e] * count)
             poly = wick_polynomial(spec.mu_nu.precision, directions)
-            mesh = spec.grid.phase_mesh()
-            vals = 0.0
-            for alpha, c in poly.items():
-                term = c
-                for i, a in enumerate(alpha):
-                    if a:
-                        term = term * mesh[i] ** a
-                vals = vals + term
-            self._wick[key] = np.asarray(vals, float)
+            self._wick[key] = np.asarray(
+                _poly_eval(poly, spec.grid.phase_mesh()), float)
         return self._wick[key]
 
     def effective_truncation(self, sym):
@@ -748,9 +740,7 @@ def von_neumann_oracle(T0, hamiltonian, run):
             H = weyl_quantize(hamiltonian, T0.space)
         else:
             H = np.asarray(hamiltonian, dtype=complex)
-        evals, evecs = np.linalg.eigh(H)
-        return [snapshot(t, exact_propagate(Tl.matrix, evals, evecs, t))
-                for t in times]
+        return [snapshot(t, T) for t, T in zip(times, propagate(H, Tl, times))]
     # piecewise-constant schedule: exact propagation from event to event,
     # one eigendecomposition per segment
     bounds = {t0 for t0, _ in schedule if 0.0 < t0 < run.t_end}

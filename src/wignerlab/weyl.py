@@ -103,30 +103,15 @@ class HamiltonianSymbol:
         """Partial derivative as a new polynomial symbol (polynomial part only)."""
         out = []
         for pq, pp, c in self.terms:
-            cc = c
-            nq, np_ = list(pq), list(pp)
-            ok = True
-            for ax, k in enumerate(dq):
-                for _ in range(k):
-                    if nq[ax] == 0:
-                        ok = False
-                        break
-                    cc *= nq[ax]
-                    nq[ax] -= 1
-                if not ok:
-                    break
-            if ok:
-                for ax, k in enumerate(dp):
-                    for _ in range(k):
-                        if np_[ax] == 0:
-                            ok = False
-                            break
-                        cc *= np_[ax]
-                        np_[ax] -= 1
-                    if not ok:
-                        break
-            if ok and cc != 0.0:
-                out.append((tuple(nq), tuple(np_), cc))
+            powers, orders = pq + pp, tuple(dq) + tuple(dp)
+            if any(k > a for a, k in zip(powers, orders)):
+                continue
+            for a, k in zip(powers, orders):
+                for j in range(k):
+                    c *= a - j
+            if c != 0.0:
+                rest = tuple(a - k for a, k in zip(powers, orders))
+                out.append((rest[:self.d], rest[self.d:], c))
         return HamiltonianSymbol(tuple(out), d=self.d)
 
     def evaluate(self, q_mesh, p_mesh):
@@ -142,16 +127,23 @@ class HamiltonianSymbol:
             out = out + term
         return out
 
-    def evaluate_phase_grid(self, spec):
-        mesh = spec.grid.phase_mesh()
+    def sampled_on(self, spec):
+        """The sampled part, or None; DomainOverflow unless it has the shape
+        of spec's phase grid."""
         shape = (spec.n_per_axis,) * (2 * spec.d)
+        if self.sampled is not None and self.sampled.shape != shape:
+            raise DomainOverflow(
+                f"sampled symbol shape {self.sampled.shape} != grid {shape}")
+        return self.sampled
+
+    def evaluate_phase_grid(self, spec):
+        sampled = self.sampled_on(spec)
+        mesh = spec.grid.phase_mesh()
         vals = np.broadcast_to(
-            np.asarray(self.evaluate(mesh[:spec.d], mesh[spec.d:]), float), shape)
-        if self.sampled is not None:
-            if self.sampled.shape != shape:
-                raise DomainOverflow(
-                    f"sampled symbol shape {self.sampled.shape} != grid {shape}")
-            vals = vals + self.sampled
+            np.asarray(self.evaluate(mesh[:spec.d], mesh[spec.d:]), float),
+            (spec.n_per_axis,) * (2 * spec.d))
+        if sampled is not None:
+            vals = vals + sampled
         return vals
 
 
@@ -203,15 +195,11 @@ def weyl_quantize(symbol, spec):
         return quantize_polynomial_on(symbol.terms, ops)
     if not isinstance(spec, PhaseSpaceSpec):
         raise SpecMismatch("weyl_quantize needs a PhaseSpaceSpec or LevelSpace")
+    sampled = symbol.sampled_on(spec)
     axis_ops = [_axis_ops(spec.n_per_axis, spec.half_width)] * spec.d
     out = quantize_polynomial_on(symbol.terms, axis_ops)
-    if symbol.sampled is not None:
-        shape = (spec.n_per_axis,) * (2 * spec.d)
-        if symbol.sampled.shape != shape:
-            raise DomainOverflow(
-                f"sampled symbol shape {symbol.sampled.shape} != grid {shape}")
-        out = out + engine.wigner_to_density(symbol.sampled,
-                                             spec.axis_geometry()) \
+    if sampled is not None:
+        out = out + engine.wigner_to_density(sampled, spec.axis_geometry()) \
             / (2.0 * math.pi) ** spec.d
     return out
 

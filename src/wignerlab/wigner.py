@@ -210,8 +210,8 @@ def inverse_wigner(W, validate=True):
     Hermitian part T is checked by `certify_psd`: a Cholesky factorisation
     of T + psd_floor I certifies it, and only a failed one runs eigvalsh,
     raising NonPositiveOperator if the eigenvalue is below -psd_floor. With
-    validate=False the operator is returned as is, reported through its
-    min_eigenvalue, never silently fixed.
+    validate=False the operator is returned as is, never silently fixed; its
+    `validate()` raises NonPositiveOperator naming lambda_min.
     """
     mass = W.integrate().real
     if not abs(mass - 1.0) <= W.tol.normalization_input:

@@ -344,6 +344,18 @@ def operator_with_min_eigenvalue(spec, lam_min):
     return DensityOperator((V * lam) @ V.conj().T, LEBESGUE, spec, spec.tol)
 
 
+def state_inner(a, b):
+    """<a, b> of two grid states in one representation: the grid sum of
+    conj(a) b weighted by the position cell, times the reference density mu
+    in the Gaussian representation."""
+    assert a.rep == b.rep
+    spec = a.space
+    w = spec.grid.position_cell
+    if a.rep == "gaussian":
+        w = w * spec.mu_density_grid().ravel()
+    return complex(np.sum(np.conj(a.values) * b.values * w))
+
+
 def reported_eigenvalue(exc):
     """The eigenvalue a NonPositiveOperator message carries."""
     return float(str(exc).split("eigenvalue ")[1].split()[0])

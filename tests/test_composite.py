@@ -468,13 +468,13 @@ def test_scenario_snapshot_at_zero_is_built_from_t0(spec32c, maps):
 def test_propagation_does_not_form_t_at_zero(monkeypatch):
     layout, H, T0, run = level_scenario()
     times = []
-    real = feedback.exact_propagate
+    real = hilbert.exact_propagate
 
     def recording(T, evals, evecs, t):
         times.append(t)
         return real(T, evals, evecs, t)
 
-    monkeypatch.setattr(feedback, "exact_propagate", recording)
+    monkeypatch.setattr(hilbert, "exact_propagate", recording)
     full_rank = DensityOperator(np.eye(9, dtype=complex) / 9, LEBESGUE,
                                 layout.system())
     res = run_scenario(layout, H, full_rank, run)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import embed_by_permutation
-from wignerlab import feedback
+from wignerlab import hilbert
 from wignerlab import (DensityOperator, HamiltonianSymbol, LevelSpace,
                        RefinedParts, SubsystemLayout,
                        build_feedback_hamiltonian, build_general_hamiltonian,
@@ -18,8 +18,8 @@ from wignerlab.errors import (DimensionCap, FactorMismatch, NonHermitianInput,
                               UnknownSubsystem, WrongRepresentation)
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK
 from wignerlab.config import parse_config
-from wignerlab.hilbert import (LEBESGUE, exact_propagate, spectral_interval,
-                               tensor_many)
+from wignerlab.hilbert import (EIGH_COST, LEBESGUE, exact_propagate,
+                               factorization, spectral_interval, tensor_many)
 from wignerlab.moyal import EvolutionRun
 from wignerlab.runners import _make_run, assemble_layout, build_composite_state
 from wignerlab.states import displaced_state, ground_state, level_thermal
@@ -409,17 +409,21 @@ def _assert_matches_eigh_route(layout, H, T0, res):
         assert np.abs(TP.matrix - ref.matrix).max() <= 1e-12
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a call that the route should not make")
+
+
 def _only_route(monkeypatch, route):
     """Make the route that run_scenario should not take raise."""
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"run_scenario left the {route} route")
     other = "exact_propagate" if route == "chebyshev" else "chebyshev_propagate"
-    monkeypatch.setattr(feedback, other, refuse)
+    monkeypatch.setattr(hilbert, other, _refuse)
 
 
 def test_scenario_on_factors_matches_eigh_route_feedback_levels(monkeypatch):
+    # four pure parts: factors of rank 1, derived at propagation time
     layout, H, hp, T0, run = _feedback_levels()
-    assert T0.factors is not None and T0.factors[0].shape == (256, 1)
+    assert len(T0.parts) == 4
+    assert [factorization(op)[1].size for op in T0.parts] == [1, 1, 1, 1]
     _only_route(monkeypatch, "chebyshev")
     res = run_scenario(layout, H, T0, run, h_plant=hp)
     assert len(res.plant_states) == 11 and res.times[-1] == 3.0
@@ -431,7 +435,7 @@ def test_scenario_long_horizon_takes_eigh_route(monkeypatch):
     # (about 10 D) plus three D x D products per snapshot
     layout, H, hp, T0, _ = _feedback_levels()
     lo, hi = spectral_interval(H)
-    t_end = 2 * 256 * (feedback.EIGH_COST + 6) / (0.5 * (hi - lo))
+    t_end = 2 * 256 * (EIGH_COST + 6) / (0.5 * (hi - lo))
     run = EvolutionRun(dt=t_end, t_end=t_end, stride=1)
     _only_route(monkeypatch, "eigh")
     res = run_scenario(layout, H, T0, run, h_plant=hp)
@@ -439,12 +443,12 @@ def test_scenario_long_horizon_takes_eigh_route(monkeypatch):
 
 
 def test_scenario_full_rank_product_takes_eigh_route(monkeypatch):
-    # a thermal product of full rank D records no factors
+    # a thermal product of full rank D: no Kronecker factor F is formed
     layout, H, hp, _, run = _feedback_levels()
     ops = [DensityOperator(level_thermal(LV4, 0.5), LEBESGUE, LV4)] * 4
     T0 = tensor_many(ops, layout.system())
-    assert T0.factors is None
     _only_route(monkeypatch, "eigh")
+    monkeypatch.setattr(np, "kron", _refuse)
     res = run_scenario(layout, H, T0, run, h_plant=hp)
     _assert_matches_eigh_route(layout, H, T0, res)
 
@@ -457,8 +461,9 @@ def test_scenario_without_recorded_factors_takes_eigh_route(rng, monkeypatch):
     V /= np.linalg.norm(V, axis=0)
     T0 = DensityOperator((V * [0.5, 0.3, 0.2]) @ V.conj().T, LEBESGUE,
                          layout.system())
-    assert T0.factors is None
+    assert T0.parts is None
     _only_route(monkeypatch, "eigh")
+    monkeypatch.setattr(hilbert, "factorization", _refuse)
     res = run_scenario(layout, H, T0, run, h_plant=hp)
     assert len(res.plant_states) == 11
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (letter_loop_partial_trace, operator_with_min_eigenvalue,
-                     reported_eigenvalue)
+                     reported_eigenvalue, state_inner)
+from wignerlab import hilbert
 from wignerlab import (CompositeSystem, DensityOperator, LevelSpace, kernel_of,
                        mix, partial_trace, pure_density, tensor,
                        to_gaussian_rep, to_lebesgue_rep)
@@ -16,7 +18,9 @@ from wignerlab.errors import (InvalidDensity, NonPositiveOperator,
 from wignerlab.hilbert import (LEBESGUE, RHO1, RHO2, StateVector, certify_psd,
                                chebyshev_propagate, chebyshev_terms,
                                exact_propagate, factorization,
+                               lowest_eigenvalue, propagate,
                                spectral_interval, tensor_many)
+from wignerlab.moyal import EvolutionRun, von_neumann_oracle
 from wignerlab.states import displaced_state, ground_state, level_thermal, \
     random_mixed, random_pure
 from wignerlab.tolerances import TolerancePolicy
@@ -46,8 +50,8 @@ def test_rep_preserves_trace_and_inner_products(lab64, rng):
     for _ in range(5):
         a = random_pure(lab64, rng)
         b = random_pure(lab64, rng)
-        lhs = a.inner(b)
-        rhs = to_gaussian_rep(a).inner(to_gaussian_rep(b))
+        lhs = state_inner(a, b)
+        rhs = state_inner(to_gaussian_rep(a), to_gaussian_rep(b))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -194,7 +198,7 @@ def test_psd_floor_reported(lab64):
     op = DensityOperator(bad, LEBESGUE, lab64)
     with pytest.raises(NonPositiveOperator):
         op.validate()
-    assert op.min_eigenvalue() < -1e-8
+    assert lowest_eigenvalue(op.matrix) < -1e-8
 
 
 # --- the PSD certificate ------------------------------------------------------
@@ -225,8 +229,7 @@ def test_validate_rejects_non_finite_entry(lab64, bad):
     op = DensityOperator(m, LEBESGUE, lab64)
     with pytest.raises(InvalidDensity):
         op.validate()
-    with np.errstate(invalid="ignore"):     # 0.5 * complex(inf) has a nan part
-        assert math.isnan(op.min_eigenvalue())
+    assert math.isnan(lowest_eigenvalue(op.matrix))
 
 
 @pytest.mark.parametrize("where", [(1, 1), (2, 1), (3, 0)])
@@ -282,39 +285,21 @@ def _product_case(case, sys2, spec32c, rng):
     return ops, sys4, 4
 
 
-@pytest.mark.parametrize("case", ["pure_grid", "mixed_grid", "levels"])
-def test_recorded_factors_reproduce_the_product(case, sys2, spec32c, rng):
-    ops, sys, rank = _product_case(case, sys2, spec32c, rng)
-    T = tensor_many(ops, sys)
-    F, w = T.factors
-    assert F.shape == (sys.dim, rank) and w.shape == (rank,)
-    assert np.abs((F * w) @ F.conj().T - T.matrix).max() <= 1e-14
-    assert abs(w.sum() - 1.0) <= 1e-14
-    if len(ops) == 2:
-        T2 = tensor(*ops, sys)
-        assert np.array_equal(T2.matrix, T.matrix)
-        assert np.array_equal(T2.factors[0], F)
+def _kron_factors(ops):
+    """(F, w) of a product: the kron of its operators' factorizations."""
+    F, w = factorization(ops[0])
+    for op in ops[1:]:
+        Fo, wo = factorization(op)
+        F, w = np.kron(F, Fo), np.kron(w, wo)
+    return F, w
 
 
-def test_tensor_many_records_factors_up_to_half_rank():
-    sys = CompositeSystem((("A", LevelSpace(2)), ("B", LevelSpace(4))))
-    e0 = np.eye(2)[:, 0]
-    pure = DensityOperator(np.outer(e0, e0), LEBESGUE, LevelSpace(2))
-    hot2 = DensityOperator(level_thermal(LevelSpace(2), 0.5), LEBESGUE,
-                           LevelSpace(2))
-    hot4 = DensityOperator(level_thermal(LevelSpace(4), 0.5), LEBESGUE,
-                           LevelSpace(4))
-    half = tensor_many([pure, hot4], sys)          # r = 4 = D/2
-    F, w = half.factors
-    assert np.abs((F * w) @ F.conj().T - half.matrix).max() <= 1e-14
-    full = tensor_many([hot2, hot4], sys)          # r = 8 = D
-    assert full.factors is None
-    assert np.array_equal(full.matrix, np.kron(hot2.matrix, hot4.matrix))
+def _refuse(*args, **kwargs):
+    raise AssertionError("a call that the route should not make")
 
 
 def test_factorization_without_recorded_factors(spec32c, rng):
     T = random_mixed(spec32c, rng, 3)
-    assert T.factors is None
     F, w = factorization(T)
     assert F.shape == (spec32c.hilbert_dim, 3)
     assert np.abs((F * w) @ F.conj().T - T.matrix).max() <= 1e-14
@@ -325,7 +310,7 @@ def test_factorization_without_recorded_factors(spec32c, rng):
 
 def test_gaussian_operators_carry_no_factors(sys2, spec32c):
     g = to_gaussian_rep(pure_density(ground_state(spec32c)))
-    assert tensor(g, g, sys2).factors is None
+    assert tensor(g, g, sys2).parts is None
     with pytest.raises(WrongRepresentation):
         factorization(g)
 
@@ -354,7 +339,7 @@ def test_chebyshev_on_factors_matches_eigh_route(case, t, coupled_two_mode,
     H, evals, evecs = coupled_two_mode
     ops, _, rank = _product_case(case, sys2, spec32c, rng)
     T0 = tensor_many(ops, sys2)
-    F, w = T0.factors
+    F, w = _kron_factors(T0.parts)
     X = chebyshev_propagate(H, F, t, spectral_interval(H))
     assert X.shape == (sys2.dim, rank)
     ref = exact_propagate(T0.matrix, evals, evecs, t)
@@ -365,7 +350,7 @@ def test_chebyshev_trace_and_purity_drift(coupled_two_mode, sys2, spec32c, rng):
     H, _, _ = coupled_two_mode
     T0 = tensor(random_mixed(spec32c, rng, 4, max_quanta=3),
                 pure_density(ground_state(spec32c)), sys2)
-    X, w = T0.factors
+    X, w = _kron_factors(T0.parts)
     interval = spectral_interval(H)
 
     def trace_purity(X):
@@ -410,3 +395,91 @@ def test_chebyshev_terms_counts_the_products(coupled_two_mode, rng):
         counting = Counting(H)
         chebyshev_propagate(counting, X, t, interval)
         assert counting.products == chebyshev_terms(interval, t)
+
+
+# --- the route choice -------------------------------------------------------------
+
+def _level_hamiltonian():
+    """Four 4-level oscillators, P1C1 and P2C2 coupled by 0.3 x x (D = 256)."""
+    lv = LevelSpace(4)
+    n, x, eye = lv.number_op(), lv.position_op(), np.eye(4)
+
+    def on(*ops):
+        return functools.reduce(np.kron, ops)
+
+    return (on(n, eye, eye, eye) + on(eye, n, eye, eye) + on(eye, eye, n, eye)
+            + on(eye, eye, eye, n) + 0.3 * on(x, eye, x, eye)
+            + 0.3 * on(eye, x, eye, x))
+
+
+@pytest.mark.parametrize("case", ["pure_grid", "mixed_grid", "levels"])
+def test_product_takes_series_route_matching_eigh(case, coupled_two_mode, sys2,
+                                                  spec32c, rng, monkeypatch):
+    ops, sys, rank = _product_case(case, sys2, spec32c, rng)
+    T0 = tensor_many(ops, sys)
+    assert all(part is op for part, op in zip(T0.parts, ops))
+    # the parts' factors, kron'd in order, are the product's
+    F, w = _kron_factors(T0.parts)
+    assert F.shape == (sys.dim, rank) and w.shape == (rank,)
+    assert np.abs((F * w) @ F.conj().T - T0.matrix).max() <= 1e-14
+    assert abs(w.sum() - 1.0) <= 1e-14
+    if len(ops) == 2:
+        T2 = tensor(*ops, sys)
+        assert np.array_equal(T2.matrix, T0.matrix)
+        assert all(part is op for part, op in zip(T2.parts, ops))
+    if case == "levels":
+        H = _level_hamiltonian()
+        evals, evecs = np.linalg.eigh(H)
+    else:
+        H, evals, evecs = coupled_two_mode
+    times = np.array([0.0, 0.1, 0.3])
+    monkeypatch.setattr(hilbert, "exact_propagate", _refuse)
+    got = list(propagate(H, T0, times))
+    assert len(got) == 3 and got[0] is T0.matrix
+    for t, Tt in zip(times[1:], got[1:]):
+        ref = exact_propagate(T0.matrix, evals, evecs, t)
+        assert np.abs(Tt - ref).max() <= 1e-12
+
+
+def test_propagate_takes_series_route_up_to_half_rank(rng, monkeypatch):
+    sys = CompositeSystem((("A", LevelSpace(2)), ("B", LevelSpace(4))))
+    e0 = np.eye(2)[:, 0]
+    pure = DensityOperator(np.outer(e0, e0), LEBESGUE, LevelSpace(2))
+    hot2 = DensityOperator(level_thermal(LevelSpace(2), 0.5), LEBESGUE,
+                           LevelSpace(2))
+    hot4 = DensityOperator(level_thermal(LevelSpace(4), 0.5), LEBESGUE,
+                           LevelSpace(4))
+    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    H = 0.25 * (A + A.conj().T)
+    evals, evecs = np.linalg.eigh(H)
+    times = [0.0, 0.2]
+    half = tensor_many([pure, hot4], sys)          # r = 4 = D/2: series
+    full = tensor_many([hot2, hot4], sys)          # r = 8 = D: eigh
+    assert np.array_equal(full.matrix, np.kron(hot2.matrix, hot4.matrix))
+    with monkeypatch.context() as m:
+        m.setattr(hilbert, "exact_propagate", _refuse)
+        got_half = list(propagate(H, half, times))
+    with monkeypatch.context() as m:
+        m.setattr(hilbert, "chebyshev_propagate", _refuse)
+        m.setattr(np, "kron", _refuse)             # F is never formed
+        got_full = list(propagate(H, full, times))
+    for T0, got in ((half, got_half), (full, got_full)):
+        assert got[0] is T0.matrix
+        ref = exact_propagate(T0.matrix, evals, evecs, times[1])
+        assert np.abs(got[1] - ref).max() <= 1e-12
+
+
+def test_oracle_on_a_product_agrees_with_the_eigh_route(coupled_two_mode, sys2,
+                                                        spec32c, monkeypatch):
+    H, evals, evecs = coupled_two_mode
+    T0 = tensor(pure_density(displaced_state(spec32c, 1.0, 0.3)),
+                pure_density(ground_state(spec32c)), sys2)
+    run = EvolutionRun(dt=0.05, t_end=0.1, stride=1)
+    # a low-rank product takes the series route in the oracle too
+    monkeypatch.setattr(hilbert, "exact_propagate", _refuse)
+    snaps = von_neumann_oracle(T0, H, run)
+    assert [t for t, _ in snaps] == run.snapshot_times()
+    for t, T in snaps:
+        assert T.space == sys2 and T.rep == LEBESGUE
+        ref = exact_propagate(T0.matrix, evals, evecs, t)
+        assert np.abs(T.matrix - ref).max() <= 1e-12

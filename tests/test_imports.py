@@ -7,11 +7,14 @@ import must be referenced somewhere in its module. Package `__init__.py`
 files are skipped, since their imports are the public re-exports, and so is
 any name listed in a module's `__all__`.
 
-Every top-level function, class and ALL-CAPS constant of a library module
-must be read somewhere in the library, the benchmark or the scripts (a
-load of that name, or of an attribute of that name), or be re-exported by
-the package `__init__.py`; a definition only the tests call belongs in
-`tests/`. Library modules import at module level only.
+Every top-level function, class and ALL-CAPS constant of a library module,
+and every method of a library class except the dunder methods, must be read
+somewhere in the library, the benchmark or the scripts (a load of that name,
+or of an attribute of that name), or be re-exported by the package
+`__init__.py`; a definition only the tests call belongs in `tests/`. A
+method that overrides a base-class hook is read by the base class, so it is
+exempt by its qualified name (`HOOKS`). Library modules import at module
+level only.
 """
 
 import ast
@@ -27,6 +30,8 @@ PACKAGE = ROOT / "src" / "wignerlab"
 LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = sorted(p for top in ("src", "scripts", "bench")
                for p in (ROOT / top).rglob("*.py"))
+# methods that override a base-class hook: argparse calls _Parser.error
+HOOKS = {"_Parser.error"}
 
 
 def _exported(tree):
@@ -83,11 +88,17 @@ def _read_names(tree):
 
 def _definitions(tree):
     """(line, name) of the top-level functions, classes and ALL-CAPS
-    constants of a module."""
+    constants of a module, and (line, "Class.method") of its classes'
+    non-dunder methods."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(fn.lineno, f"{node.name}.{fn.name}") for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not (fn.name.startswith("__")
+                             and fn.name.endswith("__"))]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -96,9 +107,11 @@ def _definitions(tree):
     return out
 
 
-def unused_definitions(modules, users, init):
+def unused_definitions(modules, users, init, hooks=()):
     """Sorted (module, line, name) of the definitions in `modules` (name ->
-    source) that no source in `users` reads and `init` does not re-export."""
+    source) that no source in `users` reads and `init` does not re-export.
+    A method counts as read when its bare name is; the qualified names in
+    `hooks` are exempt."""
     read = set()
     for source in users:
         read |= _read_names(ast.parse(source))
@@ -107,7 +120,7 @@ def unused_definitions(modules, users, init):
     return sorted((module, line, name)
                   for module, source in modules.items()
                   for line, name in _definitions(ast.parse(source))
-                  if name not in read)
+                  if name.rpartition(".")[2] not in read and name not in hooks)
 
 
 def local_imports(source):
@@ -124,18 +137,23 @@ def test_guard_sees_unused_definitions_and_keeps_used():
     lib = ("import math\nLIMIT = 3\nlower = 2\nclass Box:\n    pass\n"
            "def used(x):\n    return helper(x)\ndef helper(x):\n"
            "    return x\ndef exported():\n    pass\ndef dead():\n"
-           "    pass\nclass Orphan:\n    pass\n")
-    user = "from lib import used\nimport lib\nlib.Box()\nused(lib.LIMIT)\n"
+           "    pass\nclass Orphan:\n    pass\nclass Tool(Box):\n"
+           "    def __init__(self):\n        self.run()\n"
+           "    def run(self):\n        pass\n    def spare(self):\n"
+           "        pass\n    def hook(self):\n        pass\n")
+    user = ("from lib import used\nimport lib\nlib.Box()\nused(lib.LIMIT)\n"
+            "lib.Tool()\n")
     init = "from .lib import exported\n"
-    assert unused_definitions({"lib": lib}, [lib, user], init) == [
-        ("lib", 12, "dead"), ("lib", 14, "Orphan")]
+    assert unused_definitions({"lib": lib}, [lib, user], init,
+                              {"Tool.hook"}) == [
+        ("lib", 12, "dead"), ("lib", 14, "Orphan"), ("lib", 21, "Tool.spare")]
 
 
 def test_no_definition_only_the_tests_use():
     modules = {p.name: p.read_text() for p in LIBRARY}
     users = [p.read_text() for p in USERS]
     init = (PACKAGE / "__init__.py").read_text()
-    assert unused_definitions(modules, users, init) == []
+    assert unused_definitions(modules, users, init, HOOKS) == []
 
 
 def test_guard_sees_imports_inside_functions():

@@ -9,8 +9,9 @@ from oracles import (fd_bracket, fill_and_scratch_apply, term_by_term_rhs,
                      textbook_rk4)
 from wignerlab import (GaussianMeasure, HamiltonianSymbol, make_phase_space,
                        moyal, pure_density, wigner_from_density)
-from wignerlab.errors import (EscapeDetected, InvalidDensity, OrderOverflow,
-                              SnapshotMismatch, SpecMismatch, UnstableStep)
+from wignerlab.errors import (DomainOverflow, EscapeDetected, InvalidDensity,
+                              OrderOverflow, SnapshotMismatch, SpecMismatch,
+                              UnstableStep)
 from wignerlab.moyal import (FD4, EvolutionRun, MoyalGenerator, evolve,
                              gaussian_measure_derivative, moyal_rhs,
                              pair_snapshots, poisson_power, eta_moyal_rhs,
@@ -21,6 +22,7 @@ from wignerlab.tolerances import TolerancePolicy
 from wignerlab.verify import (OSC, QUARTIC, check_oracle_agreement,
                               check_quadratic_exactness, check_wick,
                               worst_error)
+from wignerlab.weyl import weyl_quantize
 from wignerlab.wigner import (PhaseSpaceField, eta_density, eta_to_wigner,
                               total_variation)
 
@@ -71,6 +73,20 @@ def test_third_bracket_matches_fd_oracle(lab64, rng):
     oracle = fd_bracket(psi_fun, h_fun, 3, 1, pts)
     got = np.array([bracket.values[i, j] for i, j in pts_idx])
     assert np.abs(got - oracle).max() < 1e-5
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (64,), (64, 64, 2)])
+def test_mis_shaped_sampled_symbol_raises_domain_overflow(lab64, shape):
+    # every consumer of a sampled symbol checks its shape against the grid
+    sym = HamiltonianSymbol((((2,), (0,), 0.5),), sampled=np.zeros(shape),
+                            d=1)
+    W = analytic_gaussian_wigner(lab64, 0.0, 0.0)
+    for consume in (lambda: MoyalGenerator(sym, lab64),
+                    lambda: poisson_power(W, sym, 1),
+                    lambda: weyl_quantize(sym, lab64),
+                    lambda: sym.evaluate_phase_grid(lab64)):
+        with pytest.raises(DomainOverflow):
+            consume()
 
 
 def test_bracket_order_cap(lab64):

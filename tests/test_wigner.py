@@ -17,7 +17,7 @@ from wignerlab import engine
 from wignerlab.engine import density_to_wigner, wigner_to_density
 from wignerlab.errors import (GridMismatch, InvalidDensity, NonPositiveOperator,
                               NotNormalized, UnderflowRegion, UnknownSubsystem)
-from wignerlab.hilbert import LEBESGUE, CompositeSystem
+from wignerlab.hilbert import LEBESGUE, CompositeSystem, lowest_eigenvalue
 from wignerlab.states import (analytic_gaussian_wigner, cat_state,
                               displaced_state, ground_state, random_mixed)
 from wignerlab.tolerances import TolerancePolicy
@@ -186,7 +186,11 @@ def test_nonphysical_wigner_reported_not_fixed(lab64):
     with pytest.raises(NonPositiveOperator):
         inverse_wigner(W)
     T = inverse_wigner(W, validate=False)
-    assert T.min_eigenvalue() < -1e-8
+    lam = lowest_eigenvalue(T.matrix)
+    assert lam < -1e-8
+    with pytest.raises(NonPositiveOperator) as exc:
+        T.validate()
+    assert abs(reported_eigenvalue(exc.value) - lam) <= 1e-3 * abs(lam)
     assert abs(T.trace() - 1.0) < 1e-6
 
 
