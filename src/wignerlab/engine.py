@@ -17,17 +17,26 @@ orthogonal matrix basis, so every map below is an exact linear bijection:
 with cell volumes da = pi/L, db = 2L/n. The sample tensor lives on the dual
 lattice P x Q: the a-axis carries momentum values, the b-axis position values.
 
-Every exp(+-i p q) sum is an FFT: on this lattice
+Every exp(+-i p q) sum is a DFT: on this lattice
 p_a q_l = (2 pi/n)(a - n/2)(l - n/2), so centered_dft is a plain DFT between
-two checkerboards and a map costs n^(2d) log n rather than the n^(2d+1) of
-dense phase matrices.
+two checkerboards.
 
 density_to_wigner and wigner_to_density do not pass through chi. Along each
 axis the DFT l -> a, the cocycle and the DFT a -> q collapse: for an even
 translation s = beta - n/2 they are one gather, T[m - s/2, m + s/2], and for
-an odd s a half-cell shift of the gathered column; one DFT over the beta axes
-finishes the map (docs/math-notes.md, "The direct map"). The per-n index and
-phase tables are built once, on first use, and are read-only.
+an odd s a half-cell shift of the gathered row; one DFT over each beta axis
+finishes the map (docs/math-notes.md, "The direct map").
+
+Each map is a chain of per-axis stages: the gather (a permutation), the
+half-cell shift of the odd-s rows, and a DFT. Every stage is written as its
+FFTs, and _apply runs it under one size rule: for n <= DENSE_MAX (32) it is
+one GEMM with the n x n matrix those FFTs make of the unit vectors, above it
+the FFTs themselves. The gather lays every axis pair out as (beta, l), and
+the beta passes move each transformed axis to the back, so every GEMM is a
+2-D product or a batch over leading axes, and the field ends in (q.., p..)
+order with no transpose copy. The two kernels agree to roundoff, not bit for
+bit. The per-n index, phase and matrix tables are built once, on first use,
+and are read-only.
 """
 
 import functools
@@ -44,13 +53,14 @@ def axis_coords(n, L):
     return q, p, h, dp
 
 
-def centered_dft(x, axes, sign):
+def centered_dft(x, axes, sign, out=None):
     """sum_k x[..k..] exp(sign i p_j q_k) along each of `axes` (even lengths).
 
     With p_j q_k = (2 pi/n)(j - n/2)(k - n/2), the kernel factors as
     (-1)^(j + k + n/2) exp(sign 2 pi i jk/n): a plain DFT between two
     checkerboards (the sign form of fftshift/ifftshift), exact for every even
-    n. The transform runs in place on one complex copy of x.
+    n. The transform runs in place on one complex copy of x, made in `out`
+    when given (any array of x's shape, x itself included).
     """
     axes = tuple(axes)
     shape = np.shape(x)
@@ -59,7 +69,7 @@ def centered_dft(x, axes, sign):
         s = np.ones(shape[ax])
         s[1::2] = -1.0
         c = c * s.reshape([-1 if i == ax else 1 for i in range(len(shape))])
-    y = np.multiply(x, c, dtype=complex)
+    y = np.multiply(x, c, dtype=complex, out=out)
     if sign < 0:
         np.fft.fftn(y, axes=axes, out=y)
     else:
@@ -80,6 +90,97 @@ def _frozen(a):
     return a
 
 
+# --- per-axis stages ---------------------------------------------------------
+#
+# Each stage is one n-point linear map along axis 1 of (B, n, P) views,
+# written as its FFTs: stage(src, dst, n) reads src and writes dst (the two
+# may be one array). _apply runs it, dense or by FFT, under the one size rule.
+
+DENSE_MAX = 32  # largest per-axis n whose stages run as one dense GEMM
+# Rows per GEMM call. OpenBLAS's threaded GEMM packs the whole tall operand
+# of a call; in blocks of 4096 rows that copy stays at 2 MB for n = 32.
+_ROWS = 4096
+
+
+def _checker(n):
+    """(-1)^j for j = 0 .. n - 1."""
+    return 1.0 - 2.0 * (np.arange(n) % 2)
+
+
+def _shift(src, dst, n):
+    """Half a cell along l, negated: the odd-s rows of the direct map.
+
+    The negation is the (-1)^s that the centered DFT over beta puts on these
+    rows; _to_p leaves it out.
+    """
+    np.fft.fft(src, axis=1, out=dst)
+    dst *= -np.fft.ifftshift(_half_cell(n))[:, None]
+    np.fft.ifft(dst, axis=1, out=dst)
+
+
+def _unshift(src, dst, n):
+    """The inverse of _shift."""
+    np.fft.fft(src, axis=1, out=dst)
+    dst *= -np.fft.ifftshift(_half_cell(n)).conj()[:, None]
+    np.fft.ifft(dst, axis=1, out=dst)
+
+
+def _to_p(src, dst, n):
+    """beta -> p of the direct map: exp(+2 pi i beta k/n) (-1)^k / (2 pi)."""
+    np.fft.ifft(src, axis=1, norm="forward", out=dst)
+    dst *= (_checker(n) * (2.0 * math.pi) ** -1)[:, None]
+
+
+def _from_p(src, dst, n):
+    """p -> beta, the inverse of _to_p."""
+    np.multiply(src, (_checker(n) * (2.0 * math.pi))[:, None], out=dst)
+    np.fft.fft(dst, axis=1, norm="forward", out=dst)
+
+
+def _to_momentum(src, dst, n):
+    """centered_dft with kernel exp(-i p q)."""
+    centered_dft(src, (1,), -1, out=dst)
+
+
+def _to_position(src, dst, n):
+    """centered_dft with kernel exp(+i p q)."""
+    centered_dft(src, (1,), +1, out=dst)
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix(stage, n):
+    """The n x n matrix of `stage`, its FFTs applied to the unit vectors."""
+    M = np.empty((1, n, n), dtype=complex)
+    stage(np.eye(n, dtype=complex)[None], M, n)
+    return _frozen(M[0])
+
+
+def _apply(stage, src, dst):
+    """dst = stage(src) along axis 1 of the (B, n, P) views src and dst.
+
+    The one size rule of the lattice maps: for n <= DENSE_MAX the stage is a
+    GEMM with its cached matrix (one 2-D product when B or P is 1, else a
+    batch over B; src and dst must not overlap), above it its FFTs run.
+    """
+    B, n, P = src.shape
+    if n > DENSE_MAX:
+        stage(src, dst, n)
+        return
+    M = _matrix(stage, n)
+    if P == 1:
+        src, dst = src[:, :, 0], dst[:, :, 0]
+        for r in range(0, B, _ROWS):
+            np.matmul(src[r:r + _ROWS], M.T, out=dst[r:r + _ROWS])
+        return
+    if B == 1:
+        src, dst = src[0], dst[0]
+    for r in range(0, P, _ROWS):
+        np.matmul(M, src[..., r:r + _ROWS], out=dst[..., r:r + _ROWS])
+
+
+# --- the lattice maps -------------------------------------------------------
+
+
 def _pairs(d):
     """Axis order (x1, y1, ..., xd, yd) of an (x1..xd, y1..yd) tensor."""
     return [k for i in range(d) for k in (i, d + i)]
@@ -90,27 +191,49 @@ def _unpairs(d):
     return [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
 
 
-def _paired_copy(x, dims, scale):
-    """scale * x as a new complex tensor with its axes in pair order."""
-    out = np.empty([k for n in dims for k in (n, n)], dtype=complex)
-    np.multiply(np.reshape(x, dims + dims), scale,
-                out=out.transpose(_unpairs(len(dims))))
-    return out
+def _pair_shape(dims):
+    """Shape (n1, n1, n2, n2, ...) of a paired tensor."""
+    return [k for n in dims for k in (n, n)]
+
+
+def _targets(out, count):
+    """Destinations of `count` out-of-place passes in a row: out and one
+    work buffer of its size alternate, so that the last pass writes out."""
+    work = np.empty_like(out) if count > 1 else out
+    return iter([out if (count - k) % 2 else work for k in range(count)])
+
+
+def _dense(dims):
+    """How many of the axes run their stages as GEMMs."""
+    return sum(n <= DENSE_MAX for n in dims)
+
+
+def _paired(T, dims, targets):
+    """T as a complex tensor with its axes in pair order (x1, y1, x2, ...);
+    from d = 2 on a copy into the next target."""
+    X = np.asarray(T, dtype=complex) if len(dims) == 1 else np.asarray(T)
+    X = X.reshape(dims + dims).transpose(_pairs(len(dims)))
+    if len(dims) == 1:
+        return X
+    Y = next(targets)
+    np.copyto(Y.reshape(X.shape), X)
+    return Y
 
 
 @functools.lru_cache(maxsize=None)
 def _diag_index(n):
-    """Flat (bra n + ket) index of the (l, beta) diagonal gather.
+    """Flat (bra n + ket) index of the (beta, l) diagonal gather.
 
-    Column beta holds the translation s = beta - n/2 (b = s h): the diagonal
-    T[u, u + s] that S_b connects. Row l reads
-    T[l - ceil(s/2), l + floor(s/2)], so an even-s column is centred,
+    Row beta holds the translation s = beta - n/2 (b = s h): the diagonal
+    T[u, u + s] that S_b connects. Column l reads
+    T[l - ceil(s/2), l + floor(s/2)], so an even-s row is centred,
     T[l - s/2, l + s/2].
     """
-    s = np.arange(n) - n // 2
+    s = np.arange(n)[:, None] - n // 2
     lo = (s + 1) // 2
-    l = np.arange(n)[:, None]
-    return _frozen((((l - lo) % n) * n + (l + s - lo) % n).ravel())
+    l = np.arange(n)
+    table = (((l - lo) % n) * n + (l + s - lo) % n).reshape(-1).copy()
+    return _frozen(table.view())
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,7 +241,7 @@ def _scatter_index(n):
     """The inverse permutation of _diag_index(n): the scatter, as a gather."""
     inv = np.empty(n * n, dtype=np.intp)
     inv[_diag_index(n)] = np.arange(n * n)
-    return _frozen(inv)
+    return _frozen(inv.view())
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,51 +250,59 @@ def _half_cell(n):
 
     The cocycle exp(i p_a q_b / 2) = exp(i pi j s / n) is a shift of
     floor(s/2) cells along l, which the gather makes, times this phase on
-    the odd-s columns: the half cell no integer shift can make.
+    the odd-s rows: the half cell no integer shift can make.
     """
     return _frozen(np.exp(1j * math.pi / n * (np.arange(n) - n // 2)))
 
 
-def _take_pairs(X, dims, inverse=False):
-    """Gather every (row, column) axis pair of the paired tensor X.
+def _take(X, Y, dims, i, index):
+    """Y = pair i of the paired tensor X gathered through index(n_i).
 
-    Output pair i at (l, beta) is input pair i at flat index
-    _diag_index(n_i)[l n_i + beta]; inverse=True reads at the inverse
-    permutation instead, which undoes the gather.
+    The index tables are read-only views, and numpy's take copies a
+    read-only index on every call, so it reads the writable base. mode="clip"
+    lets it write into Y directly; every index is in range.
+    """
+    n = dims[i]
+    shape = (math.prod(dims[:i]) ** 2, n * n, -1)
+    X.reshape(shape).take(index(n).base, axis=1, out=Y.reshape(shape),
+                          mode="clip")
+    return Y
+
+
+def _even_odd(X, dims, i):
+    """Views (B, n, P) of pair i's even-s and odd-s rows in the paired
+    (beta, l) tensor X."""
+    n = dims[i]
+    V = X.reshape(math.prod(dims[:i]) ** 2 * (n // 2), 2, n, -1)
+    odd = (n // 2 + 1) % 2
+    return V[:, 1 - odd], V[:, odd]
+
+
+def _shift_odd(X, Y, dims, i, stage):
+    """Y = X with `stage` applied along l to pair i's odd-s rows. Above
+    DENSE_MAX the FFTs run in place and Y is X."""
+    even, odd = _even_odd(X, dims, i)
+    if Y is not X:
+        np.copyto(_even_odd(Y, dims, i)[0], even)
+    _apply(stage, odd, _even_odd(Y, dims, i)[1])
+    return Y
+
+
+def _to_back(X, targets, dims, stage):
+    """`stage` along every beta axis of the paired (beta, l) tensor X.
+
+    Pass i reads beta_i at the front of what follows l_1 .. l_(i-1) and
+    writes its image at the back, so that every GEMM is one 2-D product
+    (pass 1) or a batch over l_1 .. l_(i-1), and after d passes the tensor
+    is in (l1..ld, k1..kd) order with no transpose copy.
     """
     for i, n in enumerate(dims):
-        index = _scatter_index(n) if inverse else _diag_index(n)
-        X = X.reshape(math.prod(dims[:i]) ** 2, n * n, -1).take(index, axis=1)
-    return X.reshape([k for n in dims for k in (n, n)])
-
-
-def _odd_columns(V, dims, i):
-    """Writable view of pair i's odd-s columns in the paired tensor V."""
-    n = dims[i]
-    V = V.reshape((math.prod(dims[:i]) ** 2, n, n, -1), copy=False)
-    return V[:, :, (n // 2 + 1) % 2::2]
-
-
-def _shift_odd_columns(V, dims, sign):
-    """Shift the odd-s columns of every (l, beta) pair of V by half a cell
-    along l and negate them, in place; sign = -1 applies the inverse.
-
-    The negation is the (-1)^s that the centered DFT over beta puts on
-    these columns."""
-    for i, n in enumerate(dims):
-        odd = _odd_columns(V, dims, i)
-        phase = -np.fft.ifftshift(_half_cell(n))
-        np.fft.fft(odd, axis=1, out=odd)
-        odd *= (phase if sign > 0 else phase.conj())[:, None, None]
-        np.fft.ifft(odd, axis=1, out=odd)
-
-
-def _checkers(dims, scale):
-    """scale * prod_i (-1)^(k_i) on the (k1..kd) grid."""
-    c = np.asarray(scale)
-    for n in dims:
-        c = np.multiply.outer(c, 1.0 - 2.0 * (np.arange(n) % 2))
-    return c
+        Y = next(targets)
+        B = math.prod(dims[:i])
+        _apply(stage, X.reshape(B, n, -1),
+               Y.reshape(B, -1, n).transpose(0, 2, 1))
+        X = Y
+    return X
 
 
 def _cell(axes):
@@ -183,8 +314,8 @@ def density_to_chi(T, axes):
     """Weyl-function samples of a density tensor.
 
     Per axis: the diagonal gather, the DFT along l, and the half-cell phase
-    on the odd-s columns; with the gather's shift of floor(s/2) cells that
-    is the cocycle exp(i p_a q_b / 2).
+    on the odd-s rows; with the gather's shift of floor(s/2) cells that is
+    the cocycle exp(i p_a q_b / 2).
 
     Parameters
     ----------
@@ -200,21 +331,40 @@ def density_to_chi(T, axes):
     """
     dims = [n for n, _ in axes]
     d = len(dims)
-    X = np.asarray(T, dtype=complex).reshape(dims + dims).transpose(_pairs(d))
-    chi = centered_dft(_take_pairs(X, dims), range(0, 2 * d, 2), -1)  # l -> a
-    for i, n in enumerate(dims):
-        odd = _odd_columns(chi, dims, i)
-        odd *= _half_cell(n)[:, None, None]
-    return chi.transpose(_unpairs(d))
+    out = np.empty(_pair_shape(dims), dtype=complex)
+    targets = _targets(out, (d > 1) + d + _dense(dims))
+    X = _paired(T, dims, targets)
+    for i in range(d):
+        X = _take(X, next(targets), dims, i, _diag_index)
+    for i, n in enumerate(dims):                       # l -> a
+        shape = (math.prod(dims[:i]) ** 2 * n, n, -1)
+        Y = next(targets) if n <= DENSE_MAX else X
+        _apply(_to_momentum, X.reshape(shape), Y.reshape(shape))
+        odd = _even_odd(Y, dims, i)[1]
+        odd *= _half_cell(n)[:, None]
+        X = Y
+    return X.transpose([*range(1, 2 * d, 2), *range(0, 2 * d, 2)])
 
 
 def chi_to_wigner(chi, axes):
     """Wigner field from Weyl-function samples (an exact bijection).
 
-    One centered DFT over every axis: a-axes go to q, b-axes go to p.
+    One centered DFT along every axis: b-axes go to p, then a-axes to q.
+    Read as (b1, a1, b2, a2, ...) pairs, the b passes are the direct map's
+    beta passes (_to_back), after which the a-axes lead.
     """
-    W = centered_dft(chi, range(2 * len(axes)), +1)
-    W *= _cell(axes) / (2.0 * math.pi) ** (2 * len(axes))
+    dims = [n for n, _ in axes]
+    d = len(dims)
+    W = np.empty(dims + dims, dtype=complex)
+    targets = _targets(W, d + _dense(dims))
+    b_a = [k for i in range(d) for k in (d + i, i)]
+    X = _to_back(np.asarray(chi).transpose(b_a), targets, dims, _to_position)
+    for i, n in enumerate(dims):
+        shape = (math.prod(dims[:i]), n, -1)
+        Y = next(targets) if n <= DENSE_MAX else X
+        _apply(_to_position, X.reshape(shape), Y.reshape(shape))
+        X = Y
+    W *= _cell(axes) / (2.0 * math.pi) ** (2 * d)
     return W
 
 
@@ -223,34 +373,55 @@ def density_to_wigner(T, axes):
     without the Weyl samples in between.
 
     Along each axis the DFT l -> a, the cocycle and the DFT a -> q collapse:
-    an even-s column of the diagonal gather is already the row m = l, and an
-    odd-s column needs only a half-cell shift along l. Then one DFT over the
-    beta axes; its checkerboards are folded into the odd-s shift and into
-    the final scale (-1)^k.
+    an even-s row of the diagonal gather is already the column m = l, and an
+    odd-s row needs only a half-cell shift along l. Then one DFT over each
+    beta axis. The gather lays every pair out as (beta, l), so pass i of the
+    beta transforms reads beta_i at the front of what follows l_1..l_(i-1)
+    and writes p_i at the back: after d passes the field is in (q.., p..)
+    order.
     """
     dims = [n for n, _ in axes]
     d = len(dims)
-    X = np.asarray(T, dtype=complex).reshape(dims + dims).transpose(_pairs(d))
-    V = _take_pairs(X, dims)
-    _shift_odd_columns(V, dims, +1)
     W = np.empty(dims + dims, dtype=complex)
-    np.fft.ifftn(V, axes=range(1, 2 * d, 2), norm="forward",
-                 out=W.transpose(_pairs(d)))
-    W *= _checkers(dims, (2.0 * math.pi) ** -d)
-    return W
+    # the pair-order copy, then per axis a gather, a dense shift, a beta pass
+    targets = _targets(W, (d > 1) + 2 * d + _dense(dims))
+    X = _paired(T, dims, targets)
+    for i in range(d):
+        X = _take(X, next(targets), dims, i, _diag_index)
+    for i, n in enumerate(dims):
+        X = _shift_odd(X, next(targets) if n <= DENSE_MAX else X, dims, i,
+                       _shift)
+    return _to_back(X, targets, dims, _to_p)
 
 
 def wigner_to_density(W, axes):
-    """Inverse of density_to_wigner, as an (N, N) matrix: the DFT over p,
-    the inverse half-cell shift of the odd-s columns, then the scatter."""
+    """Inverse of density_to_wigner, as an (N, N) matrix: the DFT over each
+    p axis, last first, the inverse half-cell shift of the odd-s rows, then
+    the scatter."""
     dims = [n for n, _ in axes]
     d = len(dims)
-    V = _paired_copy(W, dims, _checkers(dims, (2.0 * math.pi) ** d))
-    np.fft.fftn(V, axes=range(1, 2 * d, 2), norm="forward", out=V)
-    _shift_odd_columns(V, dims, -1)
-    T = _take_pairs(V, dims, inverse=True)
     N = math.prod(dims)
-    return T.transpose(_unpairs(d)).reshape(N, N)
+    T = np.empty((N, N), dtype=complex)
+    targets = _targets(T, (d > 1) + 2 * d + _dense(dims))
+    X = np.asarray(W)
+    for i in reversed(range(d)):
+        n = dims[i]
+        Y = next(targets)
+        B = math.prod(dims[:i])
+        _apply(_from_p, X.reshape(B, -1, n).transpose(0, 2, 1),
+               Y.reshape(B, n, -1))
+        X = Y
+    for i, n in enumerate(dims):
+        X = _shift_odd(X, next(targets) if n <= DENSE_MAX else X, dims, i,
+                       _unshift)
+    for i in range(d):
+        X = _take(X, next(targets), dims, i, _scatter_index)
+    if d > 1:
+        Y = next(targets)
+        np.copyto(Y.reshape(dims + dims),
+                  X.reshape(_pair_shape(dims))
+                  .transpose(_unpairs(d)))
+    return T
 
 
 def weyl_unitary_axis(a, b, n, L):

@@ -34,6 +34,8 @@ def oscillator_basis(spec, count):
             terms.append((tuple([0] * spec.d), tuple(pp), 0.5))
         H = weyl_quantize(HamiltonianSymbol(tuple(terms), d=spec.d), spec)
         evals, evecs = np.linalg.eigh(H)
+        # read-only: a caller's write would reach every later draw
+        evals.flags.writeable = evecs.flags.writeable = False
         _BASIS_CACHE[key] = (evals, evecs)
     evals, evecs = _BASIS_CACHE[key]
     return evals[:count], evecs[:, :count]

@@ -213,7 +213,9 @@ def inverse_wigner(W, validate=True):
     validate=False the operator is returned as is, never silently fixed; its
     `validate()` raises NonPositiveOperator naming lambda_min.
     """
-    mass = W.integrate().real
+    # an inf - inf sum is a NaN mass, reported below, not a numpy warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        mass = W.integrate().real
     if not abs(mass - 1.0) <= W.tol.normalization_input:
         raise NotNormalized(f"field integrates to {mass}, expected 1")
     axes = W.axes
@@ -244,10 +246,13 @@ def eta_density(W):
 
     Raises UnderflowRegion if the reference density falls below the underflow
     floor where |W| is non-negligible (domain too small); where both are
-    negligible the quotient is set to zero.
+    negligible the quotient is set to zero. A NaN or infinite value in W
+    raises InvalidDensity.
     """
     if W.role != WIGNER:
         raise GridMismatch(f"eta_density expects a {WIGNER} field")
+    if not math.isfinite(_peak(W.values)):
+        raise InvalidDensity("eta_density: the field has non-finite values")
     g = W.reference_density()
     floor = W.tol.underflow_floor
     low = g < floor

@@ -81,6 +81,51 @@ def test_centered_dft_leaves_input_untouched(rng):
             assert table(n) is table(n)
 
 
+STAGES = (engine._shift, engine._unshift, engine._to_p, engine._from_p,
+          engine._to_momentum, engine._to_position)
+
+
+def test_stage_matrices_are_cached_read_only_fft_images(rng):
+    # each dense kernel is its stage's FFTs applied to the unit vectors, so
+    # it is the same linear map; one matrix per (stage, n), never rebuilt
+    for stage in STAGES:
+        for n in (2, 6, engine.DENSE_MAX):
+            M = engine._matrix(stage, n)
+            assert M.shape == (n, n) and not M.flags.writeable
+            assert M is engine._matrix(stage, n)
+            x = _complex(rng, (3, n, 5))
+            by_fft = np.empty_like(x)
+            stage(x, by_fft, n)
+            by_gemm = np.empty_like(x)
+            engine._apply(stage, x, by_gemm)
+            assert _rel(by_gemm, by_fft) <= 1e-14, (stage.__name__, n)
+
+
+def test_one_size_rule_picks_the_kernel_of_every_map(rng, monkeypatch):
+    # at n <= DENSE_MAX every stage of the four maps is a GEMM (no FFT
+    # runs once the matrices are cached), above it every stage is FFTs
+    maps = (density_to_wigner, wigner_to_density, density_to_chi,
+            chi_to_wigner)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrong kernel")
+
+    for n, refused in ((engine.DENSE_MAX, "fft"),
+                       (engine.DENSE_MAX + 2, "matmul")):
+        axes = [(n, 3.0)]
+        T = _complex(rng, (n, n))
+        for f in maps:
+            f(T, axes)
+        with monkeypatch.context() as m:
+            if refused == "fft":
+                for name in ("fft", "ifft", "fftn", "ifftn"):
+                    m.setattr(np.fft, name, refuse)
+            else:
+                m.setattr(np, "matmul", refuse)
+            for f in maps:
+                f(T, axes)
+
+
 @given(n=even_n)
 @settings(max_examples=10, deadline=None)
 def test_fourier_matrix_is_the_unitary_dense_dft(n):
@@ -146,10 +191,11 @@ def test_maps_are_exact_inverses_on_arbitrary_matrices(dims, L, seed):
     assert np.abs(again - chi).max() < 1e-13 * np.abs(chi).max() * N
 
 
-# shapes of the direct-map references: n/2 odd (2, 6, 10, 30), unequal axes
-# and three axes
-DIRECT_SHAPES = ([2], [6], [10], [30], [64], [256], [32, 32], [6, 10], [8, 6],
-                 [4, 6, 8])
+# shapes of the direct-map references: n/2 odd (2, 6, 10, 30, 34), unequal
+# axes and three axes; both sides of DENSE_MAX = 32 (dense GEMMs at 32 and
+# below, FFTs at 34, 48 and up) and one shape with an axis of each kind
+DIRECT_SHAPES = ([2], [6], [10], [30], [32], [34], [48], [64], [256],
+                 [16, 16], [32, 32], [6, 10], [8, 6], [16, 64], [4, 6, 8])
 
 
 def _rel(got, expected):
@@ -169,6 +215,11 @@ def test_direct_maps_match_the_weyl_sample_route(rng):
         assert back.shape == (N, N)
         assert _rel(back, wigner_to_density_by_chi(V, axes)) <= 1e-14, dims
         assert _rel(wigner_to_density(W, axes), T) <= 1e-14, dims
+        C = V.astype(complex)
+        by_fft = centered_dft(C, range(2 * len(dims)), +1) * (
+            math.prod(2.0 * math.pi / n for n in dims)
+            / (2.0 * math.pi) ** (2 * len(dims)))
+        assert _rel(chi_to_wigner(C, axes), by_fft) <= 1e-14, dims
 
 
 def test_weyl_samples_match_the_cocycle_table(rng):

@@ -22,7 +22,7 @@ from wignerlab.hilbert import (LEBESGUE, RHO1, RHO2, StateVector, certify_psd,
                                spectral_interval, tensor_many)
 from wignerlab.moyal import EvolutionRun, von_neumann_oracle
 from wignerlab.states import displaced_state, ground_state, level_thermal, \
-    random_mixed, random_pure
+    oscillator_basis, random_mixed, random_pure, thermal_state
 from wignerlab.tolerances import TolerancePolicy
 from wignerlab.weyl import HamiltonianSymbol, weyl_quantize
 
@@ -41,6 +41,20 @@ def test_rep_round_trip_random_state(lab64, rng):
     psi = random_pure(lab64, rng)
     back = to_lebesgue_rep(to_gaussian_rep(psi))
     assert np.abs(back.values - psi.values).max() < 1e-12
+
+
+def test_oscillator_basis_hands_out_read_only_cache(lab64):
+    # a write into the returned arrays would corrupt every later thermal or
+    # random draw on this spec
+    thermal = thermal_state(lab64, 0.7).matrix.copy()
+    evals, evecs = oscillator_basis(lab64, 4)
+    for a in (evals, evecs):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    again = oscillator_basis(lab64, 4)
+    assert np.array_equal(again[0], evals)
+    assert np.array_equal(again[1], evecs)
+    assert np.array_equal(thermal_state(lab64, 0.7).matrix, thermal)
 
 
 def test_rep_preserves_trace_and_inner_products(lab64, rng):

@@ -227,6 +227,19 @@ def test_inverse_rejects_non_finite_cell(lab64, rng, bad):
         inverse_wigner(PhaseSpaceField(vals, "wigner_measure_density", lab64))
 
 
+def test_inverse_rejects_an_inf_pair_without_a_raw_warning(lab64, rng):
+    # +inf and -inf cells make the mass sum NaN: the documented
+    # NotNormalized, not numpy's "invalid value" RuntimeWarning
+    vals = np.array(wigner_from_density(random_mixed(lab64, rng)).values)
+    vals[10, 20] = math.inf
+    vals[30, 40] = -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized):
+            inverse_wigner(PhaseSpaceField(vals, "wigner_measure_density",
+                                           lab64))
+
+
 def test_symplectic_fourier_properties(lab64, rng):
     axes = lab64.axis_geometry()
     mesh = lab64.grid.phase_mesh()
@@ -322,12 +335,16 @@ def test_eta_quotient_is_w_over_g(lab64, rng):
     g = W.reference_density()
     assert g.min() >= W.tol.underflow_floor
     assert np.array_equal(eta_density(W).values, W.values / g)
-    # NaN in W stays NaN in Phi
-    vals = W.values.copy()
-    vals[10, 20] = np.nan
-    phi = eta_density(PhaseSpaceField(vals, "wigner_measure_density", lab64))
-    assert np.isnan(phi.values[10, 20])
-    assert np.isnan(phi.values).sum() == 1
+    # a NaN or infinite cell in W fails closed, before the quotient and
+    # without a numpy warning
+    for bad in (math.nan, math.inf, -math.inf):
+        vals = W.values.copy()
+        vals[10, 20] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDensity):
+                eta_density(PhaseSpaceField(vals, "wigner_measure_density",
+                                            lab64))
 
 
 def test_underflow_points_are_zeroed():
