@@ -167,10 +167,10 @@ def textbook_rk4(field0, gen, run):
     return snapshots, {k: np.asarray(v) for k, v in diags.items()}
 
 
-def _gemm_along_axis(M, x, axis, out=None):
+def gemm_along_axis(M, x, axis, out=None):
     """engine.apply_along_axis as the fill-and-scratch kernel called it: the
-    last axis as x.reshape(-1, n) @ M.T, any other as the batched
-    M @ x.reshape(pre, n, post)."""
+    last axis as one x.reshape(-1, n) @ M.T, with no row blocks, any other
+    as the batched M @ x.reshape(pre, n, post)."""
     shape = x.shape
     n = shape[axis]
     if axis == x.ndim - 1:
@@ -197,8 +197,8 @@ def fill_and_scratch_apply(plan, values, out):
     for head, last, M, weight in plan.terms:
         dv = values
         for ax, Mh in head:
-            dv = _gemm_along_axis(Mh, dv, ax)
-        _gemm_along_axis(M, dv, last, out=scratch)
+            dv = gemm_along_axis(Mh, dv, ax)
+        gemm_along_axis(M, dv, last, out=scratch)
         scratch *= weight
         out += scratch
     return out

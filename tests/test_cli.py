@@ -206,6 +206,24 @@ def test_feedback_rerun_byte_identical(tmp_path):
     assert first == second
 
 
+def test_grid_feedback_rerun_byte_identical(tmp_path):
+    # the grid layout writes plant_*.bin and checks the reduction commuting
+    # square (the runner fails above 1e-6); its n = 32 factors warn of the
+    # known aliasing residue, so this config stays out of --strict
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "feedback_grid.json")
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for out in outs:
+            assert main(["feedback", "--config", path, "--out", str(out)]) == 0
+    plants = sorted(p.name for p in outs[0].glob("plant_*.bin"))
+    assert len(plants) == 3
+    for name in ("scenario.csv", "verdict.json", *plants):
+        first, second = [(out / name).read_bytes() for out in outs]
+        assert first == second, name
+
+
 def test_transform_rerun_byte_identical(tmp_path):
     # one process, two runs: the spec kept grids of the first run must not
     # show in the second's fields or summary

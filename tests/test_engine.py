@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (chi_by_explicit_unitaries, chi_to_density_by_cocycle,
                      density_to_chi_by_cocycle, density_to_wigner_by_chi,
-                     fd4_by_rolls, rfft_derivative, wigner_to_chi,
-                     wigner_to_density_by_chi)
+                     fd4_by_rolls, gemm_along_axis, rfft_derivative,
+                     wigner_to_chi, wigner_to_density_by_chi)
 from wignerlab import engine
 from wignerlab.engine import (apply_along_axis, centered_dft, chi_to_wigner,
                               density_to_chi, density_to_wigner,
@@ -309,8 +309,10 @@ def test_matrix_symmetry_follows_order_parity_and_mass_is_kept():
 
 def test_last_axis_gemm_is_bitwise_free_of_matrix_order(rng):
     # the bracket plan stores last-axis matrices in Fortran order so that the
-    # M.T it multiplies by is C-contiguous; the product must not change
-    for shape in ((64, 64), (32,) * 4):
+    # M.T it multiplies by is C-contiguous; the product must not change.
+    # (20,) * 4 has 8000 last-axis rows: a full block of engine._ROWS and a
+    # partial one
+    for shape in ((64, 64), (32,) * 4, (20,) * 4):
         n = shape[-1]
         x = rng.normal(size=shape)
         for build, o in ((derivative_matrix, 1), (derivative_matrix, 3),
@@ -323,8 +325,9 @@ def test_last_axis_gemm_is_bitwise_free_of_matrix_order(rng):
 
 def test_gemm_into_out_is_bitwise_the_allocating_product(rng):
     # the bracket plan writes each term's last derivative into one scratch
-    # field; that must be the same product, on every axis
-    for shape in ((64, 64), (32,) * 4):
+    # field; that must be the same product, on every axis, and the last
+    # axis's blocks of engine._ROWS rows must be bitwise the one-call product
+    for shape in ((64, 64), (32,) * 4, (20,) * 4):
         n = shape[-1]
         x = rng.normal(size=shape)
         out = np.empty(shape)
@@ -335,4 +338,6 @@ def test_gemm_into_out_is_bitwise_the_allocating_product(rng):
             got = apply_along_axis(M, x, ax, out=out)
             assert got is out
             assert out.tobytes() == apply_along_axis(M, x, ax).tobytes(), \
+                (shape, ax)
+            assert out.tobytes() == gemm_along_axis(M, x, ax).tobytes(), \
                 (shape, ax)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,30 @@ def test_scenario_reduction_square_grid_factors(spec32c):
     assert res.square_residuals.size > 0
     assert res.square_residuals.max() < 1e-6
     assert len(res.plant_wigner) == len(res.times)
+
+
+def test_scenario_holds_one_composite_field_at_a_time(spec32c):
+    # D = 1024, three snapshots: T(t), the map's output and its work buffer
+    # are three D x D buffers; a composite field kept from the snapshot
+    # before would add a fourth (half of one when reduced to its real part)
+    layout = SubsystemLayout({"P1": spec32c, "C1": spec32c})
+    osc = weyl_quantize(HamiltonianSymbol((((2,), (0,), 0.5),
+                                           ((0,), (2,), 0.5)), d=1), spec32c)
+    qh = weyl_quantize(HamiltonianSymbol((((1,), (0,), 1.0),), d=1), spec32c)
+    H = build_general_hamiltonian(osc, osc, 0.4 * np.kron(qh, qh), layout)
+    T0 = tensor(pure_density(displaced_state(spec32c, 1.0, 0.0)),
+                pure_density(ground_state(spec32c)), layout.system())
+    run = EvolutionRun(dt=1e-2, t_end=0.2, stride=10)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        res = run_scenario(layout, H, T0, run, h_plant=osc)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(res.square_residuals) == 3
+    assert peak <= 3.25 * layout.dim ** 2 * 16, peak / (layout.dim ** 2 * 16)
 
 
 def test_scenario_classical_feedback_mode(spec32c):
