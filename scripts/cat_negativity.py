@@ -10,7 +10,7 @@ import math
 import os
 
 from wignerlab import make_phase_space, pure_density, wigner_from_density
-from wignerlab.serialize import gnuplot_script, save_field_csv
+from wignerlab.serialize import gnuplot_script, make_out_dir, save_field_csv
 from wignerlab.states import cat_state
 from wignerlab.tolerances import TolerancePolicy
 
@@ -20,7 +20,7 @@ def main():
     ap.add_argument("--out", default="out/cat")
     ap.add_argument("--separation", type=float, default=2.0)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
 
     tol = TolerancePolicy(boundary_mass=5e-3, imaginary_residue=1e-6)
     spec = make_phase_space(1, 64, 8.0, [[1.0]], tol)

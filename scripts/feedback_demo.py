@@ -15,7 +15,7 @@ from wignerlab import (LevelSpace, SubsystemLayout, build_feedback_hamiltonian,
                        classify_coupling, embed_operator, run_scenario)
 from wignerlab.hilbert import DensityOperator, LEBESGUE, tensor_many
 from wignerlab.moyal import EvolutionRun
-from wignerlab.serialize import save_series_csv
+from wignerlab.serialize import make_out_dir, save_series_csv
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--coupling", type=float, default=0.4)
     ap.add_argument("--t-end", type=float, default=4.0)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
 
     lv = LevelSpace(4)
     layout = SubsystemLayout({"P1": lv, "P2": lv, "C1": lv, "C2": lv})

@@ -13,7 +13,8 @@ import numpy as np
 
 from wignerlab import make_phase_space, pure_density
 from wignerlab.moyal import EvolutionRun
-from wignerlab.serialize import save_diagnostics_csv, save_series_csv
+from wignerlab.serialize import (make_out_dir, save_diagnostics_csv,
+                                 save_series_csv)
 from wignerlab.states import displaced_state
 from wignerlab.verify import OSC, check_oracle_agreement, worst_error
 
@@ -24,7 +25,7 @@ def main():
     ap.add_argument("--dt", type=float, default=1e-3)
     ap.add_argument("--displacement", type=float, default=2.0)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
 
     spec = make_phase_space(1, 64, 10.0, [[1.0]])
     T0 = pure_density(displaced_state(spec, args.displacement, 0.0))

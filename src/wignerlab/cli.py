@@ -47,6 +47,7 @@ def build_parser():
 
 
 def _run_verify(cfg_text, level, out_dir):
+    serialize.make_out_dir(out_dir)
     results = verify.run_suite(level)
     lines = []
     ok = True
@@ -56,12 +57,10 @@ def _run_verify(cfg_text, level, out_dir):
         line = f"{'PASS' if passed else 'FAIL'} {name} residual={residual:.3e} tol={tol:g}"
         lines.append(line)
         print(line)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify.txt"), "w") as f:
-            f.write("\n".join(lines) + "\n")
-        serialize.write_manifest(out_dir, cfg_text, "verify", DEFAULT_TOL,
-                                 {"level": level})
+    serialize.save_text("\n".join(lines) + "\n",
+                        os.path.join(out_dir, "verify.txt"))
+    serialize.write_manifest(out_dir, cfg_text, "verify", DEFAULT_TOL,
+                             {"level": level})
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -104,19 +103,17 @@ def _run(args):
         cfg.seed = args.seed
     out_dir = args.out or (cfg.output["directory"] if cfg else "out")
 
-    if args.command == "verify":
-        level = args.level or (cfg.verify_level if cfg else "quick")
-        return _run_verify(cfg_text, level, out_dir)
-
-    handler = {
-        "transform": runners.cmd_transform,
-        "evolve": runners.cmd_evolve,
-        "oracle": runners.cmd_oracle,
-        "compare": runners.cmd_compare,
-        "feedback": runners.cmd_feedback,
-    }[args.command]
-
     try:
+        if args.command == "verify":
+            level = args.level or (cfg.verify_level if cfg else "quick")
+            return _run_verify(cfg_text, level, out_dir)
+        handler = {
+            "transform": runners.cmd_transform,
+            "evolve": runners.cmd_evolve,
+            "oracle": runners.cmd_oracle,
+            "compare": runners.cmd_compare,
+            "feedback": runners.cmd_feedback,
+        }[args.command]
         failures = handler(cfg, out_dir)
         serialize.write_manifest(out_dir, cfg_text, args.command, DEFAULT_TOL)
     except WignerLabError as exc:

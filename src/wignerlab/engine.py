@@ -37,6 +37,10 @@ the beta passes move each transformed axis to the back, so every GEMM is a
 order with no transpose copy. The two kernels agree to roundoff, not bit for
 bit. The per-n index, phase and matrix tables are built once, on first use,
 and are read-only.
+
+apply_matrix is the one GEMM applier: it runs these dense stages and every
+derivative matrix of the bracket plan (moyal.BracketPlan), under one rule of
+at most _ROWS rows per call.
 """
 
 import functools
@@ -86,6 +90,8 @@ def fourier_matrix(n):
 
 
 def _frozen(a):
+    """a as a read-only C-contiguous array; a itself, frozen, when it is one."""
+    a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
 
@@ -155,27 +161,47 @@ def _matrix(stage, n):
     return _frozen(M[0])
 
 
-def _apply(stage, src, dst):
-    """dst = stage(src) along axis 1 of the (B, n, P) views src and dst.
+def apply_matrix(M, src, dst):
+    """dst = M applied along axis 1 of the (B, n, P) views src and dst, which
+    must not overlap: the one GEMM applier, of the lattice stages and of the
+    bracket plan's derivatives.
 
-    The one size rule of the lattice maps: for n <= DENSE_MAX the stage is a
-    GEMM with its cached matrix (one 2-D product when B or P is 1, else a
-    batch over B; src and dst must not overlap), above it its FFTs run.
+    One 2-D product when B or P is 1 (src @ M.T by rows when P is 1), else a
+    batch over B. Each call takes at most _ROWS rows of the tall operand (the
+    B rows when P is 1, else the P columns); an operand that fits is one
+    unsliced call, since the block loop's slicing costs about 0.8 us a call.
+    A block changes no entry's dot product: the result is bitwise the
+    one-call product.
     """
     B, n, P = src.shape
-    if n > DENSE_MAX:
-        stage(src, dst, n)
-        return
-    M = _matrix(stage, n)
     if P == 1:
-        src, dst = src[:, :, 0], dst[:, :, 0]
+        src, dst = src[..., 0], dst[..., 0]
+        if B <= _ROWS:
+            np.matmul(src, M.T, out=dst)
+            return
         for r in range(0, B, _ROWS):
             np.matmul(src[r:r + _ROWS], M.T, out=dst[r:r + _ROWS])
         return
     if B == 1:
         src, dst = src[0], dst[0]
+    if P <= _ROWS:
+        np.matmul(M, src, out=dst)
+        return
     for r in range(0, P, _ROWS):
         np.matmul(M, src[..., r:r + _ROWS], out=dst[..., r:r + _ROWS])
+
+
+def _apply(stage, src, dst):
+    """dst = stage(src) along axis 1 of the (B, n, P) views src and dst.
+
+    The one size rule of the lattice maps: for n <= DENSE_MAX a GEMM with the
+    stage's cached matrix (apply_matrix), above it the stage's FFTs.
+    """
+    n = src.shape[1]
+    if n > DENSE_MAX:
+        stage(src, dst, n)
+    else:
+        apply_matrix(_matrix(stage, n), src, dst)
 
 
 # --- the lattice maps -------------------------------------------------------
@@ -494,39 +520,3 @@ def fd4_matrix(n, spacing, order):
     S = sum(w * np.roll(np.eye(n), shift, axis=1)
             for shift, w in _FD4_STENCIL.items())
     return np.linalg.matrix_power(S / spacing, order)
-
-
-def apply_along_axis(M, x, axis, out=None):
-    """M applied to every 1-D slice of x along `axis`: one (batched) GEMM.
-
-    The last axis is x.reshape(-1, n) @ M.T (a C-contiguous operand when M
-    is stored in Fortran order): one product, or above _ROWS rows one per
-    block of _ROWS rows, as _apply runs the lattice maps, since OpenBLAS
-    packs the whole tall operand of a call. The first axis is one product
-    M @ x.reshape(n, -1), and any other axis M @ x.reshape(pre, n, post).
-    x is an ndarray. `out`, when given, is a C-contiguous array of x's shape
-    that does not overlap x; the product is written there and it is returned.
-    """
-    shape = x.shape
-    n = shape[axis]
-    if axis == x.ndim - 1:
-        x = x.reshape(-1, n)
-        a, b = x, M.T
-        # a field of at most _ROWS rows skips the block loop, whose slicing
-        # costs about 0.8 us a call (2 vCPU Xeon): 3 % of an evolve_d1 task
-        if len(x) > _ROWS:
-            if out is None:
-                out = np.empty(shape, np.result_type(M, x))
-            y = out.reshape(x.shape, copy=False)
-            for r in range(0, len(x), _ROWS):
-                np.matmul(x[r:r + _ROWS], b, out=y[r:r + _ROWS])
-            return out
-    else:
-        # a 2-D operand skips matmul's batch loop (math-notes § Time stepping)
-        x = (x.reshape(n, -1) if axis == 0
-             else x.reshape(math.prod(shape[:axis]), n, -1))
-        a, b = M, x
-    if out is None:
-        return np.matmul(a, b).reshape(shape)
-    np.matmul(a, b, out=out.reshape(x.shape, copy=False))
-    return out

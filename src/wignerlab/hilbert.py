@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import _frozen
 from .errors import (InvalidDensity, NonPositiveOperator, RepresentationMismatch,
                      SpecMismatch, UnknownSubsystem, UnnormalizedState,
                      WrongRepresentation)
@@ -30,12 +31,6 @@ FACTOR_DROP = 1e-15     # relative eigenvalue size below which a factor is dropp
 CHEB_TAIL = 1e-16       # Chebyshev coefficient size that ends the series
 HERMITIAN_TILE = 64     # 64 x 64 complex tiles: 64 KiB per operand
 EIGH_COST = 10          # one D x D eigh ~ 10 D x D matrix products (9-17 measured)
-
-
-def _frozen(a):
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

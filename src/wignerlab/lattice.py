@@ -16,16 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import axis_coords
+from .engine import _frozen, axis_coords
 from .errors import (BadGridSize, InsufficientDomain, NonPositiveCovariance,
                      NonSymmetricCovariance)
 from .tolerances import DEFAULT_TOL, TolerancePolicy
-
-
-def _frozen(a):
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

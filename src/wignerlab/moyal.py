@@ -22,7 +22,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .engine import (SpectralDifferentiator, apply_along_axis, axis_coords,
+from .engine import (SpectralDifferentiator, apply_matrix, axis_coords,
                      derivative_matrix, fd4_matrix)
 from .errors import (EscapeDetected, InvalidDensity, OrderOverflow,
                      SnapshotMismatch, SpecMismatch, UnstableStep)
@@ -207,10 +207,11 @@ class BracketPlan:
     F_o, kept in its natural broadcast shape; the all-zero order multiplies
     the field itself. Each one-axis derivative D_ax^o is a real n x n matrix
     built once here (engine.derivative_matrix, or engine.fd4_matrix for the
-    fourth-order finite-difference scheme) and applied along its axis as one
-    (batched) GEMM; a mixed order applies one matrix per axis it
-    differentiates. A last-axis matrix is stored in Fortran order, so the
-    M.T that apply_along_axis multiplies by is C-contiguous. Each term keeps
+    fourth-order finite-difference scheme) and applied along its axis by
+    engine.apply_matrix, on the field viewed as (n**ax, n, n**(last - ax));
+    a mixed order applies one matrix per axis it differentiates. A last-axis
+    matrix is stored in Fortran order, so the M.T that apply_matrix
+    multiplies the rows by is C-contiguous. Each term keeps
     its last (axis, matrix) apart, the step that writes into `out` or a
     scratch buffer. `buffers` counts the field-sized scratch buffers `apply`
     works in: one for the terms, plus one or two for mixed-order heads. On a
@@ -224,6 +225,7 @@ class BracketPlan:
         last = len(spacings) - 1
         shape = (n,) * len(spacings)
         full = math.prod(shape) <= FULL_WEIGHT_POINTS
+        self._views = [(n ** ax, n, n ** (last - ax)) for ax in range(last + 1)]
         kernel = fd4_matrix if scheme == FD4 else derivative_matrix
         matrices = {}
         self.zero = None
@@ -253,7 +255,9 @@ class BracketPlan:
 
         `out` (allocated when None) must not overlap `values`. `scratch` holds
         at least `buffers` float arrays of values' shape that overlap neither;
-        when None or shorter they are allocated for this call. Without a
+        when None or shorter they are allocated for this call. The products
+        write through reshaped views, so `out` and `scratch` must be
+        C-contiguous (ValueError otherwise). Without a
         zero-order term the first term is written into `out` and then takes
         `+= 0.0`; IEEE addition commutes, so that is bitwise the sum started
         from +0.0, and a -0.0 term leaves +0.0.
@@ -262,6 +266,9 @@ class BracketPlan:
             out = np.empty(values.shape)
         if scratch is None or len(scratch) < self.buffers:
             scratch = [np.empty(values.shape) for _ in range(self.buffers)]
+        for buf in (out, *scratch):
+            if not buf.flags.c_contiguous:
+                raise ValueError("out and scratch must be C-contiguous")
         terms = iter(self.terms)
         if self.zero is not None:
             np.multiply(values, self.zero, out=out)
@@ -274,8 +281,7 @@ class BracketPlan:
             out += self._term(values, term, scratch[0], scratch)
         return out
 
-    @staticmethod
-    def _term(values, term, dest, scratch):
+    def _term(self, values, term, dest, scratch):
         """D^o(values) * F_o of one term, written into and returned as `dest`.
 
         A mixed order's head products alternate between scratch[1] and
@@ -284,8 +290,12 @@ class BracketPlan:
         head, last, M, weight = term
         dv = values
         for i, (ax, Mh) in enumerate(head):
-            dv = apply_along_axis(Mh, dv, ax, out=scratch[1 + i % 2])
-        apply_along_axis(M, dv, last, out=dest)
+            view = self._views[ax]
+            y = scratch[1 + i % 2]
+            apply_matrix(Mh, dv.reshape(view), y.reshape(view))
+            dv = y
+        view = self._views[last]
+        apply_matrix(M, dv.reshape(view), dest.reshape(view))
         dest *= weight
         return dest
 

@@ -1,6 +1,5 @@
 """Command implementations shared by the CLI: build, run, persist."""
 
-import json
 import math
 import os
 
@@ -91,14 +90,9 @@ def assemble_layout(cfg):
     return layout, hp, hc, K
 
 
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def cmd_transform(cfg, out_dir):
     """State -> Wigner and eta snapshots, marginals, scalar diagnostics."""
-    out_dir = _ensure_out(out_dir)
+    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     spec = cfg.phase_space
     T = build_state(cfg.initial_state, spec, rng)
@@ -138,7 +132,7 @@ def _make_run(cfg):
 
 
 def cmd_evolve(cfg, out_dir):
-    out_dir = _ensure_out(out_dir)
+    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     spec = cfg.phase_space
     T0 = build_state(cfg.initial_state, spec, rng)
@@ -166,7 +160,7 @@ def cmd_evolve(cfg, out_dir):
 
 
 def cmd_oracle(cfg, out_dir):
-    out_dir = _ensure_out(out_dir)
+    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     spec = cfg.phase_space
     T0 = build_state(cfg.initial_state, spec, rng)
@@ -189,7 +183,7 @@ def cmd_oracle(cfg, out_dir):
 
 def cmd_compare(cfg, out_dir):
     """Twin run: Moyal vs density-operator oracle, machine-readable report."""
-    out_dir = _ensure_out(out_dir)
+    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     T0 = build_state(cfg.initial_state, cfg.phase_space, rng)
     errors, _ = check_oracle_agreement(
@@ -202,24 +196,23 @@ def cmd_compare(cfg, out_dir):
     tolerance = float(cfg.run["compare_tolerance"])
     report = {"max_abs_error": worst, "tolerance": tolerance,
               "pass": bool(worst <= tolerance)}
-    with open(os.path.join(out_dir, "compare.json"), "w") as fjson:
-        json.dump(report, fjson, indent=1, sort_keys=True)
+    serialize.save_json(report, os.path.join(out_dir, "compare.json"))
     return [] if report["pass"] else \
         [f"compare error {worst:.3e} > tolerance {tolerance:g}"]
 
 
 def cmd_feedback(cfg, out_dir):
-    out_dir = _ensure_out(out_dir)
+    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     layout, hp, hc, K = assemble_layout(cfg)
     H = build_general_hamiltonian(hp, hc, K, layout)
     verdict = classify_coupling(K, layout)
-    with open(os.path.join(out_dir, "verdict.json"), "w") as f:
-        json.dump({"class": verdict.kind,
-                   "residual": verdict.residual,
-                   "witness_a_norm": float(np.linalg.norm(verdict.witness_a)),
-                   "witness_b_norm": float(np.linalg.norm(verdict.witness_b))},
-                  f, indent=1, sort_keys=True)
+    serialize.save_json(
+        {"class": verdict.kind,
+         "residual": verdict.residual,
+         "witness_a_norm": float(np.linalg.norm(verdict.witness_a)),
+         "witness_b_norm": float(np.linalg.norm(verdict.witness_b))},
+        os.path.join(out_dir, "verdict.json"))
     system = layout.system()
     T0 = build_composite_state(cfg.initial_state, system, rng)
     run = _make_run(cfg)

@@ -44,19 +44,40 @@ def _spec_meta(space):
     return {"kind": "levels", "dim": space.dim}
 
 
+def make_out_dir(path):
+    """Create the output directory `path`, and its parents, unless it exists;
+    a path that names a file, or cannot be made, raises IoFailure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def save_text(text, path):
+    """`text` written to the file `path`; an OSError raises IoFailure."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def save_json(obj, path):
+    """obj as JSON, indented one space per level, keys sorted."""
+    save_text(json.dumps(obj, indent=1, sort_keys=True), path)
+
+
 def save_density(T, path_base):
     """Row-major complex128 little-endian buffer plus a JSON sidecar."""
     m = np.ascontiguousarray(T.matrix, dtype="<c16")
     try:
         with open(path_base + ".bin", "wb") as f:
             f.write(m.tobytes())
-        sidecar = {"dtype": "<c16", "shape": list(m.shape), "order": "C",
-                   "object": "density_operator", "rep": T.rep,
-                   "space": _spec_meta(T.space)}
-        with open(path_base + ".json", "w") as f:
-            json.dump(sidecar, f, indent=1, sort_keys=True)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    save_json({"dtype": "<c16", "shape": list(m.shape), "order": "C",
+               "object": "density_operator", "rep": T.rep,
+               "space": _spec_meta(T.space)}, path_base + ".json")
 
 
 def save_field_binary(field, path_base):
@@ -66,15 +87,13 @@ def save_field_binary(field, path_base):
     try:
         with open(path_base + ".bin", "wb") as f:
             f.write(buf.tobytes())
-        sidecar = {"dtype": dtype, "shape": list(buf.shape), "order": "C",
-                   "object": "phase_space_field", "role": field.role,
-                   "measure": field.measure,
-                   "axes": [{"n": n, "half_width": L} for n, L in field.axes],
-                   "space": _spec_meta(field.space)}
-        with open(path_base + ".json", "w") as f:
-            json.dump(sidecar, f, indent=1, sort_keys=True)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    save_json({"dtype": dtype, "shape": list(buf.shape), "order": "C",
+               "object": "phase_space_field", "role": field.role,
+               "measure": field.measure,
+               "axes": [{"n": n, "half_width": L} for n, L in field.axes],
+               "space": _spec_meta(field.space)}, path_base + ".json")
 
 
 def load_field_binary(path_base, space, tol):
@@ -148,20 +167,14 @@ def save_series_csv(columns, path):
 
 def gnuplot_script(csv_path, out_path, title="phase-space field"):
     """Heatmap script for a d = 1 field CSV (q, p, value columns)."""
-    body = (
+    save_text(
         "set datafile separator ','\n"
         "set pm3d map\n"
         "set xlabel 'q'\n"
         "set ylabel 'p'\n"
         f"set title '{title}'\n"
         f"splot '{os.path.basename(csv_path)}' every ::1 using 1:2:3 with pm3d "
-        "notitle\n"
-    )
-    try:
-        with open(out_path, "w") as f:
-            f.write(body)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        "notitle\n", out_path)
 
 
 def write_manifest(out_dir, config_text, command, tol, extra=None):
@@ -175,9 +188,5 @@ def write_manifest(out_dir, config_text, command, tol, extra=None):
     if extra:
         manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(path, "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    save_json(manifest, path)
     return path

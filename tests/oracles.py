@@ -168,9 +168,10 @@ def textbook_rk4(field0, gen, run):
 
 
 def gemm_along_axis(M, x, axis, out=None):
-    """engine.apply_along_axis as the fill-and-scratch kernel called it: the
-    last axis as one x.reshape(-1, n) @ M.T, with no row blocks, any other
-    as the batched M @ x.reshape(pre, n, post)."""
+    """M along `axis` of x as the fill-and-scratch kernel multiplied, before
+    engine.apply_matrix and its blocks of engine._ROWS: the last axis as one
+    x.reshape(-1, n) @ M.T, any other as one batched
+    M @ x.reshape(pre, n, post), the first with a batch of one."""
     shape = x.shape
     n = shape[axis]
     if axis == x.ndim - 1:

@@ -295,6 +295,25 @@ def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
     assert "exceeds run cap 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["transform", "evolve", "oracle",
+                                     "compare", "feedback", "verify"])
+def test_out_naming_a_file_exits_1(command, harmonic_cfg, tmp_path, capsys):
+    # the output directory cannot be made where a file stands: a library
+    # error and exit 1, before any work, never a raw traceback
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    config = {"feedback": os.path.join(configs, "feedback_levels.json"),
+              "verify": None}.get(command, harmonic_cfg)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = [command, "--out", str(out)]
+    if config:
+        argv += ["--config", config]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_verify_quick(tmp_path, capsys):
     out = str(tmp_path / "v1")
     rc = main(["verify", "--out", out, "--level", "quick"])

@@ -13,7 +13,7 @@ from oracles import (chi_by_explicit_unitaries, chi_to_density_by_cocycle,
                      fd4_by_rolls, gemm_along_axis, rfft_derivative,
                      wigner_to_chi, wigner_to_density_by_chi)
 from wignerlab import engine
-from wignerlab.engine import (apply_along_axis, centered_dft, chi_to_wigner,
+from wignerlab.engine import (apply_matrix, centered_dft, chi_to_wigner,
                               density_to_chi, density_to_wigner,
                               derivative_matrix, fd4_matrix, fourier_matrix,
                               wigner_to_density)
@@ -241,6 +241,16 @@ def _spacing(n, L=4.0):
     return 2.0 * L / n
 
 
+def _along(M, x, axis, out=None):
+    """engine.apply_matrix of M along `axis` of x, viewed as (pre, n, post),
+    written into `out` (allocated when None) and returned."""
+    if out is None:
+        out = np.empty(x.shape, np.result_type(M, x))
+    view = (math.prod(x.shape[:axis]), x.shape[axis], -1)
+    apply_matrix(M, x.reshape(view), out.reshape(view))
+    return out
+
+
 def _rel_err(got, expected, x):
     return np.abs(got - expected).max() / max(np.abs(expected).max(),
                                                np.abs(x).max())
@@ -263,7 +273,7 @@ def test_spectral_matrix_on_every_axis_of_a_d2_field(rng):
     spacings = [_spacing(n)] * 2 + [math.pi / 4.0] * 2
     for ax, h in enumerate(spacings):
         for o in ORDERS:
-            got = apply_along_axis(derivative_matrix(n, h, o), x, ax)
+            got = _along(derivative_matrix(n, h, o), x, ax)
             expected = rfft_derivative(x, ax, h, o)
             assert _rel_err(got, expected, x) <= 1e-12, (ax, o)
 
@@ -289,7 +299,7 @@ def test_fd4_matrix_matches_roll_stencil(rng):
             assert _rel_err(D @ x, expected, x) <= 1e-12, (n, o)
     x = rng.normal(size=(8,) * 4)
     for ax in range(4):
-        got = apply_along_axis(fd4_matrix(8, 0.7, 3), x, ax)
+        got = _along(fd4_matrix(8, 0.7, 3), x, ax)
         assert _rel_err(got, fd4_by_rolls(x, ax, 0.7, 3), x) <= 1e-12
 
 
@@ -318,26 +328,30 @@ def test_last_axis_gemm_is_bitwise_free_of_matrix_order(rng):
         for build, o in ((derivative_matrix, 1), (derivative_matrix, 3),
                          (fd4_matrix, 1)):
             M = build(n, _spacing(n), o)
-            got = apply_along_axis(np.asfortranarray(M), x, len(shape) - 1)
-            assert got.tobytes() == apply_along_axis(M, x, len(shape) - 1) \
+            got = _along(np.asfortranarray(M), x, len(shape) - 1)
+            assert got.tobytes() == _along(M, x, len(shape) - 1) \
                 .tobytes(), (shape, build, o)
 
 
 def test_gemm_into_out_is_bitwise_the_allocating_product(rng):
     # the bracket plan writes each term's last derivative into one scratch
-    # field; that must be the same product, on every axis, and the last
-    # axis's blocks of engine._ROWS rows must be bitwise the one-call product
+    # field; that must be the same product, on every axis, and the blocks of
+    # engine._ROWS rows (the last axis) or columns (the first axis of 32^4)
+    # must be bitwise the one-call product. The lattice stages' complex
+    # matrices go through the same applier.
+    cases = []
     for shape in ((64, 64), (32,) * 4, (20,) * 4):
         n = shape[-1]
-        x = rng.normal(size=shape)
-        out = np.empty(shape)
-        for ax in range(len(shape)):
-            M = derivative_matrix(n, _spacing(n), 1)
-            if ax == len(shape) - 1:
-                M = np.asfortranarray(M)
-            got = apply_along_axis(M, x, ax, out=out)
+        cases.append((rng.normal(size=shape),
+                      derivative_matrix(n, _spacing(n), 1)))
+    z = _complex(rng, (32,) * 4)
+    cases += [(z, engine._matrix(stage, 32)) for stage in STAGES]
+    for x, M in cases:
+        out = np.empty(x.shape, np.result_type(M, x))
+        for ax in range(x.ndim):
+            A = np.asfortranarray(M) if ax == x.ndim - 1 else M
+            got = _along(A, x, ax, out=out)
             assert got is out
-            assert out.tobytes() == apply_along_axis(M, x, ax).tobytes(), \
-                (shape, ax)
-            assert out.tobytes() == gemm_along_axis(M, x, ax).tobytes(), \
-                (shape, ax)
+            assert out.tobytes() == _along(A, x, ax).tobytes(), (x.shape, ax)
+            assert out.tobytes() == gemm_along_axis(A, x, ax).tobytes(), \
+                (x.shape, ax)

@@ -242,6 +242,19 @@ def test_rhs_out_is_the_allocating_result(lab64, route):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("buffer", ["out", "scratch"])
+def test_rhs_refuses_a_buffer_it_cannot_write_through(lab64, buffer):
+    # the products write through reshaped views, which a transposed buffer
+    # cannot give: it must raise, not leave the result in a lost copy
+    gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
+    values = _field_with_exact_zeros(lab64)
+    bad = np.empty_like(values).T
+    kwargs = ({"out": bad} if buffer == "out" else
+              {"scratch": [bad] * gen._plan.buffers})
+    with pytest.raises(ValueError):
+        moyal_rhs(values, gen, **kwargs)
+
+
 def test_wigner_rhs_sum_starts_from_positive_zero(lab64):
     # with no zero-order term the sum starts from +0.0, so a term that is
     # -0.0 never survives as -0.0 (0.0 + -0.0 = +0.0)
