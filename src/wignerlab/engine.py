@@ -90,9 +90,15 @@ def fourier_matrix(n):
 
 
 def _frozen(a):
-    """a as a read-only C-contiguous array; a itself, frozen, when it is one."""
+    """a as a read-only C-contiguous array, made without a copy when a is one.
+
+    A read-only one is returned itself. A writable one is viewed and only the
+    view is frozen, so the caller's own array stays writable.
+    """
     a = np.ascontiguousarray(a)
-    a.flags.writeable = False
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
     return a
 
 
@@ -259,7 +265,7 @@ def _diag_index(n):
     lo = (s + 1) // 2
     l = np.arange(n)
     table = (((l - lo) % n) * n + (l + s - lo) % n).reshape(-1).copy()
-    return _frozen(table.view())
+    return _frozen(table)
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,7 +273,7 @@ def _scatter_index(n):
     """The inverse permutation of _diag_index(n): the scatter, as a gather."""
     inv = np.empty(n * n, dtype=np.intp)
     inv[_diag_index(n)] = np.arange(n * n)
-    return _frozen(inv.view())
+    return _frozen(inv)
 
 
 @functools.lru_cache(maxsize=None)

@@ -355,7 +355,9 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
     """Evolve the composite and observe the plant through reduction.
 
     The composite is propagated exactly, by the cheaper of two routes (see
-    `hilbert.propagate`); T0 must be a Lebesgue-representation operator. The
+    `hilbert.propagate`); T0 must be a Lebesgue-representation operator, and
+    it is T(0) itself, so the series route never forms a product's matrix
+    (`partial_trace` and `wigner_from_density` reduce and map its parts). The
     dimension cap is 4096. When every factor is grid-based with total
     d <= 2, reduced plant Wigner snapshots are produced and the reduction
     commuting square (composite reduction vs reduced transform) is
@@ -381,12 +383,11 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
         raise WrongRepresentation(
             f"the exact scenario needs a lebesgue T0, got {T0.rep}")
     purity, energy, states, wigners, squares = [], [], [], [], []
-    for t, Tm in zip(times, propagate(H, T0, times)):
-        # T(0) is T0 itself, which keeps the record of its product parts
-        if t == 0 and T0.space == system:
-            Tt = T0
-        else:
-            Tt = DensityOperator(Tm, LEBESGUE, system, T0.tol)
+    for t, Tt in zip(times, propagate(H, T0, times)):
+        # T(0) is T0 itself, so a product's parts stand in for its matrix;
+        # an operator on another space of dimension D is read on `system`
+        if Tt.space != system:
+            Tt = DensityOperator(Tt.matrix, LEBESGUE, system, T0.tol)
         TP = partial_trace(Tt, plant)
         states.append((t, TP))
         purity.append(TP.purity())

@@ -8,9 +8,12 @@ outer(psi, conj(psi)) * h^d. The canonical internal representation is
 Lebesgue; the Gaussian-weighted one is produced on demand by the
 square-root-density isomorphism and differs only by a diagonal conjugation.
 
-All values are immutable after construction; operations are pure functions.
+Values are read-only after construction and operations are pure functions.
+An operator built from a writable array views that array without copying it
+(only the view is frozen), so the caller must not write to the array after.
 """
 
+import functools
 import math
 import string
 from dataclasses import dataclass, field
@@ -219,8 +222,13 @@ class DensityOperator:
 
     `parts`, when recorded, holds one Lebesgue-representation operator per
     factor of a composite space such that matrix is their Kronecker product
-    (see `tensor_many`). The record is not compared, and no operator
+    (see `tensor_many`). A product built with `matrix=None` keeps only its
+    parts: `matrix` is formed from them on first read, by the same `np.kron`
+    chain, and kept read-only. The record is not compared, and no operator
     derived from this one inherits it.
+
+    A writable `matrix` argument is not copied: the operator holds a read-only
+    view of it, and the caller must not write to that array afterwards.
     """
 
     matrix: np.ndarray
@@ -230,13 +238,25 @@ class DensityOperator:
     parts: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.parts is not None:
+            object.__setattr__(self, "parts", _checked_parts(self))
+            if self.matrix is None:
+                object.__delattr__(self, "matrix")    # see __getattr__
+                return
         m = np.asarray(self.matrix, dtype=complex)
         N = space_dim(self.space)
         if m.shape != (N, N):
             raise SpecMismatch(f"matrix shape {m.shape} != ({N}, {N})")
         object.__setattr__(self, "matrix", _frozen(m))
-        if self.parts is not None:
-            object.__setattr__(self, "parts", _checked_parts(self))
+
+    def __getattr__(self, name):
+        """A product's `matrix`, on its first read: the kron of its parts."""
+        parts = vars(self).get("parts")
+        if name != "matrix" or parts is None:
+            raise AttributeError(name)
+        m = functools.reduce(np.kron, [op.matrix for op in parts])
+        object.__setattr__(self, "matrix", _frozen(m))
+        return self.matrix
 
     def validate(self):
         """Check Hermiticity, unit trace, PSD floor; raise on violation.
@@ -369,9 +389,15 @@ def factorization(T):
 
 
 def spectral_interval(H):
-    """Gershgorin bounds (lo, hi) that contain the spectrum of a Hermitian H."""
+    """Gershgorin bounds (lo, hi) that contain the spectrum of a Hermitian H.
+
+    |H| is summed by blocks of HERMITIAN_TILE rows, each row as one sum in
+    the same order as over the whole |H|, so no D x D |H| is formed.
+    """
     centre = np.diagonal(H).real
-    radius = np.abs(H).sum(axis=1) - np.abs(np.diagonal(H))
+    rows = np.concatenate([np.abs(H[i:i + HERMITIAN_TILE]).sum(axis=1)
+                           for i in range(0, H.shape[0], HERMITIAN_TILE)])
+    radius = rows - np.abs(np.diagonal(H))
     return float((centre - radius).min()), float((centre + radius).max())
 
 
@@ -439,13 +465,14 @@ def chebyshev_propagate(H, X, t, interval):
 def propagate(H, T0, times):
     """T(t) = e^{-iHt} T0 e^{iHt} at each of `times`, by the cheaper route.
 
-    T0 is a Lebesgue-representation operator; at t == 0 it is T0's own
-    matrix, not formed again by either route. Costs are counted in H-column
-    products (D^2 complex multiply-adds each). Series route, for a T0 with
-    `parts`: each part is factored, and their kron is T0 = F diag(w) F^H of
-    rank r, the product of the parts' ranks. X = e^{-iHt} F by a Chebyshev
-    series stepped from one snapshot to the next, then T(t) = X diag(w)
-    X^H, r (terms + snapshots) in all. Eigh route: one eigh of H, about
+    T0 is a Lebesgue-representation operator; each T(t) is yielded as an
+    operator on T0's space, and at t == 0 it is T0 itself, whose matrix
+    neither route reads. Costs are counted in H-column products (D^2
+    complex multiply-adds each). Series route, for a T0 with `parts`: each
+    part is factored, and their kron is T0 = F diag(w) F^H of rank r, the
+    product of the parts' ranks. X = e^{-iHt} F by a Chebyshev series
+    stepped from one snapshot to the next, then T(t) = X diag(w) X^H,
+    r (terms + snapshots) in all. Eigh route: one eigh of H, about
     EIGH_COST D, then `exact_propagate`'s three D x D products per snapshot
     at t != 0. The series is taken when 2 r <= D, since F would otherwise
     take as much memory as T0, and its count is not larger; F is formed
@@ -453,6 +480,10 @@ def propagate(H, T0, times):
     need an eigh of its own.
     """
     D = H.shape[0]
+
+    def evolved(m):
+        return DensityOperator(m, LEBESGUE, T0.space, T0.tol)
+
     if T0.parts is not None:
         pairs = [factorization(op) for op in T0.parts]
         rank = math.prod(w.size for _, w in pairs)
@@ -467,12 +498,12 @@ def propagate(H, T0, times):
                     X, w = np.kron(X, Fo), np.kron(w, wo)
                 for t, dt in zip(times, steps):
                     X = chebyshev_propagate(H, X, dt, interval)
-                    yield T0.matrix if t == 0 else (X * w) @ X.conj().T
+                    yield T0 if t == 0 else evolved((X * w) @ X.conj().T)
                 return
     evals, evecs = np.linalg.eigh(H)
     for t in times:
-        yield T0.matrix if t == 0 else exact_propagate(T0.matrix, evals,
-                                                       evecs, t)
+        yield T0 if t == 0 else evolved(exact_propagate(T0.matrix, evals,
+                                                        evecs, t))
 
 
 def _gauss_adjoint(T):
@@ -546,9 +577,10 @@ def tensor_many(ops, sys):
 
     Every operator must match its factor's dimension and the first operator's
     representation; the result keeps the first operator's tolerances. A
-    Lebesgue product records its `parts`, the operators themselves, which
-    `wigner.wigner_from_density` maps factor by factor and `propagate`
-    factors one by one.
+    Lebesgue product keeps only its `parts`, the operators themselves,
+    which `wigner.wigner_from_density` maps factor by factor, `propagate`
+    factors one by one and `partial_trace` reduces; its matrix is formed
+    when first read. A Gaussian-representation product is formed here.
     """
     if len(ops) != len(sys.factors):
         raise SpecMismatch("one operator per factor required")
@@ -558,22 +590,36 @@ def tensor_many(ops, sys):
             raise SpecMismatch(f"operator does not match factor {lab!r}")
         if op.rep != first.rep:
             raise RepresentationMismatch(f"{first.rep} vs {op.rep}")
-    m = first.matrix
-    for op in ops[1:]:
-        m = np.kron(m, op.matrix)
-    parts = tuple(ops) if first.rep == LEBESGUE else None
-    return DensityOperator(m, first.rep, sys, first.tol, parts)
+    if first.rep == LEBESGUE:
+        return DensityOperator(None, LEBESGUE, sys, first.tol, tuple(ops))
+    m = functools.reduce(np.kron, [op.matrix for op in ops])
+    return DensityOperator(m, first.rep, sys, first.tol)
 
 
 def partial_trace(T, keep):
-    """Reduced density operator on the kept factors (order preserved)."""
+    """Reduced density operator on the kept factors (order preserved).
+
+    A product that records its parts is reduced without its matrix: the
+    kron of the kept parts, in system order, times the traces of the
+    dropped ones. Every other operator is summed by einsum.
+    """
     sys = T.space
     if not isinstance(sys, CompositeSystem):
         raise UnknownSubsystem("partial_trace needs an operator on a composite system")
     kept_sys = sys.keep(keep)
-    operand, _, bra, ket = sys.einsum_subscripts(keep)
-    red = np.einsum(f"{operand}->{bra}{ket}", T.matrix.reshape(sys.dims * 2))
     nk = kept_sys.dim
+    if T.parts is not None:
+        chosen = set(kept_sys.labels)
+        pairs = list(zip(sys.labels, T.parts))
+        kept = [op.matrix for lab, op in pairs if lab in chosen]
+        red = functools.reduce(np.kron, kept) if kept else np.ones((1, 1))
+        dropped = [np.trace(op.matrix) for lab, op in pairs if lab not in chosen]
+        if dropped:
+            red = red * math.prod(dropped)
+    else:
+        operand, _, bra, ket = sys.einsum_subscripts(keep)
+        red = np.einsum(f"{operand}->{bra}{ket}",
+                        T.matrix.reshape(sys.dims * 2))
     return DensityOperator(red.reshape(nk, nk), T.rep, _collapse(kept_sys), T.tol)
 
 

@@ -742,15 +742,12 @@ def von_neumann_oracle(T0, hamiltonian, run):
     times = run.snapshot_times()
     schedule = getattr(hamiltonian, "schedule", None)
 
-    def snapshot(t, T):
-        return t, DensityOperator(T, LEBESGUE, T0.space, T0.tol)
-
     if schedule is None:
         if hasattr(hamiltonian, "terms"):
             H = weyl_quantize(hamiltonian, T0.space)
         else:
             H = np.asarray(hamiltonian, dtype=complex)
-        return [snapshot(t, T) for t, T in zip(times, propagate(H, Tl, times))]
+        return list(zip(times, propagate(H, Tl, times)))
     # piecewise-constant schedule: exact propagation from event to event,
     # one eigendecomposition per segment
     bounds = {t0 for t0, _ in schedule if 0.0 < t0 < run.t_end}
@@ -765,5 +762,5 @@ def von_neumann_oracle(T0, hamiltonian, run):
         T = exact_propagate(T, evals, evecs, t - t_prev)
         t_prev = t
         if t in times:
-            out.append(snapshot(t, T))
+            out.append((t, DensityOperator(T, LEBESGUE, T0.space, T0.tol)))
     return out

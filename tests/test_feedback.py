@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import embed_by_permutation
-from wignerlab import hilbert
+from wignerlab import feedback, hilbert
 from wignerlab import (DensityOperator, HamiltonianSymbol, LevelSpace,
                        RefinedParts, SubsystemLayout,
                        build_feedback_hamiltonian, build_general_hamiltonian,
@@ -307,6 +307,30 @@ def test_scenario_holds_one_composite_field_at_a_time(spec32c):
         tracemalloc.stop()
     assert len(res.square_residuals) == 3
     assert peak <= 3.25 * layout.dim ** 2 * 16, peak / (layout.dim ** 2 * 16)
+    # T(0) is T0 itself and the series route propagates its parts' factors,
+    # so T0's D x D matrix is never formed
+    assert "matrix" not in vars(T0)
+
+
+def test_classical_scenario_never_forms_the_product_matrix(spec32c):
+    # the classical leg reads T(0)'s partial trace and Wigner field from the
+    # product's parts, so T0's D x D matrix is never formed
+    layout = SubsystemLayout({"P1": spec32c, "C1": spec32c})
+    osc = weyl_quantize(HamiltonianSymbol((((2,), (0,), 0.5),
+                                           ((0,), (2,), 0.5)), d=1), spec32c)
+    qh = weyl_quantize(HamiltonianSymbol((((1,), (0,), 1.0),), d=1), spec32c)
+    H = build_general_hamiltonian(osc, osc, 0.4 * np.kron(qh, qh), layout)
+    T0 = tensor(pure_density(displaced_state(spec32c, 1.0, 0.0)),
+                pure_density(ground_state(spec32c)), layout.system())
+    sym2 = HamiltonianSymbol(
+        (((2, 0), (0, 0), 0.5), ((0, 2), (0, 0), 0.5),
+         ((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5),
+         ((1, 1), (0, 0), 0.3)), d=2)
+    run = EvolutionRun(dt=2e-3, t_end=4e-3, stride=1, enforce_cfl=False)
+    res = run_scenario(layout, H, T0, run, classical_feedback=True,
+                       hamiltonian_symbol=sym2)
+    assert len(res.plant_wigner) == len(run.snapshot_times())
+    assert "matrix" not in vars(T0)
 
 
 def test_scenario_classical_feedback_mode(spec32c):
@@ -455,6 +479,19 @@ def test_scenario_on_factors_matches_eigh_route_feedback_levels(monkeypatch):
     _assert_matches_eigh_route(layout, H, T0, res)
 
 
+def test_scenario_reads_an_operator_on_another_space_on_the_system():
+    # T0 built on the layout, not on layout.system(): relabelled, so the
+    # plant states agree with those of the same product on the system
+    layout, H, hp, T0, run = _feedback_levels()
+    on_layout = tensor_many(T0.parts, layout)
+    assert on_layout.space != layout.system()
+    got = run_scenario(layout, H, on_layout, run, h_plant=hp)
+    want = run_scenario(layout, H, T0, run, h_plant=hp)
+    for (t, a), (s, b) in zip(got.plant_states, want.plant_states):
+        assert t == s and a.space == b.space
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-15
+
+
 def test_scenario_long_horizon_takes_eigh_route(monkeypatch):
     # rank 1, but the series would need more H-column products than an eigh
     # (about 10 D) plus three D x D products per snapshot
@@ -467,13 +504,33 @@ def test_scenario_long_horizon_takes_eigh_route(monkeypatch):
     assert len(res.plant_states) == 2
 
 
+def _refuse_kron_in_propagate(monkeypatch):
+    """Make np.kron raise whenever `propagate` runs, where F would be formed."""
+    propagate = feedback.propagate
+
+    def guarded(*args):
+        steps = propagate(*args)
+        while True:
+            with monkeypatch.context() as m:
+                m.setattr(np, "kron", _refuse)
+                T = next(steps, None)
+            if T is None:
+                return
+            yield T
+
+    monkeypatch.setattr(feedback, "propagate", guarded)
+
+
 def test_scenario_full_rank_product_takes_eigh_route(monkeypatch):
-    # a thermal product of full rank D: no Kronecker factor F is formed
+    # a thermal product of full rank D: no Kronecker factor F is formed. The
+    # eigh route reads T0's matrix, so it is formed first; the t = 0
+    # partial trace krons the kept parts, outside propagate
     layout, H, hp, _, run = _feedback_levels()
     ops = [DensityOperator(level_thermal(LV4, 0.5), LEBESGUE, LV4)] * 4
     T0 = tensor_many(ops, layout.system())
+    assert T0.matrix.shape == (layout.dim, layout.dim)
     _only_route(monkeypatch, "eigh")
-    monkeypatch.setattr(np, "kron", _refuse)
+    _refuse_kron_in_propagate(monkeypatch)
     res = run_scenario(layout, H, T0, run, h_plant=hp)
     _assert_matches_eigh_route(layout, H, T0, res)
 

@@ -15,6 +15,7 @@ from wignerlab.errors import (InvalidDensity, NonPositiveOperator,
                               RepresentationMismatch, SpecMismatch,
                               UnknownSubsystem, UnnormalizedState,
                               WrongRepresentation)
+from wignerlab.lattice import make_phase_space
 from wignerlab.hilbert import (LEBESGUE, RHO1, RHO2, StateVector, certify_psd,
                                chebyshev_propagate, chebyshev_terms,
                                exact_propagate, factorization,
@@ -127,6 +128,77 @@ def test_partial_trace_equals_letter_loop(dims, rng):
             want = letter_loop_partial_trace(T, keep)
             assert np.array_equal(got.matrix, want.matrix), keep
             assert got.space == want.space, keep
+
+
+def _random_level_density(dim, rng):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = x @ x.conj().T
+    return DensityOperator(m / np.trace(m).real, LEBESGUE, LevelSpace(dim))
+
+
+@pytest.fixture(scope="module")
+def spec16():
+    return make_phase_space(1, 16, 4.6, [[0.4]])
+
+
+@pytest.mark.parametrize("factors", [
+    (2, 3), (3, 2, 4), (2, 3, 2, 5),                      # level products
+    ("g16", "g32"), ("g16", 3, "g16"), ("g16", 2, "g16", 3),  # grid products
+], ids=["levels2", "levels3", "levels4", "grid2", "grid3", "grid4"])
+def test_partial_trace_of_product_from_parts(factors, spec16, spec32c, rng):
+    # the product rule against the einsum over the materialised kron: every
+    # kept subset (the empty one too), in every order. A dropped block's entry is an einsum sum
+    # of d_drop products against one product of traces, so the two differ by
+    # rounding bounded by d_drop eps max|red| (0.34 of it measured); with
+    # nothing dropped both are the kron itself
+    grids = {"g16": spec16, "g32": spec32c}
+    labels = "ABCD"[:len(factors)]
+    ops, spaces = [], []
+    for f in factors:
+        if f in grids:
+            ops.append(random_mixed(grids[f], rng, 3, max_quanta=2))
+            spaces.append(grids[f])
+        else:
+            ops.append(_random_level_density(f, rng))
+            spaces.append(LevelSpace(f))
+    sys = CompositeSystem(tuple(zip(labels, spaces)))
+    T = tensor_many(ops, sys)
+    full = DensityOperator(functools.reduce(np.kron, [op.matrix for op in ops]),
+                           LEBESGUE, sys)
+    eps = np.finfo(float).eps
+    for r in range(len(labels) + 1):
+        for keep in itertools.permutations(labels, r):
+            got = partial_trace(T, keep)
+            want = partial_trace(full, keep)
+            assert got.space == want.space and got.parts is None, keep
+            d_drop = sys.dim // sys.dim_of(keep)
+            if d_drop == 1:
+                assert np.array_equal(got.matrix, want.matrix), keep
+            bound = d_drop * eps * np.abs(want.matrix).max()
+            assert np.abs(got.matrix - want.matrix).max() <= bound, keep
+    assert "matrix" not in vars(T)
+
+
+def test_product_matrix_is_formed_once_on_read(rng):
+    ops = [_random_level_density(d, rng) for d in (2, 3, 4)]
+    sys = CompositeSystem(tuple(zip("ABC", (LevelSpace(d) for d in (2, 3, 4)))))
+    T = tensor_many(ops, sys)
+    assert "matrix" not in vars(T)
+    m = T.matrix
+    assert np.array_equal(m, np.kron(np.kron(ops[0].matrix, ops[1].matrix),
+                                     ops[2].matrix))
+    assert not m.flags.writeable and T.matrix is m
+    # a parts-less operator on the same matrix is equal: parts are not compared
+    assert DensityOperator(m, LEBESGUE, sys) == T
+
+
+def test_density_operator_leaves_the_callers_array_writable():
+    m = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    T = DensityOperator(m, LEBESGUE, LevelSpace(2))
+    assert m.flags.writeable and not T.matrix.flags.writeable
+    assert np.shares_memory(m, T.matrix)        # a view, not a copy
+    with pytest.raises(ValueError):
+        T.matrix[0, 0] = 0.0
 
 
 def test_tensor_mismatches(sys2, spec32c, lab64):
@@ -360,6 +432,18 @@ def test_chebyshev_on_factors_matches_eigh_route(case, t, coupled_two_mode,
     assert np.abs((X * w) @ X.conj().T - ref).max() <= 1e-12
 
 
+def test_spectral_interval_is_the_whole_array_sum(coupled_two_mode, rng):
+    # the row blocks sum each row as the whole |H| does: bitwise bounds
+    H, _, _ = coupled_two_mode
+    A = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    for M in (H, A + A.conj().T):
+        centre = np.diagonal(M).real
+        radius = np.abs(M).sum(axis=1) - np.abs(np.diagonal(M))
+        assert M.shape == (1024, 1024)
+        assert spectral_interval(M) == (float((centre - radius).min()),
+                                        float((centre + radius).max()))
+
+
 def test_chebyshev_trace_and_purity_drift(coupled_two_mode, sys2, spec32c, rng):
     H, _, _ = coupled_two_mode
     T0 = tensor(random_mixed(spec32c, rng, 4, max_quanta=3),
@@ -432,6 +516,17 @@ def test_product_takes_series_route_matching_eigh(case, coupled_two_mode, sys2,
     ops, sys, rank = _product_case(case, sys2, spec32c, rng)
     T0 = tensor_many(ops, sys)
     assert all(part is op for part, op in zip(T0.parts, ops))
+    if case == "levels":
+        H = _level_hamiltonian()
+        evals, evecs = np.linalg.eigh(H)
+    else:
+        H, evals, evecs = coupled_two_mode
+    times = np.array([0.0, 0.1, 0.3])
+    with monkeypatch.context() as m:
+        m.setattr(hilbert, "exact_propagate", _refuse)
+        got = list(propagate(H, T0, times))
+    assert "matrix" not in vars(T0)     # the series route never forms it
+    assert len(got) == 3 and got[0] is T0
     # the parts' factors, kron'd in order, are the product's
     F, w = _kron_factors(T0.parts)
     assert F.shape == (sys.dim, rank) and w.shape == (rank,)
@@ -441,18 +536,10 @@ def test_product_takes_series_route_matching_eigh(case, coupled_two_mode, sys2,
         T2 = tensor(*ops, sys)
         assert np.array_equal(T2.matrix, T0.matrix)
         assert all(part is op for part, op in zip(T2.parts, ops))
-    if case == "levels":
-        H = _level_hamiltonian()
-        evals, evecs = np.linalg.eigh(H)
-    else:
-        H, evals, evecs = coupled_two_mode
-    times = np.array([0.0, 0.1, 0.3])
-    monkeypatch.setattr(hilbert, "exact_propagate", _refuse)
-    got = list(propagate(H, T0, times))
-    assert len(got) == 3 and got[0] is T0.matrix
     for t, Tt in zip(times[1:], got[1:]):
+        assert Tt.space == sys and Tt.parts is None
         ref = exact_propagate(T0.matrix, evals, evecs, t)
-        assert np.abs(Tt - ref).max() <= 1e-12
+        assert np.abs(Tt.matrix - ref).max() <= 1e-12
 
 
 def test_propagate_takes_series_route_up_to_half_rank(rng, monkeypatch):
@@ -478,9 +565,9 @@ def test_propagate_takes_series_route_up_to_half_rank(rng, monkeypatch):
         m.setattr(np, "kron", _refuse)             # F is never formed
         got_full = list(propagate(H, full, times))
     for T0, got in ((half, got_half), (full, got_full)):
-        assert got[0] is T0.matrix
+        assert got[0] is T0
         ref = exact_propagate(T0.matrix, evals, evecs, times[1])
-        assert np.abs(got[1] - ref).max() <= 1e-12
+        assert np.abs(got[1].matrix - ref).max() <= 1e-12
 
 
 def test_oracle_on_a_product_agrees_with_the_eigh_route(coupled_two_mode, sys2,
