@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadGridSize, InsufficientDomain, NonPositiveCovariance,
-                     NonSymmetricCovariance, SchemaViolation, UnknownVersion,
-                     WignerLabError)
+from .errors import (BadGridSize, BadSchedule, InsufficientDomain,
+                     NonPositiveCovariance, NonSymmetricCovariance,
+                     SchemaViolation, UnknownVersion, WignerLabError)
 from .hilbert import LevelSpace
 from .lattice import make_phase_space
 from .tolerances import DEFAULT_TOL
@@ -312,6 +312,7 @@ def parse_config(text, tol=DEFAULT_TOL):
         terms = _check_symbol_terms(ham.get("terms", []), d, "hamiltonian.terms",
                                     violations)
         schedule = None
+        where = []          # the config position of each parsed segment
         if "schedule" in ham:
             schedule = []
             for i, seg in enumerate(_array(ham["schedule"], "hamiltonian.schedule",
@@ -325,9 +326,13 @@ def parse_config(text, tol=DEFAULT_TOL):
                     violations.append((f"{here}.t_start", "not a real number"))
                     continue
                 schedule.append((t_start, segterms))
+                where.append(i)
             schedule = tuple(schedule)
         try:
             cfg.hamiltonian = HamiltonianSymbol(terms, schedule=schedule, d=d)
+        except BadSchedule as exc:
+            i = where[exc.index] if where else 0
+            violations.append((f"hamiltonian.schedule[{i}]", str(exc)))
         except WignerLabError as exc:
             violations.append(("hamiltonian", str(exc)))
     if has_layout:

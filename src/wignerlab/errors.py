@@ -63,6 +63,15 @@ class DomainOverflow(WignerLabError):
     """Sampled symbol does not live on the expected grid."""
 
 
+class BadSchedule(WignerLabError):
+    """A schedule that is empty, starts after t = 0 or does not increase;
+    `index` is the position of the offending segment."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 # --- transforms ---
 
 class GridMismatch(WignerLabError):

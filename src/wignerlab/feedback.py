@@ -23,7 +23,7 @@ from .lattice import PhaseSpaceSpec, make_phase_space
 from .moyal import MoyalGenerator, evolve
 from .tolerances import DEFAULT_TOL
 from .wigner import (PhaseSpaceField, purity_estimate, reduce_wigner,
-                     wigner_from_density)
+                     reduction_square, wigner_from_density)
 
 LAYOUT_DIM_CAP = 65536
 RUN_DIM_CAP = 4096
@@ -396,19 +396,9 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
         if grid_d is not None and grid_d <= 2:
             WP = wigner_from_density(TP)
             wigners.append((t, WP))
-            squares.append(_square_residual(Tt, plant, WP))
+            squares.append(reduction_square(Tt, plant, WP))
     return ScenarioResult(times, np.asarray(purity), np.asarray(energy),
                           states, wigners, np.asarray(squares), None)
-
-
-def _square_residual(Tt, plant, WP):
-    """The commuting square at one snapshot: max |reduce(W(T(t))) - W_P|.
-
-    The composite field and its reduction are freed on return, so they are
-    not held while the next snapshot's T(t) is formed and mapped.
-    """
-    Wred = reduce_wigner(wigner_from_density(Tt), plant)
-    return float(np.abs(Wred.values - WP.values).max())
 
 
 def check_run_cap(layout):

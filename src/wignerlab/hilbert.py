@@ -216,7 +216,7 @@ class StateVector:
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2 * self._weights())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian PSD trace-one matrix over the position basis.
 
@@ -225,7 +225,9 @@ class DensityOperator:
     (see `tensor_many`). A product built with `matrix=None` keeps only its
     parts: `matrix` is formed from them on first read, by the same `np.kron`
     chain, and kept read-only. The record is not compared, and no operator
-    derived from this one inherits it.
+    derived from this one inherits it. Two operators are equal when their
+    matrices are equal by value and their rep, space and tol are equal; an
+    operator is not hashable.
 
     A writable `matrix` argument is not copied: the operator holds a read-only
     view of it, and the caller must not write to that array afterwards.
@@ -235,7 +237,16 @@ class DensityOperator:
     rep: str
     space: object
     tol: object = DEFAULT_TOL
-    parts: tuple = field(default=None, compare=False, repr=False)
+    parts: tuple = field(default=None, repr=False)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityOperator):
+            return NotImplemented
+        return (self.rep == other.rep and self.space == other.space
+                and self.tol == other.tol
+                and np.array_equal(self.matrix, other.matrix))
 
     def __post_init__(self):
         if self.parts is not None:

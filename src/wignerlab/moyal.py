@@ -26,11 +26,10 @@ from .engine import (SpectralDifferentiator, apply_matrix, axis_coords,
                      derivative_matrix, fd4_matrix)
 from .errors import (EscapeDetected, InvalidDensity, OrderOverflow,
                      SnapshotMismatch, SpecMismatch, UnstableStep)
-from .hilbert import (DensityOperator, LEBESGUE, _lebesgue, exact_propagate,
-                      propagate)
+from .hilbert import LEBESGUE, _lebesgue, propagate
 from .tolerances import DEFAULT_TOL
 from .wigner import ETA, SYMBOL, WIGNER, PhaseSpaceField
-from .weyl import HamiltonianSymbol, weyl_quantize
+from .weyl import weyl_quantize
 
 MAX_BRACKET_ORDER = 7
 # grids up to this many points keep their bracket weights at full size: a
@@ -328,8 +327,7 @@ class MoyalGenerator:
         self._rebuild(self.symbol.terms_at(0.0))
 
     def _rebuild(self, terms):
-        d = self.spec.d
-        sym = HamiltonianSymbol(terms, sampled=self.symbol.sampled, d=d)
+        sym = self.symbol.segment(terms)
         orders = [2 * j - 1 for j in range(1, self.effective_truncation(sym) + 1)]
         self._fields = _derivative_fields(sym, self.spec, orders)
         # contiguous (copied only from a broadcast view), so evolve's energy
@@ -340,7 +338,7 @@ class MoyalGenerator:
             _accumulate(weights, k + m, c * hf)
         self._plan = BracketPlan(weights, self.spec, self.scheme)
         self._eta_plan = None
-        self._static_terms = terms
+        self._terms = terms
 
     def _bracket_terms(self):
         """(k, m, coefficient * multiplicity * sign, H-field) per nonzero term."""
@@ -400,18 +398,10 @@ class MoyalGenerator:
         """H of the active schedule segment on the phase grid."""
         return self._energy
 
-    def set_time(self, t):
-        """Rebuild the derivative fields for the schedule segment at time t."""
-        if self.symbol.schedule is None:
-            return
-        terms = self.symbol.terms_at(t)
-        if terms != self._static_terms:
+    def select(self, terms):
+        """Rebuild the fields for one segment's terms, unless they are active."""
+        if terms != self._terms:
             self._rebuild(terms)
-
-    def segment_starts(self):
-        if self.symbol.schedule is None:
-            return ()
-        return tuple(t for t, _ in self.symbol.schedule)
 
     def gradient_max(self):
         """max over the grid of |grad H| (used by the CFL guard)."""
@@ -616,10 +606,11 @@ def evolve(field0, gen, run):
 
     Snapshots are immutable copies taken at run.snapshot_times(), every
     `stride` steps and at t_end. The steps land exactly on every snapshot time
-    and schedule breakpoint (a fractional step closes the gap when one lies
-    off the dt lattice), and t is set to that event time on arrival. Raises
-    UnstableStep when dt exceeds the CFL guard of any schedule segment the
-    run reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
+    and on the start of every later interval of HamiltonianSymbol.intervals,
+    which rebuilds the fields (a fractional step closes a gap off the dt
+    lattice), and t is set to that event time on arrival. Raises
+    UnstableStep when dt exceeds the CFL guard of any interval the run
+    reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
     on per-step mass drift and EscapeDetected on boundary mass, a NaN drift
     or boundary mass included. Raises SpecMismatch, before the first step,
     when field0 lives on another phase space than the generator or carries
@@ -638,13 +629,15 @@ def evolve(field0, gen, run):
     cell = field0.cell_volume()
     g = field0.reference_density() if role == ETA else None
     times = run.snapshot_times()
-    breakpoints = {b for b in gen.segment_starts() if 0.0 < b < times[-1]}
+    intervals = gen.symbol.intervals(times[-1])
+    # the terms of each later interval, by its start
+    starts = {start: terms for start, _, terms in intervals[1:]}
 
+    # reversed, so that the guard leaves the first segment's fields built
     grad = 0.0
-    for start in (0.0, *sorted(breakpoints)):
-        gen.set_time(start)
+    for _, _, terms in reversed(intervals):
+        gen.select(terms)
         grad = max(grad, gen.gradient_max())
-    gen.set_time(0.0)
     limit = gen.min_spacing() / (4.0 * max(grad, 1e-300))
     if run.dt > limit:
         msg = (f"dt = {run.dt:g} exceeds the CFL guard {limit:g} "
@@ -705,7 +698,7 @@ def evolve(field0, gen, run):
     record(0.0, values)
     snapshots.append((0.0, field0))
 
-    for target in sorted(breakpoints.union(times[1:])):
+    for target in sorted(starts.keys() | times[1:]):
         start, steps = t, 0
         while t < target - 1e-12:
             # t counts full steps from the last event instead of summing dt,
@@ -720,8 +713,8 @@ def evolve(field0, gen, run):
                 t = target
             w = record(t, values)
             check(t, w)
-        if target in breakpoints:
-            gen.set_time(t + 1e-12)
+        if target in starts:
+            gen.select(starts[target])
             hfield = gen.energy_field()
             fit_scratch()
         if target in times:
@@ -734,33 +727,26 @@ def evolve(field0, gen, run):
 def von_neumann_oracle(T0, hamiltonian, run):
     """Exact density-operator evolution T(t) = e^{-iHt} T0 e^{iHt}.
 
-    `hamiltonian` is a Hermitian matrix or a HamiltonianSymbol (quantized on
-    T0's space). Snapshots are taken at the same times evolve() would use.
-    Trace and purity are conserved to eigensolver accuracy.
+    `hamiltonian` is a Hermitian matrix or a HamiltonianSymbol; each
+    interval of the symbol (HamiltonianSymbol.intervals) is quantized on
+    T0's space and propagated from its start by one `hilbert.propagate`
+    call. Snapshots are taken at the same times evolve() would use. Trace
+    and purity are conserved to eigensolver accuracy.
     """
-    Tl = _lebesgue(T0)
     times = run.snapshot_times()
-    schedule = getattr(hamiltonian, "schedule", None)
-
-    if schedule is None:
-        if hasattr(hamiltonian, "terms"):
-            H = weyl_quantize(hamiltonian, T0.space)
-        else:
-            H = np.asarray(hamiltonian, dtype=complex)
-        return list(zip(times, propagate(H, Tl, times)))
-    # piecewise-constant schedule: exact propagation from event to event,
-    # one eigendecomposition per segment
-    bounds = {t0 for t0, _ in schedule if 0.0 < t0 < run.t_end}
-    out = []
-    T, t_prev, terms = Tl.matrix, 0.0, None
-    for t in sorted(set(times) | bounds):
-        active = hamiltonian.terms_at(0.5 * (t_prev + t))
-        if active != terms:
-            terms = active
-            evals, evecs = np.linalg.eigh(weyl_quantize(
-                HamiltonianSymbol(terms, d=hamiltonian.d), T0.space))
-        T = exact_propagate(T, evals, evecs, t - t_prev)
-        t_prev = t
-        if t in times:
-            out.append((t, DensityOperator(T, LEBESGUE, T0.space, T0.tol)))
+    if hasattr(hamiltonian, "terms"):
+        segments = ((start, stop, weyl_quantize(hamiltonian.segment(terms),
+                                                T0.space))
+                    for start, stop, terms in hamiltonian.intervals(times[-1]))
+    else:
+        segments = [(0.0, times[-1], np.asarray(hamiltonian, dtype=complex))]
+    out, T = [], _lebesgue(T0)
+    for start, stop, H in segments:
+        due = [t for t in times[len(out):] if t <= stop]
+        steps = [t - start for t in due]
+        if not due or due[-1] != stop:
+            steps.append(stop - start)
+        states = list(propagate(H, T, steps))
+        out.extend(zip(due, states))
+        T = states[-1]
     return out

@@ -7,9 +7,9 @@ takes what its callers vary and returns the worst residual it saw:
   `np.random.Generator` (states are drawn with `random_mixed`, in order) and
   return a float, or a dict of named floats when one loop measures several
   things (mass and peak; mass, pairing and inverse);
-- the series check takes a Wigner field, the reduction check a composite
-  density operator, the product check a composite system of grid factors
-  (with a count and a generator), the Wick check a generator;
+- the series check takes a Wigner field, the product check a composite
+  system of grid factors (with a count and a generator), the Wick check a
+  generator;
 - the evolution checks take the initial state, symbol, truncation and
   `EvolutionRun` and return [(t, error)] over the snapshots paired by time;
   `check_oracle_agreement` also returns the `EvolutionResult`, and
@@ -17,6 +17,8 @@ takes what its callers vary and returns the worst residual it saw:
 
 Every tr(T G) goes through `weyl.operator_expectation`, which raises on an
 imaginary residue, so a non-Hermitian state or operator fails the check.
+The reduction commuting square is `wigner.reduction_square`, the check
+that `feedback.run_scenario` makes at every snapshot.
 
 `run_suite` calls every check at the quick or full size and folds it into a
 (name, residual, tolerance) triple that passes when residual < tolerance.
@@ -32,7 +34,7 @@ from . import engine
 from .feedback import (FEEDBACK, GENERAL, NO_FEEDBACK, SubsystemLayout,
                        classify_coupling, embed_operator)
 from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, LevelSpace,
-                      partial_trace, pure_density, tensor, tensor_many)
+                      pure_density, tensor, tensor_many)
 from .lattice import GaussianMeasure, make_phase_space
 from .moyal import (EvolutionRun, MoyalGenerator, evolve,
                     gaussian_measure_derivative, moyal_rhs, pair_snapshots,
@@ -43,7 +45,7 @@ from .tolerances import TolerancePolicy
 from .weyl import (HamiltonianSymbol, expectation, operator_expectation,
                    weyl_quantize)
 from .wigner import (eta_density, eta_to_wigner, inverse_wigner,
-                     pair_expectation, reduce_wigner, total_variation,
+                     pair_expectation, reduction_square, total_variation,
                      weyl_samples_field, wigner_from_density,
                      wigner_from_weyl_function)
 
@@ -159,15 +161,6 @@ def check_eta_route(phi0, symbol, truncation, run):
             for t, fW, fP in pair_snapshots(resW.snapshots, resP.snapshots)]
 
 
-def check_reduction_square(T):
-    """max |reduce(W[T]) - W[partial trace of T]|, keeping the first factor."""
-    keep = T.space.labels[0]
-    Wred = reduce_wigner(wigner_from_density(T), keep)
-    return float(np.abs(Wred.values
-                        - wigner_from_density(partial_trace(T, keep)).values
-                        ).max())
-
-
 def check_product_wigner(system, count, rng):
     """Worst max |W - W_full| over products of random states, one per grid
     factor of `system`: W by `wigner_from_density`, which maps a product
@@ -274,7 +267,8 @@ def run_suite(level="quick"):
          max(check_quadratic_exactness(W).values()), 1e-12),
         ("oracle_agreement", worst_error(oracle), 1e-4),
         ("eta_route", worst_error(eta_route), 1e-7),
-        ("reduction_commuting_square", check_reduction_square(product), 1e-8),
+        ("reduction_commuting_square",
+         reduction_square(product, product.space.labels[0]), 1e-8),
         ("feedback_axioms",
          max(*(float(v.kind != kind) for kind, v in verdicts.items()),
              verdicts[FEEDBACK].residual, verdicts[NO_FEEDBACK].residual),

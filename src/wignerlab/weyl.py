@@ -19,8 +19,8 @@ from math import comb
 import numpy as np
 
 from . import engine
-from .errors import (DegreeTooHigh, DomainOverflow, GridMismatch,
-                     NonHermitianInput, SpecMismatch)
+from .errors import (BadSchedule, DegreeTooHigh, DomainOverflow,
+                     GridMismatch, NonHermitianInput, SpecMismatch)
 from .hilbert import LevelSpace, _lebesgue
 from .lattice import PhaseSpaceSpec
 
@@ -57,7 +57,9 @@ class HamiltonianSymbol:
     terms: tuple of (powers_q, powers_p, coeff) with integer multi-indices.
     sampled: optional real field on the phase grid (q-axes then p-axes).
     schedule: optional tuple of (t_start, terms) segments, piecewise constant
-    in time; the static `terms` are used when no schedule is given.
+    in time. Segment k acts on the half-open interval [t_k, t_{k+1}); the
+    first starts at t = 0 and the starts increase, else BadSchedule. The
+    static `terms` are used when no schedule is given and ignored otherwise.
     """
 
     terms: tuple = ()
@@ -82,22 +84,42 @@ class HamiltonianSymbol:
                 raise NonHermitianInput("sampled symbol must be real")
             object.__setattr__(self, "sampled", s.astype(float))
         if self.schedule is not None:
-            seg = tuple((float(t), tuple(ts)) for t, ts in self.schedule)
+            seg = tuple((float(t), HamiltonianSymbol(ts, d=self.d).terms)
+                        for t, ts in self.schedule)
+            if not seg:
+                raise BadSchedule("the schedule has no segment", 0)
+            if seg[0][0] != 0.0:
+                raise BadSchedule(
+                    f"the first segment starts at t_start = {seg[0][0]:g}, "
+                    "not 0", 0)
+            for i in range(1, len(seg)):
+                if not seg[i][0] > seg[i - 1][0]:
+                    raise BadSchedule(
+                        f"t_start = {seg[i][0]:g} does not follow the previous "
+                        f"segment's {seg[i - 1][0]:g}", i)
             object.__setattr__(self, "schedule", seg)
 
     @property
     def degree(self):
         return max((sum(pq) + sum(pp) for pq, pp, _ in self.terms), default=0)
 
+    def intervals(self, t_end):
+        """[(t_k, t_{k+1}, terms)]: the interval [t_k, t_{k+1}) of each segment
+        that starts before t_end (the first always), the last one ending at
+        t_end. Without a schedule the static terms act on [0, t_end)."""
+        segments = self.schedule or ((0.0, self.terms),)
+        stops = [t for t, _ in segments[1:] if t < t_end] + [t_end]
+        return [(start, stop, terms)
+                for (start, terms), stop in zip(segments, stops)]
+
     def terms_at(self, t):
-        """Active polynomial terms at time t (piecewise-constant schedule)."""
-        if self.schedule is None:
-            return self.terms
-        active = self.schedule[0][1]
-        for t0, ts in self.schedule:
-            if t >= t0 - 1e-15:
-                active = ts
-        return HamiltonianSymbol(active, d=self.d).terms
+        """Terms of the segment whose interval holds t: the last one that
+        starts at or before t (the first one before t = 0)."""
+        return self.intervals(math.nextafter(t, math.inf))[-1][2]
+
+    def segment(self, terms):
+        """The symbol of one segment: `terms` with this sampled part."""
+        return HamiltonianSymbol(terms, sampled=self.sampled, d=self.d)
 
     def derivative(self, dq, dp):
         """Partial derivative as a new polynomial symbol (polynomial part only)."""

@@ -20,7 +20,7 @@ from . import engine
 from .errors import (GridMismatch, InvalidDensity, NotNormalized, SpecMismatch,
                      UnderflowRegion, UnknownSubsystem)
 from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, _collapse,
-                      _lebesgue, certify_psd)
+                      _lebesgue, certify_psd, partial_trace)
 from .lattice import PhaseSpaceSpec
 from .tolerances import DEFAULT_TOL
 
@@ -40,15 +40,28 @@ def _total_d(space):
     return len(_space_axes(space))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpaceField:
-    """Scalar values on the phase grid, shape (q-axes, then p-axes)."""
+    """Scalar values on the phase grid, shape (q-axes, then p-axes).
+
+    Two fields are equal when their values are equal by value and their
+    role, space, measure and tol are equal; a field is not hashable.
+    """
 
     values: np.ndarray
     role: str
     space: object
     measure: str = "lebesgue"
     tol: object = DEFAULT_TOL
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseSpaceField):
+            return NotImplemented
+        return (self.role == other.role and self.space == other.space
+                and self.measure == other.measure and self.tol == other.tol
+                and np.array_equal(self.values, other.values))
 
     def __post_init__(self):
         axes = _space_axes(self.space)
@@ -310,6 +323,17 @@ def reduce_wigner(W, keep):
     drop, cell, kept_space = _reduction(W.space, keep)
     vals = W.values.sum(axis=drop) * cell
     return PhaseSpaceField(vals, WIGNER, kept_space, "lebesgue", W.tol)
+
+
+def reduction_square(T, keep, W_kept=None):
+    """The reduction commuting square: max |reduce(W[T]) - W[Tr T]|, with
+    Tr the partial trace onto `keep`. `W_kept`, when given, is W[Tr T]
+    already mapped. The composite field and its reduction are freed on
+    return, so a caller looping over snapshots does not hold them."""
+    if W_kept is None:
+        W_kept = wigner_from_density(partial_trace(T, keep))
+    Wred = reduce_wigner(wigner_from_density(T), keep)
+    return float(np.abs(Wred.values - W_kept.values).max())
 
 
 def reduce_eta(phi, keep):

@@ -13,12 +13,13 @@ from wignerlab.engine import (SpectralDifferentiator, axis_coords,
                               centered_dft, chi_to_wigner)
 from wignerlab.errors import FactorMismatch, UnknownSubsystem
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK, FeedbackVerdict
-from wignerlab.hilbert import LEBESGUE, DensityOperator, space_dim
+from wignerlab.hilbert import (LEBESGUE, DensityOperator, _lebesgue,
+                               exact_propagate, space_dim)
 from wignerlab.moyal import (FD4, bracket_pairs, eta_moyal_rhs, moyal_rhs,
                              sine_coefficient, wick_polynomial)
 from wignerlab.states import oscillator_basis
 from wignerlab.tolerances import DEFAULT_TOL
-from wignerlab.weyl import weyl_quantize
+from wignerlab.weyl import HamiltonianSymbol, weyl_quantize
 from wignerlab.wigner import ETA
 
 
@@ -115,10 +116,10 @@ def textbook_rk4(field0, gen, run):
 
     Each step is values + (dt/6)(k1 + 2 k2 + 2 k3 + k4) over moyal_rhs, or
     eta_moyal_rhs for an eta field, called on bare arrays. The event times
-    are evolve's: steps land on every snapshot time and schedule
-    breakpoint, a fractional step closing each gap. The diagnostics are
-    written out in their defining formulas. No guard is checked. Returns
-    ([(t, values)], {column: array}).
+    are evolve's: steps land on every snapshot time and on the start of
+    every later segment interval, a fractional step closing each gap. The
+    diagnostics are written out in their defining formulas. No guard is
+    checked. Returns ([(t, values)], {column: array}).
     """
     eta = field0.role == ETA
     rhs = eta_moyal_rhs if eta else moyal_rhs
@@ -126,8 +127,9 @@ def textbook_rk4(field0, gen, run):
     cell = field0.cell_volume()
     d = len(field0.axes)
     times = run.snapshot_times()
-    breaks = {b for b in gen.segment_starts() if 0.0 < b < times[-1]}
-    gen.set_time(0.0)
+    intervals = gen.symbol.intervals(times[-1])
+    starts = {start: terms for start, _, terms in intervals[1:]}
+    gen.select(intervals[0][2])
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w",
                              "purity_est")}
 
@@ -145,7 +147,7 @@ def textbook_rk4(field0, gen, run):
     snapshots = [(0.0, values.copy())]
     record(0.0, values)
     t = 0.0
-    for target in sorted(breaks.union(times[1:])):
+    for target in sorted(starts.keys() | times[1:]):
         start, steps = t, 0
         while t < target - 1e-12:
             gap = target - t
@@ -160,11 +162,35 @@ def textbook_rk4(field0, gen, run):
             if t > target - 1e-12:
                 t = target
             record(t, values)
-        if target in breaks:
-            gen.set_time(t + 1e-12)
+        if target in starts:
+            gen.select(starts[target])
         if target in times:
             snapshots.append((t, values.copy()))
     return snapshots, {k: np.asarray(v) for k, v in diags.items()}
+
+
+def stepping_oracle(T0, symbol, run):
+    """von_neumann_oracle for a scheduled symbol, stepped from event to
+    event: the events are the snapshot times and the segment starts in
+    (0, t_end), the segment of each step is the last one started by its
+    midpoint, its H gets one eigh, and T steps by exact_propagate. Returns
+    [(t, DensityOperator)] at the snapshot times."""
+    times = run.snapshot_times()
+    bounds = {t0 for t0, _ in symbol.schedule if 0.0 < t0 < run.t_end}
+    out = []
+    T, t_prev, terms = _lebesgue(T0).matrix, 0.0, None
+    for t in sorted(set(times) | bounds):
+        mid = 0.5 * (t_prev + t)
+        active = [ts for t0, ts in symbol.schedule if t0 <= mid][-1]
+        if active != terms:
+            terms = active
+            evals, evecs = np.linalg.eigh(weyl_quantize(
+                HamiltonianSymbol(terms, d=symbol.d), T0.space))
+        T = exact_propagate(T, evals, evecs, t - t_prev)
+        t_prev = t
+        if t in times:
+            out.append((t, DensityOperator(T, LEBESGUE, T0.space, T0.tol)))
+    return out
 
 
 def gemm_along_axis(M, x, axis, out=None):

@@ -27,12 +27,11 @@ from wignerlab.states import (analytic_gaussian_eta, displaced_state,
 from wignerlab.verify import (
     OSC, QUARTIC, check_eta, check_eta_route, check_feedback_axioms,
     check_normalization_and_bound, check_oracle_agreement, check_pairing,
-    check_quadratic_exactness, check_reduction_square, check_roundtrip,
-    check_route_equivalence, check_wick, feedback_couplings, oracle_errors,
-    worst_error)
+    check_quadratic_exactness, check_roundtrip, check_route_equivalence,
+    check_wick, feedback_couplings, oracle_errors, worst_error)
 from wignerlab.weyl import HamiltonianSymbol
 from wignerlab.wigner import (WEYL_SAMPLES, PhaseSpaceField,
-                              wigner_from_weyl_function)
+                              reduction_square, wigner_from_weyl_function)
 
 
 def _report(name, value, tol, direction="<"):
@@ -128,7 +127,7 @@ def test_criterion_09_reduction_square(sys2, spec32c):
     Tprod = tensor(pure_density(displaced_state(spec32c, 1.0, 0.0)),
                    pure_density(ground_state(spec32c)), sys2)
     _report("9a reduction square, product state",
-            check_reduction_square(Tprod), 1e-8)
+            reduction_square(Tprod, "A"), 1e-8)
 
     n = spec32c.n_per_axis
     osc = weyl_quantize(OSC, spec32c)
@@ -138,7 +137,7 @@ def test_criterion_09_reduction_square(sys2, spec32c):
     Tent = DensityOperator(np.outer(V[:, 0], V[:, 0].conj()), LEBESGUE, sys2,
                            spec32c.tol)
     _report("9b reduction square, entangled coupled ground state",
-            check_reduction_square(Tent), 1e-6)
+            reduction_square(Tent, "A"), 1e-6)
 
 
 def test_criterion_10_feedback_axioms():

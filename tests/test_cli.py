@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from test_config import MALFORMED
 from wignerlab.cli import build_parser, main
 
 HARMONIC = {
@@ -142,6 +143,18 @@ def test_malformed_value_exits_1_with_its_path(tmp_path, capsys):
     assert "config error at run.dt: must be a positive number" in err
     assert "config error at hamiltonian.terms[0]: powers must be lists" in err
     assert not (tmp_path / "m1").exists()
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED
+                                  if c.startswith("schedule_")])
+def test_malformed_schedule_is_a_config_error(case, tmp_path, capsys):
+    _, schedule, path = MALFORMED[case]
+    cfg = json.loads(HARMONIC_JSON)
+    cfg["hamiltonian"]["schedule"] = schedule
+    assert main(["compare", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "s")]) == 1
+    assert f"config error at {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_readme_flags_match_parser():

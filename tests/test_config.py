@@ -177,8 +177,28 @@ def _harmonic():
         return json.load(f)
 
 
+def _segment(t_start, terms):
+    return {"t_start": t_start, "terms": [
+        {"powers_q": [a], "powers_p": [b], "coeff": 0.5} for a, b in terms]}
+
+
+FREE_SEG, OSC_SEG = [(0, 2)], [(2, 0), (0, 2)]
+
 # (replaced value as a dotted path, new value, expected violation path)
 MALFORMED = {
+    "schedule_empty": ("hamiltonian.schedule", [], "hamiltonian.schedule[0]"),
+    "schedule_swapped": ("hamiltonian.schedule",
+                         [_segment(0.05, OSC_SEG), _segment(0.0, FREE_SEG)],
+                         "hamiltonian.schedule[0]"),
+    "schedule_out_of_order": ("hamiltonian.schedule",
+                              [_segment(0.0, FREE_SEG), _segment(0.2, OSC_SEG),
+                               _segment(0.1, FREE_SEG)],
+                              "hamiltonian.schedule[2]"),
+    "schedule_repeated": ("hamiltonian.schedule",
+                          [_segment(0.0, FREE_SEG), _segment(0.0, OSC_SEG)],
+                          "hamiltonian.schedule[1]"),
+    "schedule_late_start": ("hamiltonian.schedule", [_segment(0.1, OSC_SEG)],
+                            "hamiltonian.schedule[0]"),
     "powers_q_scalar": ("hamiltonian.terms.0.powers_q", 2, "hamiltonian.terms[0]"),
     "powers_q_string": ("hamiltonian.terms.0.powers_q", ["a"],
                         "hamiltonian.terms[0]"),

@@ -584,3 +584,22 @@ def test_oracle_on_a_product_agrees_with_the_eigh_route(coupled_two_mode, sys2,
         assert T.space == sys2 and T.rep == LEBESGUE
         ref = exact_propagate(T0.matrix, evals, evecs, t)
         assert np.abs(T.matrix - ref).max() <= 1e-12
+
+
+def test_density_operators_compare_by_value(spec32c, sys2):
+    # separate arrays of equal values: the dataclass default raised ValueError
+    ops = [pure_density(ground_state(spec32c)),
+           pure_density(displaced_state(spec32c, 1.0, 0.0))]
+    a, b = tensor_many(ops, sys2), tensor_many(ops, sys2)
+    assert a.matrix is not b.matrix and a == b and not a != b
+    assert pure_density(ground_state(spec32c)) == ops[0]
+    # parts are not compared: a product equals its plain matrix
+    assert a == DensityOperator(np.array(a.matrix), LEBESGUE, sys2, a.tol)
+    assert a != tensor_many(ops[::-1], sys2)
+    assert ops[0] != ops[1]
+    assert ops[0] != to_gaussian_rep(ops[0])
+    assert ops[0] != DensityOperator(ops[0].matrix, LEBESGUE, spec32c,
+                                     TolerancePolicy())
+    assert ops[0] != "T"
+    with pytest.raises(TypeError):
+        hash(a)

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (fd_bracket, fill_and_scratch_apply, term_by_term_rhs,
-                     textbook_rk4)
+from oracles import (fd_bracket, fill_and_scratch_apply, stepping_oracle,
+                     term_by_term_rhs, textbook_rk4)
 from wignerlab import (GaussianMeasure, HamiltonianSymbol, make_phase_space,
                        moyal, pure_density, wigner_from_density)
 from wignerlab.errors import (DomainOverflow, EscapeDetected, InvalidDensity,
@@ -723,6 +723,81 @@ def test_snapshots_after_off_lattice_breakpoint(lab64):
         [0.005 * i for i in range(11)], abs=1e-15)
     assert 0.0105 in res.diagnostics["t"]
     assert worst_error(errors) < 1e-6
+
+
+@pytest.mark.parametrize("stride", [50, 7])
+@pytest.mark.parametrize("breakpoint", [0.05, 0.0505, 0.1234])
+def test_scheduled_oracle_matches_the_stepping_oracle(lab64, breakpoint,
+                                                      stride):
+    # one propagate call per segment against exact_propagate from event to
+    # event: 2.1e-15 at stride 50, 1.8e-14 at stride 7 (n = 64, OpenBLAS)
+    sym = HamiltonianSymbol(schedule=((0.0, FREE.terms), (breakpoint,
+                                                          OSC.terms)), d=1)
+    T0 = pure_density(displaced_state(lab64, 1.5, 0.0))
+    run = EvolutionRun(dt=1e-3, t_end=0.3, stride=stride)
+    snaps = von_neumann_oracle(T0, sym, run)
+    ref = stepping_oracle(T0, sym, run)
+    assert [t for t, _ in snaps] == [t for t, _ in ref] == run.snapshot_times()
+    worst = max(float(np.abs(T.matrix - R.matrix).max())
+                for (_, T), (_, R) in zip(snaps, ref))
+    assert worst < 1e-13
+
+
+def test_one_segment_schedule_is_bitwise_the_static_symbol(lab64):
+    sym = HamiltonianSymbol(schedule=((0.0, OSC.terms),), d=1)
+    T0 = pure_density(displaced_state(lab64, 1.5, 0.2))
+    W0 = wigner_from_density(T0)
+    run = EvolutionRun(dt=1e-3, t_end=0.0325, stride=10)
+    res = evolve(W0, MoyalGenerator(sym, lab64, truncation=1), run)
+    static = evolve(W0, MoyalGenerator(OSC, lab64, truncation=1), run)
+    assert [t for t, _ in res.snapshots] == [t for t, _ in static.snapshots]
+    for (_, f), (_, g) in zip(res.snapshots, static.snapshots):
+        assert f.values.tobytes() == g.values.tobytes()
+    for k, col in static.diagnostics.items():
+        assert res.diagnostics[k].tobytes() == col.tobytes(), k
+    snaps = von_neumann_oracle(T0, sym, run)
+    for (t, T), (s, S) in zip(snaps, von_neumann_oracle(T0, OSC, run),
+                              strict=True):
+        assert t == s and T.matrix.tobytes() == S.matrix.tobytes()
+
+
+@pytest.mark.parametrize("starts, reached", [
+    ((0.0,), 1),
+    ((0.0, 0.0105), 2),
+    ((0.0, 0.01, 0.0205, 0.03), 3),      # 0.03 is t_end: never reached
+    ((0.0, 0.0105, 0.5), 2),
+])
+def test_oracle_propagates_each_reached_segment_once(lab64, monkeypatch,
+                                                     starts, reached):
+    calls, inside = [], []
+    real_propagate, real_eigh = moyal.propagate, np.linalg.eigh
+
+    def counted_propagate(H, T0, times):
+        calls.append(list(times))
+        inside.append(True)
+        try:
+            yield from real_propagate(H, T0, times)
+        finally:
+            inside.pop()
+
+    def eigh(a, *args, **kwargs):
+        assert inside, "eigh called outside hilbert.propagate"
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(moyal, "propagate", counted_propagate)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    terms = (FREE.terms, OSC.terms)
+    sym = HamiltonianSymbol(
+        schedule=tuple((t, terms[i % 2]) for i, t in enumerate(starts)), d=1)
+    T0 = pure_density(displaced_state(lab64, 1.0, 0.0))
+    run = EvolutionRun(dt=1e-3, t_end=0.03, stride=5)
+    snaps = von_neumann_oracle(T0, sym, run)
+    assert [t for t, _ in snaps] == run.snapshot_times()
+    assert len(calls) == reached
+    # each call runs from its segment's start to its end, clipped at t_end
+    assert calls[0][0] == 0.0
+    for times, start, stop in zip(calls, starts, starts[1:] + (0.03,)):
+        assert times[-1] == pytest.approx(min(stop, 0.03) - start, abs=1e-15)
 
 
 def test_pair_snapshots_rejects_other_times():

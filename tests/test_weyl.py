@@ -9,7 +9,8 @@ from oracles import wigner_to_density_by_chi
 from wignerlab import (HamiltonianSymbol, PhasePoint, expectation,
                        make_phase_space, pure_density, symplectic_area,
                        weyl_function, weyl_quantize, weyl_unitary)
-from wignerlab.errors import DegreeTooHigh, DomainOverflow, NonHermitianInput
+from wignerlab.errors import (BadSchedule, DegreeTooHigh, DomainOverflow,
+                              NonHermitianInput)
 from wignerlab.states import displaced_state, ground_state, random_mixed
 from wignerlab.tolerances import TolerancePolicy
 from wignerlab.weyl import _axis_ops
@@ -122,6 +123,39 @@ def test_sampled_symbol_matches_the_weyl_sample_route(rng):
 def test_complex_symbol_rejected():
     with pytest.raises(NonHermitianInput):
         HamiltonianSymbol((((1,), (0,), 1.0 + 1.0j),), d=1)
+
+
+FREE = (((0,), (2,), 0.5),)
+OSC = (((2,), (0,), 0.5), ((0,), (2,), 0.5))
+
+
+@pytest.mark.parametrize("schedule, index", [
+    ((), 0),                                    # no segment
+    (((0.05, OSC), (0.0, FREE)), 0),            # out of order: a late start
+    (((0.1, OSC),), 0),                         # a late start
+    (((0.0, FREE), (0.2, OSC), (0.1, FREE)), 2),  # out of order
+    (((0.0, FREE), (0.0, OSC)), 1),             # a repeated start
+    (((0.0, FREE), (math.nan, OSC)), 1),
+])
+def test_bad_schedule_rejected_at_its_segment(schedule, index):
+    with pytest.raises(BadSchedule) as err:
+        HamiltonianSymbol(schedule=schedule, d=1)
+    assert err.value.index == index
+
+
+def test_schedule_intervals_are_half_open_and_clipped():
+    s = HamiltonianSymbol(schedule=((0, FREE), (0.1, OSC), (0.3, FREE)), d=1)
+    assert s.intervals(0.5) == [(0.0, 0.1, FREE), (0.1, 0.3, OSC),
+                                (0.3, 0.5, FREE)]
+    assert s.intervals(0.2) == [(0.0, 0.1, FREE), (0.1, 0.2, OSC)]
+    # a segment starting at t_end is not reached; the first always is
+    assert s.intervals(0.1) == [(0.0, 0.1, FREE)]
+    assert s.intervals(0.0) == [(0.0, 0.0, FREE)]
+    assert [s.terms_at(t) for t in (-1.0, 0.0, 0.0999, 0.1, 0.3, 9.0)] == [
+        FREE, FREE, FREE, OSC, FREE, FREE]
+    static = HamiltonianSymbol(OSC, d=1)
+    assert static.intervals(0.5) == [(0.0, 0.5, OSC)]
+    assert static.terms_at(0.7) == OSC
 
 
 def test_weyl_unitary_identity_and_dagger(lab64):

@@ -447,3 +447,19 @@ def test_purity_identity_random_states(lab64, rng):
         T = random_mixed(lab64, rng)
         W = wigner_from_density(T)
         assert abs(purity_estimate(W) - T.purity()) < 1e-6
+
+
+def test_fields_compare_by_value(spec32c, sys2):
+    # separate arrays of equal values: the dataclass default raised ValueError
+    T = pure_density(displaced_state(spec32c, 1.0, 0.0))
+    W1, W2 = wigner_from_density(T), wigner_from_density(T)
+    assert W1.values is not W2.values and W1 == W2 and not W1 != W2
+    assert W1 != wigner_from_density(pure_density(ground_state(spec32c)))
+    assert W1 != eta_density(W1)
+    assert W1 != PhaseSpaceField(W1.values, WEYL_SAMPLES, spec32c, "lebesgue",
+                                 W1.tol)
+    assert W1 != "W"
+    prod = wigner_from_density(tensor(T, T, sys2))
+    assert prod == wigner_from_density(tensor(T, T, sys2)) and prod != W1
+    with pytest.raises(TypeError):
+        hash(W1)
