@@ -15,12 +15,21 @@ import warnings
 
 from . import runners, serialize, verify
 from .config import parse_config
-from .errors import SchemaViolation, WignerLabError
+from .errors import SchemaViolation, SpecMismatch, WignerLabError
 from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TOLERANCE = 2
+
+# each scenario command: its runner and the config section it runs on
+COMMANDS = {
+    "transform": (runners.cmd_transform, "phase_space"),
+    "evolve": (runners.cmd_evolve, "phase_space"),
+    "oracle": (runners.cmd_oracle, "phase_space"),
+    "compare": (runners.cmd_compare, "phase_space"),
+    "feedback": (runners.cmd_feedback, "layout"),
+}
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; keep 2 reserved for tolerance failures
@@ -34,8 +43,7 @@ def build_parser():
     p = _Parser(
         prog="wignerlab",
         description="phase-space laboratory batch runner")
-    p.add_argument("command", choices=["transform", "evolve", "oracle",
-                                       "compare", "feedback", "verify"])
+    p.add_argument("command", choices=[*COMMANDS, "verify"])
     p.add_argument("--config", help="path to a JSON scenario config")
     p.add_argument("--out", help="output directory (overrides the config)")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -107,13 +115,9 @@ def _run(args):
         if args.command == "verify":
             level = args.level or (cfg.verify_level if cfg else "quick")
             return _run_verify(cfg_text, level, out_dir)
-        handler = {
-            "transform": runners.cmd_transform,
-            "evolve": runners.cmd_evolve,
-            "oracle": runners.cmd_oracle,
-            "compare": runners.cmd_compare,
-            "feedback": runners.cmd_feedback,
-        }[args.command]
+        handler, section = COMMANDS[args.command]
+        if section not in cfg.raw:
+            raise SpecMismatch(f"{args.command} needs a {section!r} section")
         failures = handler(cfg, out_dir)
         serialize.write_manifest(out_dir, cfg_text, args.command, DEFAULT_TOL)
     except WignerLabError as exc:

@@ -202,8 +202,7 @@ def wigner_from_weyl_function(samples):
         raise GridMismatch(f"wigner_from_weyl_function needs a {WEYL_SAMPLES} "
                            "PhaseSpaceField")
     with np.errstate(invalid="ignore", over="ignore"):
-        W = engine.chi_to_wigner(np.asarray(samples.values, complex),
-                                 samples.axes)
+        W = engine.chi_to_wigner(samples.values, samples.axes)
         out = _real_with_residue_check(W, samples.tol,
                                        "wigner_from_weyl_function")
     return PhaseSpaceField(out, WIGNER, samples.space, "lebesgue", samples.tol)

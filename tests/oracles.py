@@ -1,7 +1,7 @@
 """Independent oracles: finite differences of analytic functions, explicit
-Weyl unitaries, the lattice maps through the Weyl samples, permutation-matrix
-and Kronecker-product embeddings, and a partial trace with hand-built einsum
-letters.
+Weyl unitaries, the centered DFT by one sign table, the lattice maps through
+the Weyl samples, permutation-matrix and Kronecker-product embeddings, and a
+partial trace with hand-built einsum letters.
 Deliberately written with different machinery than the library paths they
 check."""
 
@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from wignerlab.engine import (SpectralDifferentiator, axis_coords,
-                              centered_dft, chi_to_wigner)
+                              chi_to_wigner)
 from wignerlab.errors import FactorMismatch, UnknownSubsystem
 from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK, FeedbackVerdict
 from wignerlab.hilbert import (LEBESGUE, DensityOperator, _lebesgue,
@@ -280,6 +280,31 @@ def chi_by_explicit_unitaries(T, spec):
     return chi
 
 
+# --- the centered DFT with its checkerboards as one sign table ------------
+
+def centered_dft_by_table(x, axes, sign):
+    """The centered DFT with both checkerboards as one +-1 table over the
+    transformed axes, applied by a broadcast product: the reference that
+    engine.centered_dft matches bit for bit without building the table.
+    """
+    axes = tuple(axes)
+    shape = np.shape(x)
+    c = np.ones((1,) * len(shape))
+    for ax in axes:
+        s = np.ones(shape[ax])
+        s[1::2] = -1.0
+        c = c * s.reshape([-1 if i == ax else 1 for i in range(len(shape))])
+    y = np.multiply(x, c, dtype=complex)
+    if sign < 0:
+        np.fft.fftn(y, axes=axes, out=y)
+    else:
+        np.fft.ifftn(y, axes=axes, norm="forward", out=y)
+    if sum(shape[ax] // 2 for ax in axes) % 2:
+        c *= -1.0
+    y *= c
+    return y
+
+
 # --- the lattice maps through the Weyl samples, as they were before the
 # direct map: per-call diagonal index pairs and an n x n cocycle table ---
 
@@ -315,7 +340,7 @@ def density_to_chi_by_cocycle(T, axes):
     for i, (n, _) in enumerate(axes):
         A = np.moveaxis(X, (i, d + i), (0, 1))[_diag_index(n)]    # (l, beta, rest)
         X = np.moveaxis(A, (0, 1), (i, d + i))
-    chi = centered_dft(X, range(d), -1)                           # l -> a
+    chi = centered_dft_by_table(X, range(d), -1)                  # l -> a
     for i, (n, _) in enumerate(axes):
         chi *= _cocycle(2 * d, i, n, +1)
     return chi
@@ -327,7 +352,7 @@ def chi_to_density_by_cocycle(chi, axes):
     C = np.multiply(chi, 1.0 / math.prod(n for n, _ in axes), dtype=complex)
     for i, (n, _) in enumerate(axes):
         C *= _cocycle(2 * d, i, n, -1)
-    G = centered_dft(C, range(d), +1)                             # a -> l
+    G = centered_dft_by_table(C, range(d), +1)                    # a -> l
     del C                       # release it before the scatter allocates T
     for i, (n, _) in enumerate(axes):
         G = np.moveaxis(G, (i, d + i), (0, 1))                    # (l, beta, rest)
@@ -340,7 +365,7 @@ def chi_to_density_by_cocycle(chi, axes):
 def wigner_to_chi(W, axes):
     """Weyl-function samples of a Wigner field: the inverse of
     engine.chi_to_wigner, one centered DFT over every axis."""
-    C = centered_dft(W, range(2 * len(axes)), -1)
+    C = centered_dft_by_table(W, range(2 * len(axes)), -1)
     C *= math.prod(2.0 * math.pi / n for n, _ in axes)
     return C
 

@@ -308,13 +308,39 @@ def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
     assert "exceeds run cap 4096" in capsys.readouterr().err
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+# every command run on a shipped config without the section it needs, and a
+# layout config whose initial_state is left to the default ground state
+MISMATCHED = (
+    [("feedback", name, None, "layout")
+     for name in ("harmonic", "quench", "transform")]
+    + [(command, name, None, "phase_space")
+       for command in ("transform", "evolve", "oracle", "compare")
+       for name in ("feedback_levels", "feedback_grid")]
+    + [("transform", "feedback_grid", "initial_state", "phase_space")])
+
+
+@pytest.mark.parametrize("command, name, drop, section", MISMATCHED)
+def test_command_on_a_config_without_its_section_exits_1(
+        command, name, drop, section, tmp_path, capsys):
+    with open(os.path.join(CONFIGS, name + ".json")) as f:
+        cfg = json.load(f)
+    cfg.pop(drop, None)
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(section) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["transform", "evolve", "oracle",
                                      "compare", "feedback", "verify"])
 def test_out_naming_a_file_exits_1(command, harmonic_cfg, tmp_path, capsys):
     # the output directory cannot be made where a file stands: a library
     # error and exit 1, before any work, never a raw traceback
-    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
-    config = {"feedback": os.path.join(configs, "feedback_levels.json"),
+    config = {"feedback": os.path.join(CONFIGS, "feedback_levels.json"),
               "verify": None}.get(command, harmonic_cfg)
     out = tmp_path / "taken"
     out.write_text("not a directory\n")

@@ -8,10 +8,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (chi_by_explicit_unitaries, chi_to_density_by_cocycle,
-                     density_to_chi_by_cocycle, density_to_wigner_by_chi,
-                     fd4_by_rolls, gemm_along_axis, rfft_derivative,
-                     wigner_to_chi, wigner_to_density_by_chi)
+from oracles import (centered_dft_by_table, chi_by_explicit_unitaries,
+                     chi_to_density_by_cocycle, density_to_chi_by_cocycle,
+                     density_to_wigner_by_chi, fd4_by_rolls, gemm_along_axis,
+                     rfft_derivative, wigner_to_chi, wigner_to_density_by_chi)
 from wignerlab import engine
 from wignerlab.engine import (apply_matrix, centered_dft, chi_to_wigner,
                               density_to_chi, density_to_wigner,
@@ -62,6 +62,24 @@ def test_centered_dft_n2_where_half_n_is_odd():
                        atol=1e-15)
 
 
+def test_centered_dft_is_bitwise_the_sign_table_kernel(rng):
+    # no sign table of the field's shape is built, but every entry still gets
+    # the one complex product with +-1 that the table gives it, so the bits
+    # (signed zeros of real input included) are kept. n = 2 and 6 on one
+    # axis and the (6, 4) field have an odd sum of n/2
+    cases = [(x, (0,)) for n in (2, 6, 64)
+             for x in (_complex(rng, (n, 3)), np.eye(n))]
+    cases += [(x, (0, 1)) for x in (_complex(rng, (6, 4)), np.eye(6, 4))]
+    for x, axes in cases:
+        for sign in (-1, 1):
+            expected = centered_dft_by_table(x, axes, sign)
+            assert centered_dft(x, axes, sign).tobytes() == \
+                expected.tobytes(), (x.shape, axes, sign)
+            y = x.astype(complex)
+            assert centered_dft(y, axes, sign, out=y).tobytes() == \
+                expected.tobytes(), (x.shape, axes, sign)
+
+
 def test_centered_dft_leaves_input_untouched(rng):
     # and so do the lattice maps; their cached tables are read-only
     x = _complex(rng, (8, 4))
@@ -71,7 +89,8 @@ def test_centered_dft_leaves_input_untouched(rng):
     axes = [(6, 2.0), (4, 1.5)]
     T = _complex(rng, (24, 24))
     keep = T.copy()
-    for f in (density_to_wigner, wigner_to_density, density_to_chi):
+    for f in (density_to_wigner, wigner_to_density, density_to_chi,
+              chi_to_wigner):
         f(T.reshape(6, 4, 6, 4), axes)
         assert np.array_equal(T, keep), f.__name__
     for table in (engine._diag_index, engine._scatter_index,
@@ -81,8 +100,7 @@ def test_centered_dft_leaves_input_untouched(rng):
             assert table(n) is table(n)
 
 
-STAGES = (engine._shift, engine._unshift, engine._to_p, engine._from_p,
-          engine._to_momentum, engine._to_position)
+STAGES = (engine._shift, engine._unshift, engine._to_p, engine._from_p)
 
 
 def test_stage_matrices_are_cached_read_only_fft_images(rng):
@@ -102,10 +120,10 @@ def test_stage_matrices_are_cached_read_only_fft_images(rng):
 
 
 def test_one_size_rule_picks_the_kernel_of_every_map(rng, monkeypatch):
-    # at n <= DENSE_MAX every stage of the four maps is a GEMM (no FFT
-    # runs once the matrices are cached), above it every stage is FFTs
-    maps = (density_to_wigner, wigner_to_density, density_to_chi,
-            chi_to_wigner)
+    # at n <= DENSE_MAX every stage of the direct pair is a GEMM (no FFT
+    # runs once the matrices are cached), above it every stage is FFTs; the
+    # Weyl-sample maps are centered DFTs on every side of the rule
+    maps = (density_to_wigner, wigner_to_density)
 
     def refuse(*args, **kwargs):
         raise AssertionError("wrong kernel")
@@ -124,6 +142,11 @@ def test_one_size_rule_picks_the_kernel_of_every_map(rng, monkeypatch):
                 m.setattr(np, "matmul", refuse)
             for f in maps:
                 f(T, axes)
+    axes = [(engine.DENSE_MAX, 3.0)]
+    T = _complex(rng, (engine.DENSE_MAX, engine.DENSE_MAX))
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", refuse)
+        chi_to_wigner(density_to_chi(T, axes), axes)
 
 
 @given(n=even_n)
@@ -219,7 +242,7 @@ def test_direct_maps_match_the_weyl_sample_route(rng):
         by_fft = centered_dft(C, range(2 * len(dims)), +1) * (
             math.prod(2.0 * math.pi / n for n in dims)
             / (2.0 * math.pi) ** (2 * len(dims)))
-        assert _rel(chi_to_wigner(C, axes), by_fft) <= 1e-14, dims
+        assert np.array_equal(chi_to_wigner(C, axes), by_fft), dims
 
 
 def test_weyl_samples_match_the_cocycle_table(rng):
