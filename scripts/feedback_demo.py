@@ -11,8 +11,9 @@ import os
 
 import numpy as np
 
-from wignerlab import (LevelSpace, SubsystemLayout, build_feedback_hamiltonian,
-                       classify_coupling, embed_operator, run_scenario)
+from wignerlab import (LevelSpace, SubsystemLayout, assemble,
+                       build_feedback_hamiltonian, classify_coupling,
+                       embed_operator, run_scenario)
 from wignerlab.hilbert import DensityOperator, LEBESGUE, tensor_many
 from wignerlab.moyal import EvolutionRun
 from wignerlab.serialize import make_out_dir, save_series_csv
@@ -33,8 +34,7 @@ def main():
     qq = np.kron(q, q)
 
     couplings = {
-        "feedback": embed_operator(qq, ("P1", "C1"), layout)
-        + embed_operator(qq, ("P2", "C2"), layout),
+        "feedback": assemble(((("P1", "C1"), qq), (("P2", "C2"), qq)), layout),
         "no_feedback": embed_operator(qq, ("P1", "C1"), layout),
         "general": np.kron(qq, qq),
     }

@@ -23,8 +23,8 @@ from .wigner import (PhaseSpaceField, eta_density, eta_to_wigner,
 from .moyal import (EvolutionRun, MoyalGenerator, evolve,
                     gaussian_measure_derivative, moyal_rhs, poisson_power,
                     eta_moyal_rhs, von_neumann_oracle)
-from .feedback import (CouplingSpec, FeedbackVerdict, RefinedParts,
-                       SubsystemLayout, build_feedback_hamiltonian,
+from .feedback import (FeedbackVerdict, RefinedParts, SubsystemLayout,
+                       assemble, build_feedback_hamiltonian,
                        build_general_hamiltonian, build_refined_hamiltonian,
                        classify_coupling, embed_operator, run_scenario)
 from .tolerances import DEFAULT_TOL, TolerancePolicy

@@ -22,13 +22,13 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TOLERANCE = 2
 
-# each scenario command: its runner and the config section it runs on
+# each scenario command: its runner and the config sections it runs on
 COMMANDS = {
-    "transform": (runners.cmd_transform, "phase_space"),
-    "evolve": (runners.cmd_evolve, "phase_space"),
-    "oracle": (runners.cmd_oracle, "phase_space"),
-    "compare": (runners.cmd_compare, "phase_space"),
-    "feedback": (runners.cmd_feedback, "layout"),
+    "transform": (runners.cmd_transform, ("phase_space",)),
+    "evolve": (runners.cmd_evolve, ("phase_space",)),
+    "oracle": (runners.cmd_oracle, ("phase_space",)),
+    "compare": (runners.cmd_compare, ("phase_space",)),
+    "feedback": (runners.cmd_feedback, ("layout", "initial_state")),
 }
 
 class _Parser(argparse.ArgumentParser):
@@ -115,9 +115,11 @@ def _run(args):
         if args.command == "verify":
             level = args.level or (cfg.verify_level if cfg else "quick")
             return _run_verify(cfg_text, level, out_dir)
-        handler, section = COMMANDS[args.command]
-        if section not in cfg.raw:
-            raise SpecMismatch(f"{args.command} needs a {section!r} section")
+        handler, sections = COMMANDS[args.command]
+        for section in sections:
+            if section not in cfg.raw:
+                raise SpecMismatch(
+                    f"{args.command} needs the {section!r} section")
         failures = handler(cfg, out_dir)
         serialize.write_manifest(out_dir, cfg_text, args.command, DEFAULT_TOL)
     except WignerLabError as exc:

@@ -32,6 +32,10 @@ OUTPUT_FORMATS = ("csv",)      # optional extras; binary fields are always writt
 
 STATE_KINDS = ("ground", "displaced", "cat", "thermal", "product",
                "random_mixed")
+# the recipes a single system or a product's factor takes; a level factor
+# takes only LEVEL_RECIPES, and a config with a layout alone only a product
+FACTOR_RECIPES = tuple(k for k in STATE_KINDS if k != "product")
+LEVEL_RECIPES = ("ground", "displaced", "thermal")
 
 
 @dataclass
@@ -180,7 +184,9 @@ RECIPE_REALS = ("dq", "dp", "a", "beta")
 RECIPE_COUNTS = ("rank", "max_quanta")
 
 
-def _check_state(section, path, violations, labels=None):
+def _check_state(section, path, violations, factors=None,
+                 kinds=STATE_KINDS):
+    """Check a recipe; `factors` maps each layout role to its space."""
     if not isinstance(section, dict) or "type" not in section:
         violations.append((path, "initial_state needs a 'type'"))
         return None
@@ -188,6 +194,10 @@ def _check_state(section, path, violations, labels=None):
     if kind not in STATE_KINDS:
         violations.append((f"{path}.type", f"unknown recipe {kind!r}"))
         return None
+    if kind not in kinds:
+        violations.append((f"{path}.type",
+                           f"recipe {kind!r} does not fit here; use one of "
+                           f"{kinds}"))
     for key in RECIPE_REALS:
         if key in section and _real(section[key]) is None:
             violations.append((f"{path}.{key}", "not a real number"))
@@ -204,21 +214,23 @@ def _check_state(section, path, violations, labels=None):
     if kind == "cat" and section.get("parity", "even") not in ("even", "odd"):
         violations.append((f"{path}.parity", "must be 'even' or 'odd'"))
     if kind == "product":
-        factors = section.get("factors")
-        if not isinstance(factors, dict):
+        recipes = section.get("factors")
+        if not isinstance(recipes, dict):
             violations.append((f"{path}.factors", "product recipe needs factors"))
             return None
-        if labels is not None:
-            for lab in factors:
-                if lab not in labels:
+        if factors is not None:
+            for lab in recipes:
+                if lab not in factors:
                     violations.append((f"{path}.factors.{lab}",
                                        f"unknown subsystem label {lab!r}"))
-            for lab in labels:
-                if lab not in factors:
+            for lab in factors:
+                if lab not in recipes:
                     violations.append((f"{path}.factors",
                                        f"missing recipe for {lab!r}"))
-        for lab, sub in factors.items():
-            _check_state(sub, f"{path}.factors.{lab}", violations)
+        for lab, sub in recipes.items():
+            level = isinstance((factors or {}).get(lab), LevelSpace)
+            _check_state(sub, f"{path}.factors.{lab}", violations,
+                         kinds=LEVEL_RECIPES if level else FACTOR_RECIPES)
     return section
 
 
@@ -363,6 +375,10 @@ def parse_config(text, tol=DEFAULT_TOL):
                 violations.append((path + ".factors",
                                    f"unknown subsystem label(s) {bad}"))
                 continue
+            if len(set(labels)) != len(labels):
+                violations.append((path + ".factors",
+                                   f"repeated subsystem label in {labels}"))
+                continue
             symbols = _object(cterm.get("symbols", {}), path + ".symbols",
                               violations)
             syms = {}
@@ -382,9 +398,13 @@ def parse_config(text, tol=DEFAULT_TOL):
                 continue
             cfg.couplings.append((tuple(labels), syms, coeff))
 
-    labels = tuple(cfg.layout_factors) if cfg.layout_factors else None
-    cfg.initial_state = _check_state(raw.get("initial_state", {"type": "ground"}),
-                                     "initial_state", violations, labels)
+    cfg.initial_state = {"type": "ground"}
+    if "initial_state" in raw:
+        kinds = (STATE_KINDS if has_ps and has_layout
+                 else FACTOR_RECIPES if has_ps else ("product",))
+        cfg.initial_state = _check_state(raw["initial_state"], "initial_state",
+                                         violations, cfg.layout_factors or None,
+                                         kinds)
     cfg.run = _check_run(raw.get("run", {}), violations)
     cfg.output = _check_output(raw.get("output", {}), violations)
     seed = _integer(raw.get("seed", 0))

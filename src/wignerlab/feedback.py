@@ -1,16 +1,18 @@
 """Composite plant/controller Hamiltonians, the feedback classifier, scenarios.
 
-The builders assemble Hermitian operators on H = P (x) C out of factor terms;
-the classifier decides whether a coupling K splits as A (x) I + I (x) B across
-the (P1 C1) | (P2 C2) cut with both witnesses non-scalar (feedback), as a
-one-sided block (no feedback), or not at all (general). The decision procedure
-normalizes K to a traceless unit-Frobenius representative first, so verdicts
-are invariant under K -> alpha K + c I with alpha > 0.
+Every composite Hamiltonian on H = P (x) C is one `assemble` over a list of
+Hermitian terms (labels, op), each extended by identity on the other factors;
+the feedback, general and refined forms are such term lists. The classifier
+decides whether a coupling K splits as A (x) I + I (x) B across the
+(P1 C1) | (P2 C2) cut with both witnesses non-scalar (feedback), as a
+one-sided block (no feedback), or not at all (general). The decision
+procedure normalizes K to a traceless unit-Frobenius representative first,
+so verdicts are invariant under K -> alpha K + c I with alpha > 0.
 """
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class SubsystemLayout(CompositeSystem):
 
 
 # id(view) -> (weak reference to the view, defect bound, peak bound) of each
-# builder-made operator; an entry leaves with its view
+# operator `assemble` made; an entry leaves with its view
 _CHECKED = {}
 
 
@@ -82,13 +84,13 @@ def _hermitian_record(m, what, tol=DEFAULT_TOL):
     """(m as a complex array, (defect, peak)), or raise unless m is finite
     and Hermitian.
 
-    A builder-made operator (`_registered`) whose defect bound is at most
-    tol.hermiticity is returned with its record and not read again: that is
-    the full check's own bound at peak <= 1, so nothing it would reject
-    passes. Every other array, a copy or slice of a registered one included,
-    takes the full tiled pass. Its comparisons fail closed: a NaN or
-    infinite entry is rejected, never waved through by a comparison that is
-    False on NaN.
+    An operator made by `assemble` (`_registered`) whose defect bound is at
+    most tol.hermiticity is returned with its record and not read again:
+    that is the full check's own bound at peak <= 1, so nothing it would
+    reject passes. Every other array, a copy or slice of a registered one
+    included, takes the full tiled pass. Its comparisons fail closed: a NaN
+    or infinite entry is rejected, never waved through by a comparison that
+    is False on NaN.
     """
     entry = _CHECKED.get(id(m))
     if (entry is not None and entry[0]() is m and not m.flags.writeable
@@ -111,7 +113,7 @@ def _check_hermitian(m, what, tol=DEFAULT_TOL):
 
 
 def _registered(out, records):
-    """A read-only view of the builder output `out`, recorded as checked.
+    """A read-only view of `assemble`'s output `out`, recorded as checked.
 
     `records` holds the (defect, peak) of each of the k checked operators
     added into `out`. Embedding copies entries, so op (x) I has op's defect
@@ -137,16 +139,15 @@ def _registered(out, records):
 def _add_embedded(out, op, on_labels, system):
     """Add op (x) I_rest into the C-contiguous D x D array `out`.
 
-    op acts on `on_labels` in the order given. The add goes through the
-    writable einsum view of `out` on which bra and ket agree on every factor
-    outside `on_labels`, so it writes D * d_on entries, not D^2.
+    op, a complex array, acts on the label tuple `on_labels` in the order
+    given. The add goes through the writable einsum view of `out` on which
+    bra and ket agree on every factor outside `on_labels`, so it writes
+    D * d_on entries, not D^2.
     """
-    on_labels = _label_tuple(on_labels)
     operand, rest, bra, ket = system.einsum_subscripts(on_labels)
     if len(set(on_labels)) != len(on_labels):
         raise FactorMismatch(f"repeated subsystem in {on_labels}")
     d_on = system.dim_of(on_labels)
-    op = np.asarray(op, dtype=complex)
     if op.shape != (d_on, d_on):
         raise FactorMismatch(
             f"operator shape {op.shape} != ({d_on}, {d_on}) for {on_labels}")
@@ -158,76 +159,55 @@ def _add_embedded(out, op, on_labels, system):
     view += shaped.transpose(perm + [len(perm) + i for i in perm])
 
 
-def embed_operator(op, on_labels, layout):
-    """Extend an operator on a factor subset by identity on the rest."""
-    D = layout.dim
-    out = np.zeros((D, D), dtype=complex)
-    _add_embedded(out, op, on_labels, layout)
-    return out
+def assemble(terms, system):
+    """Sum of Hermitian terms on `system`, each extended by identity.
 
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Sum of Hermitian terms, each on a named factor subset.
-
-    Each term is kept as a checked, read-only copy, so the record of its
-    check still holds when `assemble` adds it.
+    `terms` is ((labels, op), ...), op acting on `labels` in the order
+    given. Each op is checked (`_hermitian_record`) and added as
+    op (x) I_rest (`_add_embedded`), in the order of `terms`, into one zeroed
+    D x D array; a term on every label in system order adds op itself.
+    Returns a read-only view recorded as checked (`_registered`).
     """
-
-    terms: tuple  # of (labels tuple, matrix)
-    _records: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        checked, records = [], []
-        for labels, m in self.terms:
-            labels = _label_tuple(labels)
-            m = np.array(m, dtype=complex)
-            m.flags.writeable = False
-            m, record = _hermitian_record(m, f"coupling on {labels}")
-            checked.append((labels, m))
-            records.append(record)
-        object.__setattr__(self, "terms", tuple(checked))
-        object.__setattr__(self, "_records", tuple(records))
-
-    def assemble(self, layout):
-        D = layout.dim
-        out = np.zeros((D, D), dtype=complex)
-        for labels, m in self.terms:
-            _add_embedded(out, m, labels, layout)
-        return _registered(out, self._records)
+    D = system.dim
+    out = np.zeros((D, D), dtype=complex)
+    records = []
+    for labels, op in terms:
+        labels = _label_tuple(labels)
+        op, record = _hermitian_record(op, f"term on {labels}")
+        _add_embedded(out, op, labels, system)
+        records.append(record)
+    return _registered(out, records)
 
 
-def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
-    """H_P (x) I_C + I_P (x) H_C + K1 on P1C1 + K2 on P2C2 (embedded)."""
-    for need in ("P1", "P2", "C1", "C2"):
-        if need not in layout.labels:
-            raise FactorMismatch(f"feedback form needs all four roles, missing {need}")
-    hp, rp = _hermitian_record(h_plant, "plant Hamiltonian")
-    hc, rc = _hermitian_record(h_controller, "controller Hamiltonian")
-    k1, r1 = _hermitian_record(k1, "K1")
-    k2, r2 = _hermitian_record(k2, "K2")
-    if hp.shape[0] != layout.dim_of(layout.plant_labels()):
-        raise FactorMismatch("plant Hamiltonian dimension mismatch")
-    if hc.shape[0] != layout.dim_of(layout.controller_labels()):
-        raise FactorMismatch("controller Hamiltonian dimension mismatch")
-    out = embed_operator(hp, layout.plant_labels(), layout)
-    _add_embedded(out, hc, layout.controller_labels(), layout)
-    _add_embedded(out, k1, ("P1", "C1"), layout)
-    _add_embedded(out, k2, ("P2", "C2"), layout)
-    return _registered(out, (rp, rc, r1, r2))
+def embed_operator(op, on_labels, layout):
+    """Extend a Hermitian op on a factor subset by identity on the rest.
+
+    A one-term `assemble`: a non-Hermitian op raises NonHermitianInput, and
+    the result is a read-only view.
+    """
+    return assemble(((on_labels, op),), layout)
 
 
 def build_general_hamiltonian(h_plant, h_controller, coupling, layout):
     """H_P (x) I + I (x) H_C + K with K Hermitian on the full space."""
-    hp, rp = _hermitian_record(h_plant, "plant Hamiltonian")
-    hc, rc = _hermitian_record(h_controller, "controller Hamiltonian")
-    K, rk = _hermitian_record(coupling, "coupling")
-    if K.shape[0] != layout.dim:
-        raise FactorMismatch("coupling must act on the full composite space")
-    out = embed_operator(hp, layout.plant_labels(), layout)
-    _add_embedded(out, hc, layout.controller_labels(), layout)
-    out += K
-    return _registered(out, (rp, rc, rk))
+    return assemble(((layout.plant_labels(), h_plant),
+                     (layout.controller_labels(), h_controller),
+                     (layout.labels, coupling)), layout)
+
+
+def _four_roles(layout, form):
+    """Raise FactorMismatch unless `layout` has P1, P2, C1 and C2."""
+    for need in PLANT_ROLES + CONTROLLER_ROLES:
+        if need not in layout.labels:
+            raise FactorMismatch(
+                f"{form} form needs all four roles, missing {need}")
+
+
+def build_feedback_hamiltonian(h_plant, h_controller, k1, k2, layout):
+    """H_P (x) I_C + I_P (x) H_C + K1 on P1C1 + K2 on P2C2 (embedded)."""
+    _four_roles(layout, "feedback")
+    return assemble(((PLANT_ROLES, h_plant), (CONTROLLER_ROLES, h_controller),
+                     (("P1", "C1"), k1), (("P2", "C2"), k2)), layout)
 
 
 @dataclass(frozen=True)
@@ -244,25 +224,16 @@ class RefinedParts:
     k_p2c2: np.ndarray
 
 
+# the factor subset of each RefinedParts field, in field order
+REFINED_LABELS = (("P1",), ("P2",), ("C1",), ("C2",), ("P1", "P2"),
+                  ("C1", "C2"), ("P1", "C1"), ("P2", "C2"))
+
+
 def build_refined_hamiltonian(parts, layout):
     """Refined composite Hamiltonian with internal plant/controller couplings."""
-    for need in ("P1", "P2", "C1", "C2"):
-        if need not in layout.labels:
-            raise FactorMismatch(f"refined form needs all four roles, missing {need}")
-    pieces = (
-        (parts.h_p1, ("P1",)), (parts.h_p2, ("P2",)),
-        (parts.h_c1, ("C1",)), (parts.h_c2, ("C2",)),
-        (parts.k_p1p2, ("P1", "P2")), (parts.k_c1c2, ("C1", "C2")),
-        (parts.k_p1c1, ("P1", "C1")), (parts.k_p2c2, ("P2", "C2")),
-    )
-    D = layout.dim
-    out = np.zeros((D, D), dtype=complex)
-    records = []
-    for m, labels in pieces:
-        m, record = _hermitian_record(m, f"term on {labels}")
-        _add_embedded(out, m, labels, layout)
-        records.append(record)
-    return _registered(out, records)
+    _four_roles(layout, "refined")
+    return assemble(((labels, getattr(parts, f.name)) for labels, f
+                     in zip(REFINED_LABELS, fields(RefinedParts))), layout)
 
 
 # --- classifier ---------------------------------------------------------------

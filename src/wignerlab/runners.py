@@ -7,9 +7,8 @@ import numpy as np
 
 from . import serialize
 from .errors import SpecMismatch
-from .feedback import (CouplingSpec, SubsystemLayout, _add_embedded,
-                       build_general_hamiltonian, check_run_cap,
-                       classify_coupling, run_scenario)
+from .feedback import (SubsystemLayout, assemble, build_general_hamiltonian,
+                       check_run_cap, classify_coupling, run_scenario)
 from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
                       tensor_many)
 from .moyal import EvolutionRun, MoyalGenerator, evolve, von_neumann_oracle
@@ -66,28 +65,18 @@ def assemble_layout(cfg):
     def block(labels):
         """Sum of the factor Hamiltonians on `labels`, each embedded."""
         sub = layout.keep(labels)
-        out = np.zeros((sub.dim, sub.dim), dtype=complex)
-        for lab, space in sub.factors:
-            sym = cfg.factor_hamiltonians.get(lab)
-            if sym is not None:
-                _add_embedded(out, weyl_quantize(sym, space), lab, sub)
-        return out
+        hams = cfg.factor_hamiltonians
+        return assemble(((lab, weyl_quantize(hams[lab], space))
+                         for lab, space in sub.factors if lab in hams), sub)
 
-    hp = block(layout.plant_labels())
-    hc = block(layout.controller_labels())
     terms = []
-    for labels, syms, coeff in cfg.couplings or []:
+    for labels, syms, coeff in cfg.couplings:
         term = np.eye(1, dtype=complex)
         for lab in labels:
-            space = layout.roles[lab]
-            term = np.kron(term, weyl_quantize(syms[lab], space))
+            term = np.kron(term, weyl_quantize(syms[lab], layout.roles[lab]))
         terms.append((labels, coeff * term))
-    if terms:
-        K = CouplingSpec(tuple(terms)).assemble(layout)
-    else:
-        D = layout.dim
-        K = np.zeros((D, D), dtype=complex)
-    return layout, hp, hc, K
+    return (layout, block(layout.plant_labels()),
+            block(layout.controller_labels()), assemble(terms, layout))
 
 
 def cmd_transform(cfg, out_dir):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import engine
 from .feedback import (FEEDBACK, GENERAL, NO_FEEDBACK, SubsystemLayout,
-                       classify_coupling, embed_operator)
+                       assemble, classify_coupling, embed_operator)
 from .hilbert import (LEBESGUE, CompositeSystem, DensityOperator, LevelSpace,
                       pure_density, tensor, tensor_many)
 from .lattice import GaussianMeasure, make_phase_space
@@ -191,10 +191,10 @@ def feedback_couplings():
     layout = SubsystemLayout({"P1": lv, "P2": lv, "C1": lv, "C2": lv})
     q = lv.position_op()
     k1 = np.kron(q, q)
-    one = embed_operator(k1, ("P1", "C1"), layout)
-    return layout, {FEEDBACK: one + embed_operator(k1, ("P2", "C2"), layout),
-                    GENERAL: np.kron(k1, k1),
-                    NO_FEEDBACK: one}
+    return layout, {
+        FEEDBACK: assemble(((("P1", "C1"), k1), (("P2", "C2"), k1)), layout),
+        GENERAL: np.kron(k1, k1),
+        NO_FEEDBACK: embed_operator(k1, ("P1", "C1"), layout)}
 
 
 def check_feedback_axioms():

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from test_config import MALFORMED
+from test_config import MALFORMED, set_at
 from wignerlab.cli import build_parser, main
 
 HARMONIC = {
@@ -282,13 +282,13 @@ def test_feedback_form_verdict(tmp_path):
 def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
     # D = 64 x 128 = 8192 passes the layout cap but not the run cap; every
     # D x D operator would take 1.07 GB, so none may be built before exit 1
-    from wignerlab import feedback, runners
+    from wignerlab import runners
 
     def unreachable(*args, **kwargs):
         raise AssertionError("operator built before the run cap was checked")
 
     monkeypatch.setattr(runners, "weyl_quantize", unreachable)
-    monkeypatch.setattr(feedback.CouplingSpec, "assemble", unreachable)
+    monkeypatch.setattr(runners, "assemble", unreachable)
     x = [{"powers_q": [1], "powers_p": [0], "coeff": 1.0}]
     path = _write(tmp_path, {
         "version": "1",
@@ -309,15 +309,17 @@ def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
-# every command run on a shipped config without the section it needs, and a
-# layout config whose initial_state is left to the default ground state
+# every command run on a shipped config without the section it needs, and
+# layout configs whose initial_state is left to the default ground state
 MISMATCHED = (
     [("feedback", name, None, "layout")
      for name in ("harmonic", "quench", "transform")]
     + [(command, name, None, "phase_space")
        for command in ("transform", "evolve", "oracle", "compare")
        for name in ("feedback_levels", "feedback_grid")]
-    + [("transform", "feedback_grid", "initial_state", "phase_space")])
+    + [("transform", "feedback_grid", "initial_state", "phase_space")]
+    + [("feedback", name, "initial_state", "initial_state")
+       for name in ("feedback_levels", "feedback_grid")])
 
 
 @pytest.mark.parametrize("command, name, drop, section", MISMATCHED)
@@ -331,6 +333,43 @@ def test_command_on_a_config_without_its_section_exits_1(
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(section) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# layout inputs that parse but would fail only once output exists: (config,
+# where, value, the path the config error names)
+LAYOUT_FAULTS = {
+    "repeated_coupling_factor": (
+        "feedback_levels", "hamiltonian.couplings.0.factors", ["P1", "P1"],
+        "hamiltonian.couplings[0].factors"),
+    "cat_on_a_level_factor": (
+        "feedback_levels", "initial_state.factors.P2", {"type": "cat"},
+        "initial_state.factors.P2.type"),
+    "random_mixed_on_a_level_factor": (
+        "feedback_levels", "initial_state.factors.C1",
+        {"type": "random_mixed"}, "initial_state.factors.C1.type"),
+    "nested_product": (
+        "feedback_grid", "initial_state.factors.P1",
+        {"type": "product", "factors": {"P1": {"type": "ground"}}},
+        "initial_state.factors.P1.type"),
+    "single_recipe_on_a_layout": (
+        "feedback_grid", "initial_state", {"type": "ground"},
+        "initial_state.type"),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_FAULTS)
+def test_layout_fault_is_a_config_error(case, tmp_path, capsys):
+    name, where, value, path = LAYOUT_FAULTS[case]
+    with open(os.path.join(CONFIGS, name + ".json")) as f:
+        cfg = json.load(f)
+    set_at(cfg, where, value)
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error at {path}: " in err
     assert "Traceback" not in err
     assert not out.exists()
 

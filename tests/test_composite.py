@@ -17,7 +17,7 @@ from wignerlab.config import parse_config
 from wignerlab.errors import (FactorMismatch, NonHermitianInput,
                               RepresentationMismatch, SpecMismatch,
                               WrongRepresentation)
-from wignerlab.feedback import (CouplingSpec, RefinedParts, SubsystemLayout,
+from wignerlab.feedback import (RefinedParts, SubsystemLayout, assemble,
                                 build_feedback_hamiltonian,
                                 build_general_hamiltonian,
                                 build_refined_hamiltonian, classify_coupling,
@@ -67,8 +67,9 @@ def test_embedding_equals_kron_reference(name, rng):
     for r in range(1, len(labs) + 1):
         for on in itertools.permutations(labs, r):
             op = hermitian(rng, layout.dim_of(on))
-            assert np.array_equal(embed_operator(op, on, layout),
-                                  kron_embed_operator(op, on, layout)), on
+            got = embed_operator(op, on, layout)
+            assert np.array_equal(got, kron_embed_operator(op, on, layout)), on
+            assert not got.flags.writeable
 
 
 def test_repeated_label_rejected():
@@ -89,11 +90,11 @@ def test_builders_equal_kron_reference(name, rng):
     assert np.array_equal(build_general_hamiltonian(hp, hc, K, layout), want)
 
     terms = tuple((on, hermitian(rng, layout.dim_of(on)))
-                  for on in label_sets(layout))
+                  for on in (*label_sets(layout), layout.labels))
     want = np.zeros((D, D), dtype=complex)
     for on, m in terms:
         want += kron_embed_operator(m, on, layout)
-    assert np.array_equal(CouplingSpec(terms).assemble(layout), want)
+    assert np.array_equal(assemble(terms, layout), want)
 
     if layout.controller_labels() != ("C1", "C2"):
         return
@@ -221,7 +222,7 @@ def test_non_finite_rejected_by_every_builder(bad, place):
     with pytest.raises(NonHermitianInput):
         build_general_hamiltonian(h, h, K, layout)
     with pytest.raises(NonHermitianInput):
-        CouplingSpec(((("P1", "C1"), K),))
+        assemble(((("P1", "C1"), K),), layout)
     with pytest.raises(NonHermitianInput):
         classify_coupling(K, layout)
     lv = LevelSpace(3)
@@ -284,7 +285,7 @@ def level_scenario(scale=1.0):
 
 def test_builder_made_operators_are_not_checked_again(passes):
     layout, H, T0, run = level_scenario()
-    K = CouplingSpec(((("P1", "C1"), np.eye(9)),)).assemble(layout)
+    K = assemble(((("P1", "C1"), np.eye(9)),), layout)
     passes.clear()
     run_scenario(layout, H, T0, run)
     classify_coupling(K, layout)
@@ -334,9 +335,23 @@ def test_check_record_leaves_with_its_operator():
 
 
 def test_feedback_command_checks_no_operator_twice(tmp_path, passes):
+    # one pass per input: the factor Hamiltonians on P1 and C1 and the
+    # couplings on P1C1 and P2C2, each where it enters `assemble`
     assert cli.main(["feedback", "--config", str(FEEDBACK_LEVELS),
                      "--out", str(tmp_path)]) == 0
-    assert passes and all(shape == (16, 16) for shape in passes)
+    assert sorted(passes) == [(4, 4), (4, 4), (16, 16), (16, 16)]
+
+
+def test_uncoupled_layout_makes_no_full_space_pass(tmp_path, passes):
+    # the zero K of a layout without couplings is assembled, so neither H's
+    # builder nor the classifier reads it again
+    raw = json.loads(FEEDBACK_LEVELS.read_text())
+    del raw["hamiltonian"]["couplings"]
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["feedback", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert sorted(passes) == [(4, 4), (4, 4)]
 
 
 # --- products mapped factor by factor ---------------------------------------

@@ -2,13 +2,17 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab import config
 from wignerlab.config import parse_config
-from wignerlab.errors import SchemaViolation, UnknownVersion, WignerLabError
+from wignerlab.errors import (SchemaViolation, SpecMismatch, UnknownVersion,
+                              WignerLabError)
+from wignerlab.hilbert import LevelSpace
+from wignerlab.runners import build_state
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -158,6 +162,22 @@ def test_product_state_requires_every_factor():
     assert any("C1" in reason for _, reason in err.value.violations)
 
 
+@pytest.mark.parametrize("kind", config.FACTOR_RECIPES)
+def test_level_recipes_are_what_a_level_factor_builds(kind):
+    # config's list of level recipes against the state builder's
+    recipe = {"type": kind, "beta": 1.0}
+    space = LevelSpace(4)
+
+    def build():
+        return build_state(recipe, space, np.random.default_rng(0))
+
+    if kind in config.LEVEL_RECIPES:
+        assert build().space == space
+    else:
+        with pytest.raises(SpecMismatch):
+            build()
+
+
 def test_schedule_parses():
     raw = json.loads(json.dumps(MINIMAL))
     raw["hamiltonian"]["schedule"] = [
@@ -228,21 +248,28 @@ MALFORMED = {
     "covariance_null": ("phase_space.covariance", None, "phase_space.covariance"),
     "phase_space_scalar": ("phase_space", 5, "phase_space"),
     "dq_string": ("initial_state.dq", "far", "initial_state.dq"),
+    "product_on_a_phase_space": ("initial_state",
+                                 {"type": "product", "factors": {}},
+                                 "initial_state.type"),
     "directory_number": ("output.directory", 7, "output.directory"),
     "seed_string": ("seed", "x", "seed"),
     "verify_list": ("verify", [], "verify"),
 }
 
 
+def set_at(node, where, value):
+    """Set the entry of a parsed config at a dotted path ("run.dt")."""
+    keys = [int(k) if k.isdigit() else k for k in where.split(".")]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_values_are_schema_violations(case):
     where, value, path = MALFORMED[case]
     raw = _harmonic()
-    keys = [int(k) if k.isdigit() else k for k in where.split(".")]
-    node = raw
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
+    set_at(raw, where, value)
     with pytest.raises(SchemaViolation) as err:
         parse_config(json.dumps(raw))
     assert path in [p for p, _ in err.value.violations]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import embed_by_permutation
 from wignerlab import feedback, hilbert
 from wignerlab import (DensityOperator, HamiltonianSymbol, LevelSpace,
-                       RefinedParts, SubsystemLayout,
+                       RefinedParts, SubsystemLayout, assemble,
                        build_feedback_hamiltonian, build_general_hamiltonian,
                        build_refined_hamiltonian, classify_coupling,
                        embed_operator, partial_trace, pure_density,
@@ -385,18 +385,18 @@ def test_perturbation_factor_traced_out():
     assert res.plant_purity.min() < 1.0 - 1e-6
 
 
-def test_coupling_spec_assembles_and_validates():
-    from wignerlab import CouplingSpec
+def test_assemble_sums_and_validates():
     layout = four_level_layout(3)
     q = LV3.position_op()
-    spec = CouplingSpec(((("P1", "C1"), np.kron(q, q)),
-                         (("P2", "C2"), 0.5 * np.kron(q, q))))
-    K = spec.assemble(layout)
+    K = assemble(((("P1", "C1"), np.kron(q, q)),
+                  (("P2", "C2"), 0.5 * np.kron(q, q))), layout)
     want = embed_operator(np.kron(q, q), ("P1", "C1"), layout) \
         + 0.5 * embed_operator(np.kron(q, q), ("P2", "C2"), layout)
     assert np.abs(K - want).max() < 1e-14
     with pytest.raises(NonHermitianInput):
-        CouplingSpec(((("P1", "C1"), np.triu(np.ones((9, 9)))),))
+        assemble(((("P1", "C1"), np.triu(np.ones((9, 9)))),), layout)
+    with pytest.raises(NonHermitianInput):
+        embed_operator(np.triu(np.ones((9, 9))), ("P1", "C1"), layout)
 
 
 def test_mixed_geometry_composite_reduction():
