@@ -22,13 +22,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TOLERANCE = 2
 
-# each scenario command: its runner and the config sections it runs on
+# each scenario command: its runner, the config sections it runs on, and
+# whether its initial state is a `product` recipe (else a single-system one);
+# a config with both a phase_space and a layout accepts either kind, so the
+# command checks its own
 COMMANDS = {
-    "transform": (runners.cmd_transform, ("phase_space",)),
-    "evolve": (runners.cmd_evolve, ("phase_space",)),
-    "oracle": (runners.cmd_oracle, ("phase_space",)),
-    "compare": (runners.cmd_compare, ("phase_space",)),
-    "feedback": (runners.cmd_feedback, ("layout", "initial_state")),
+    "transform": (runners.cmd_transform, ("phase_space",), False),
+    "evolve": (runners.cmd_evolve, ("phase_space",), False),
+    "oracle": (runners.cmd_oracle, ("phase_space",), False),
+    "compare": (runners.cmd_compare, ("phase_space",), False),
+    "feedback": (runners.cmd_feedback, ("layout", "initial_state"), True),
 }
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +87,13 @@ def main(argv=None):
             return EXIT_TOLERANCE
 
 
+def _config_errors(violations):
+    """Print each (path, reason) violation; the error exit code."""
+    for path, reason in violations:
+        print(f"config error at {path}: {reason}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def _run(args):
     cfg_text = "{}"
     cfg = None
@@ -97,9 +107,7 @@ def _run(args):
         try:
             cfg = parse_config(cfg_text)
         except SchemaViolation as exc:
-            for path, reason in exc.violations:
-                print(f"config error at {path}: {reason}", file=sys.stderr)
-            return EXIT_ERROR
+            return _config_errors(exc.violations)
         except WignerLabError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_ERROR
@@ -115,11 +123,17 @@ def _run(args):
         if args.command == "verify":
             level = args.level or (cfg.verify_level if cfg else "quick")
             return _run_verify(cfg_text, level, out_dir)
-        handler, sections = COMMANDS[args.command]
+        handler, sections, product = COMMANDS[args.command]
         for section in sections:
             if section not in cfg.raw:
                 raise SpecMismatch(
                     f"{args.command} needs the {section!r} section")
+        kind = cfg.initial_state["type"]
+        if (kind == "product") != product:
+            want = "a 'product'" if product else "a single-system"
+            return _config_errors([("initial_state.type",
+                                    f"{args.command} takes {want} recipe, "
+                                    f"not {kind!r}")])
         failures = handler(cfg, out_dir)
         serialize.write_manifest(out_dir, cfg_text, args.command, DEFAULT_TOL)
     except WignerLabError as exc:

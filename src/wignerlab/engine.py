@@ -41,9 +41,10 @@ in (q.., p..) order with no transpose copy. The two kernels agree to
 roundoff, not bit for bit. The per-n index, phase and matrix tables are
 built once, on first use, and are read-only.
 
-apply_matrix is the one GEMM applier: it runs these dense stages and every
-derivative matrix of the bracket plan (moyal.BracketPlan), under one rule of
-at most _ROWS rows per call.
+gemm_calls is the one GEMM rule, of at most _ROWS rows per call: it lists
+the matmul calls of these dense stages, which apply_matrix runs at once, and
+of every derivative matrix of the bracket plan (moyal.BracketPlan), which
+the plan binds once per buffer set and runs many times.
 """
 
 import functools
@@ -175,34 +176,35 @@ def _matrix(stage, n):
     return _frozen(M[0])
 
 
-def apply_matrix(M, src, dst):
-    """dst = M applied along axis 1 of the (B, n, P) views src and dst, which
-    must not overlap: the one GEMM applier, of the lattice stages and of the
-    bracket plan's derivatives.
+def gemm_calls(M, src, dst):
+    """The GEMM calls of dst = M applied along axis 1 of the (B, n, P) views
+    src and dst, which must not overlap: the one GEMM rule, of the lattice
+    stages and of the bracket plan's derivatives.
 
-    One 2-D product when B or P is 1 (src @ M.T by rows when P is 1), else a
-    batch over B. Each call takes at most _ROWS rows of the tall operand (the
-    B rows when P is 1, else the P columns); an operand that fits is one
-    unsliced call, since the block loop's slicing costs about 0.8 us a call.
-    A block changes no entry's dot product: the result is bitwise the
-    one-call product.
+    Returns a tuple of (np.matmul, (a, b, out)) calls over views of src, dst
+    and M, valid for as long as those arrays are: bound once, they run any
+    number of times. One 2-D product when B or P is 1 (src @ M.T by rows
+    when P is 1), else a batch over B. Each call takes at most _ROWS rows of
+    the tall operand (the B rows when P is 1, else the P columns), so a
+    longer operand is cut into blocks. A block changes no entry's dot
+    product: the result is bitwise the one-call product.
     """
     B, n, P = src.shape
     if P == 1:
-        src, dst = src[..., 0], dst[..., 0]
-        if B <= _ROWS:
-            np.matmul(src, M.T, out=dst)
-            return
-        for r in range(0, B, _ROWS):
-            np.matmul(src[r:r + _ROWS], M.T, out=dst[r:r + _ROWS])
-        return
+        src, dst, Mt = src[..., 0], dst[..., 0], M.T
+        return tuple((np.matmul, (src[r:r + _ROWS], Mt, dst[r:r + _ROWS]))
+                     for r in range(0, B, _ROWS))
     if B == 1:
         src, dst = src[0], dst[0]
-    if P <= _ROWS:
-        np.matmul(M, src, out=dst)
-        return
-    for r in range(0, P, _ROWS):
-        np.matmul(M, src[..., r:r + _ROWS], out=dst[..., r:r + _ROWS])
+    return tuple((np.matmul, (M, src[..., r:r + _ROWS], dst[..., r:r + _ROWS]))
+                 for r in range(0, P, _ROWS))
+
+
+def apply_matrix(M, src, dst):
+    """dst = M applied along axis 1 of the (B, n, P) views src and dst: the
+    calls of gemm_calls, run once."""
+    for f, args in gemm_calls(M, src, dst):
+        f(*args)
 
 
 def _apply(stage, src, dst):

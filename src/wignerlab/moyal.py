@@ -11,19 +11,24 @@ H the series terminates, so K only matters beyond the terminating order. The
 eta-density form acts on Phi through the Leibniz rule with Wick-formula
 derivatives of the Gaussian reference measure, never dividing by the density.
 
-One evolution run owns its field buffer; snapshots are immutable copies.
+The bracket sum has one kernel, BracketPlan.bind: the flat list of GEMM and
+ufunc calls that writes the right-hand side over one set of buffers.
+moyal_rhs and eta_moyal_rhs run it once per call. One evolution run owns its
+buffers, binds the plan's two stage programs on them once, and runs each RK4
+step as one precomputed call list; snapshots are immutable copies.
 """
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 from math import comb, factorial
 
 import numpy as np
 
-from .engine import (SpectralDifferentiator, apply_matrix, axis_coords,
-                     derivative_matrix, fd4_matrix)
+from .engine import (SpectralDifferentiator, axis_coords, derivative_matrix,
+                     fd4_matrix, gemm_calls)
 from .errors import (EscapeDetected, InvalidDensity, OrderOverflow,
                      SnapshotMismatch, SpecMismatch, UnstableStep)
 from .hilbert import LEBESGUE, _lebesgue, propagate
@@ -206,16 +211,19 @@ class BracketPlan:
     F_o, kept in its natural broadcast shape; the all-zero order multiplies
     the field itself. Each one-axis derivative D_ax^o is a real n x n matrix
     built once here (engine.derivative_matrix, or engine.fd4_matrix for the
-    fourth-order finite-difference scheme) and applied along its axis by
-    engine.apply_matrix, on the field viewed as (n**ax, n, n**(last - ax));
-    a mixed order applies one matrix per axis it differentiates. A last-axis
-    matrix is stored in Fortran order, so the M.T that apply_matrix
-    multiplies the rows by is C-contiguous. Each term keeps
-    its last (axis, matrix) apart, the step that writes into `out` or a
-    scratch buffer. `buffers` counts the field-sized scratch buffers `apply`
-    works in: one for the terms, plus one or two for mixed-order heads. On a
-    grid of at most FULL_WEIGHT_POINTS points the weights are stored at the
-    field's full shape.
+    fourth-order finite-difference scheme) and applied along its axis under
+    engine.gemm_calls, on the field viewed as (n**ax, n, n**(last - ax)); a
+    mixed order applies one matrix per axis it differentiates. A last-axis
+    matrix is stored in Fortran order, so the M.T that the GEMM multiplies
+    the rows by is C-contiguous. Each term keeps its last (axis, matrix)
+    apart, the step that writes into `out` or a scratch buffer. `buffers`
+    counts the field-sized scratch buffers the plan works in: one for the
+    terms, plus one or two for mixed-order heads. On a grid of at most
+    FULL_WEIGHT_POINTS points the weights are stored at the field's full
+    shape.
+
+    `bind` is the one kernel: it lists every call of the sum over one set of
+    buffers, and `apply` runs that list once.
     """
 
     def __init__(self, weights, spec, scheme=SPECTRAL):
@@ -249,54 +257,64 @@ class BracketPlan:
         depth = max((len(head) for head, _, _, _ in self.terms), default=0)
         self.buffers = 1 + min(depth, 2) if self.terms else 0
 
+    def bind(self, values, out, scratch):
+        """The calls that write the right-hand side of `values` into `out`.
+
+        Returns one flat tuple of (function, args) calls, a numpy ufunc or
+        GEMM each with its output positional, over views of `values`, `out`,
+        `scratch` and the plan made here; `for f, args in calls: f(*args)`
+        runs the sum, as often as the buffers live. `out` must not overlap
+        `values`, and `scratch` holds at least `buffers` float arrays of
+        values' shape that overlap neither. The products read and write
+        through reshaped views, so all of them must be C-contiguous
+        (ValueError otherwise).
+
+        The zero-order product, or else the first term, is written into
+        `out`; a first term then takes `+ 0.0`, which is bitwise the sum
+        started from +0.0 (IEEE addition commutes), so a -0.0 term leaves
+        +0.0. Every later term is written into scratch[0], weighted and
+        added. A mixed order's head products alternate between scratch[1]
+        and scratch[2], so no product reads the buffer it writes.
+        """
+        for buf in (values, out, *scratch):
+            if not buf.flags.c_contiguous:
+                raise ValueError("values, out and scratch must be "
+                                 "C-contiguous")
+        calls = []
+        if self.zero is not None:
+            calls.append((np.multiply, (values, self.zero, out)))
+        elif not self.terms:
+            calls.append((out.fill, (0.0,)))
+        for i, (head, last, M, weight) in enumerate(self.terms):
+            first = i == 0 and self.zero is None
+            dest = out if first else scratch[0]
+            src = values
+            for j, (ax, Mh) in enumerate(head):
+                calls += self._gemm(Mh, ax, src, scratch[1 + j % 2])
+                src = scratch[1 + j % 2]
+            calls += self._gemm(M, last, src, dest)
+            calls.append((np.multiply, (dest, weight, dest)))
+            calls.append((np.add, (out, 0.0 if first else dest, out)))
+        return tuple(calls)
+
+    def _gemm(self, M, axis, src, dst):
+        view = self._views[axis]
+        return gemm_calls(M, src.reshape(view), dst.reshape(view))
+
     def apply(self, values, out=None, scratch=None):
         """The right-hand side of a float array `values`, written into `out`.
 
-        `out` (allocated when None) must not overlap `values`. `scratch` holds
-        at least `buffers` float arrays of values' shape that overlap neither;
-        when None or shorter they are allocated for this call. The products
-        write through reshaped views, so `out` and `scratch` must be
-        C-contiguous (ValueError otherwise). Without a
-        zero-order term the first term is written into `out` and then takes
-        `+= 0.0`; IEEE addition commutes, so that is bitwise the sum started
-        from +0.0, and a -0.0 term leaves +0.0.
+        `out` and `scratch` are bind's; `out` is allocated when None, and
+        `scratch` when None or shorter than `buffers`. A non-contiguous
+        `values` is read through a contiguous copy. The bound calls run once.
         """
         if out is None:
             out = np.empty(values.shape)
         if scratch is None or len(scratch) < self.buffers:
             scratch = [np.empty(values.shape) for _ in range(self.buffers)]
-        for buf in (out, *scratch):
-            if not buf.flags.c_contiguous:
-                raise ValueError("out and scratch must be C-contiguous")
-        terms = iter(self.terms)
-        if self.zero is not None:
-            np.multiply(values, self.zero, out=out)
-        elif self.terms:
-            self._term(values, next(terms), out, scratch)
-            out += 0.0
-        else:
-            out.fill(0.0)
-        for term in terms:
-            out += self._term(values, term, scratch[0], scratch)
+        for f, args in self.bind(np.ascontiguousarray(values), out, scratch):
+            f(*args)
         return out
-
-    def _term(self, values, term, dest, scratch):
-        """D^o(values) * F_o of one term, written into and returned as `dest`.
-
-        A mixed order's head products alternate between scratch[1] and
-        scratch[2], so no product reads the buffer it writes.
-        """
-        head, last, M, weight = term
-        dv = values
-        for i, (ax, Mh) in enumerate(head):
-            view = self._views[ax]
-            y = scratch[1 + i % 2]
-            apply_matrix(Mh, dv.reshape(view), y.reshape(view))
-            dv = y
-        view = self._views[last]
-        apply_matrix(M, dv.reshape(view), dest.reshape(view))
-        dest *= weight
-        return dest
 
 
 @dataclass
@@ -517,6 +535,12 @@ def _sub_multi(alpha):
 
 # --- time integration ---------------------------------------------------------
 
+def _finite(x):
+    """x is a real number (not a bool) and finite."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 @dataclass(frozen=True)
 class EvolutionRun:
     """Fixed-step classical Runge-Kutta run description."""
@@ -527,8 +551,15 @@ class EvolutionRun:
     enforce_cfl: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.stride < 1:
-            raise UnstableStep("dt must be positive and stride >= 1")
+        dt, t_end, stride = self.dt, self.t_end, self.stride
+        if not (_finite(dt) and dt > 0):
+            raise UnstableStep(f"dt must be finite and positive, got {dt!r}")
+        if not (_finite(t_end) and t_end >= 0):
+            raise UnstableStep(f"t_end must be finite and >= 0, got {t_end!r}")
+        if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
+                or stride < 1):
+            raise UnstableStep(f"stride must be an integer >= 1, got "
+                               f"{stride!r}")
 
     def snapshot_times(self):
         nfull = int(math.floor(self.t_end / self.dt + 1e-12))
@@ -560,33 +591,26 @@ def pair_snapshots(left, right):
     return [(t, x, y) for (t, x), (_, y) in zip(left, right)]
 
 
-def _rk4_step(values, rhs, gen, dt, acc, k, stage, scratch):
-    """One classical RK4 step of `values`, in place, on three field buffers.
+def _rk4_calls(h, to_acc, to_k, values, acc, k, stage):
+    """The flat call list of one classical RK4 step of length h, in place.
 
-    `acc` gathers k1 + 2 k2 + 2 k3 + k4, `k` holds the current stage slope
-    and `stage` each stage input values + (dt/2) k; the caller allocates them
-    once, as it does the plan's `scratch`. 2 k2 and 2 k3 join the sum as
-    soon as each slope has given its stage input. The arithmetic is that of
-    values + (dt/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation and in
+    `to_acc` and `to_k` are the bound stage programs values -> acc and
+    stage -> k (BracketPlan.bind). `acc` gathers k1 + 2 k2 + 2 k3 + k4, `k`
+    holds the current stage slope and `stage` each stage input
+    values + (h/2) k; 2 k2 and 2 k3 join the sum as soon as each slope has
+    given its stage input. The arithmetic is that of
+    values + (h/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation and in
     the same order, so the step is bitwise that of the allocating form.
     """
-    rhs(values, gen, out=acc, scratch=scratch)
-    np.multiply(acc, 0.5 * dt, out=stage)
-    stage += values
-    rhs(stage, gen, out=k, scratch=scratch)
-    np.multiply(k, 0.5 * dt, out=stage)
-    stage += values
-    k *= 2.0
-    acc += k
-    rhs(stage, gen, out=k, scratch=scratch)
-    np.multiply(k, dt, out=stage)
-    stage += values
-    k *= 2.0
-    acc += k
-    rhs(stage, gen, out=k, scratch=scratch)
-    acc += k
-    acc *= dt / 6.0
-    values += acc
+    def stage_input(slope, c):
+        return (np.multiply, (slope, c, stage)), (np.add, (stage, values, stage))
+
+    double = (np.multiply, (k, 2.0, k)), (np.add, (acc, k, acc))
+    return (*to_acc, *stage_input(acc, 0.5 * h),
+            *to_k, *stage_input(k, 0.5 * h), *double,
+            *to_k, *stage_input(k, h), *double,
+            *to_k, (np.add, (acc, k, acc)), (np.multiply, (acc, h / 6.0, acc)),
+            (np.add, (values, acc, values)))
 
 
 def _boundary_ring(shape):
@@ -648,10 +672,11 @@ def evolve(field0, gen, run):
 
     ring = _boundary_ring(field0.values.shape)
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w", "purity_est")}
+    t_col, mass, l2, energy, min_w, purity = diags.values()
     snapshots = []
     hfield = gen.energy_field()
-    rhs = moyal_rhs if role == WIGNER else eta_moyal_rhs
     purity_scale = (2 * math.pi) ** len(field0.axes)
+    total, least = np.add.reduce, np.minimum.reduce
 
     # the run's buffers: the RK4 step's three, the plan's scratch and the
     # boundary ring's values
@@ -659,41 +684,47 @@ def evolve(field0, gen, run):
     acc, k, stage = (np.empty_like(values) for _ in range(3))
     scratch = []
     edge = np.empty(ring.size)
+    # the plan's two bound stage programs, and one RK4 call list per step
+    # length; both bound again after a breakpoint rebuilds the plan
+    programs = []
+    step_calls = {}
 
-    def fit_scratch():
-        # fetched again after a breakpoint rebuilds the plan
+    def bind():
         plan = gen._plan if role == WIGNER else gen.eta_plan()
         scratch.extend(np.empty_like(values)
                        for _ in range(plan.buffers - len(scratch)))
+        programs[:] = (plan.bind(values, acc, scratch),
+                       plan.bind(stage, k, scratch))
+        step_calls.clear()
 
     def record(t, vals):
         # w**2 and hfield*w go into stage, an eta run's w = vals*g into k;
         # each RK4 step writes both before it reads them
         w = vals if role == WIGNER else np.multiply(vals, g, out=k)
-        sq = np.square(w, out=stage).sum()
-        diags["t"].append(t)
-        diags["mass"].append(float(w.sum() * cell))
-        diags["l2"].append(float(math.sqrt(sq * cell)))
-        diags["energy"].append(
-            float(np.multiply(hfield, w, out=stage).sum() * cell))
-        diags["min_w"].append(float(w.min()))
-        diags["purity_est"].append(float(purity_scale * sq * cell))
+        sq = total(np.square(w, out=stage), axis=None)
+        t_col.append(t)
+        mass.append(float(total(w, axis=None) * cell))
+        l2.append(float(math.sqrt(sq * cell)))
+        energy.append(
+            float(total(np.multiply(hfield, w, out=stage), axis=None) * cell))
+        min_w.append(float(least(w, axis=None)))
+        purity.append(float(purity_scale * sq * cell))
         return w
 
     def check(t, w):
         # `not value <= bound`, so that a NaN fails the guard
-        drift = abs(diags["mass"][-1] - diags["mass"][-2])
+        drift = abs(mass[-1] - mass[-2])
         if not drift <= tol.mass_drift_step:
             raise UnstableStep(f"mass drifted by {drift:.3e} in one step at "
                                f"t={t:g}", diagnostics=diags)
         # mode "clip": the default "raise" copies through a temporary
         np.take(w, ring, out=edge, mode="clip")
-        boundary = float(np.abs(edge, out=edge).sum() * cell)
+        boundary = float(total(np.abs(edge, out=edge), axis=None) * cell)
         if not boundary <= tol.boundary_mass:
             raise EscapeDetected(
                 f"boundary mass {boundary:.3e} at t={t:g}", diagnostics=diags)
 
-    fit_scratch()
+    bind()
     t = 0.0
     record(0.0, values)
     snapshots.append((0.0, field0))
@@ -705,8 +736,11 @@ def evolve(field0, gen, run):
             # so it does not drift; a step ending within 1e-12 of the target
             # lands on it
             gap = target - t
-            _rk4_step(values, rhs, gen, run.dt if gap > run.dt - 1e-12 else gap,
-                      acc, k, stage, scratch)
+            h = run.dt if gap > run.dt - 1e-12 else gap
+            if h not in step_calls:
+                step_calls[h] = _rk4_calls(h, *programs, values, acc, k, stage)
+            for f, args in step_calls[h]:
+                f(*args)
             steps += 1
             t = start + steps * run.dt
             if t > target - 1e-12:
@@ -716,7 +750,7 @@ def evolve(field0, gen, run):
         if target in starts:
             gen.select(starts[target])
             hfield = gen.energy_field()
-            fit_scratch()
+            bind()
         if target in times:
             snapshots.append((t, PhaseSpaceField(values.copy(), role, spec,
                                                  field0.measure, tol)))

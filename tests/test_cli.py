@@ -309,8 +309,13 @@ def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+with open(os.path.join(CONFIGS, "harmonic.json")) as _f:
+    HARMONIC_PHASE_SPACE = json.load(_f)["phase_space"]
 # every command run on a shipped config without the section it needs, and
-# layout configs whose initial_state is left to the default ground state
+# layout configs whose initial_state is left to the default ground state;
+# then feedback_grid with harmonic's phase_space as well, which the config
+# accepts with either kind of recipe, run by each command on the kind it
+# does not take
 MISMATCHED = (
     [("feedback", name, None, "layout")
      for name in ("harmonic", "quench", "transform")]
@@ -319,20 +324,36 @@ MISMATCHED = (
        for name in ("feedback_levels", "feedback_grid")]
     + [("transform", "feedback_grid", "initial_state", "phase_space")]
     + [("feedback", name, "initial_state", "initial_state")
-       for name in ("feedback_levels", "feedback_grid")])
+       for name in ("feedback_levels", "feedback_grid")]
+    + [pytest.param(command, "feedback_grid",
+                    {"phase_space": HARMONIC_PHASE_SPACE}, "initial_state.type",
+                    id=f"{command}-feedback_grid-product-recipe")
+       for command in ("transform", "evolve", "oracle", "compare")]
+    + [pytest.param("feedback", "feedback_grid",
+                    {"phase_space": HARMONIC_PHASE_SPACE,
+                     "initial_state": {"type": "displaced", "dq": 1.0}},
+                    "initial_state.type",
+                    id="feedback-feedback_grid-displaced-recipe")])
 
 
-@pytest.mark.parametrize("command, name, drop, section", MISMATCHED)
+@pytest.mark.parametrize("command, name, edit, section", MISMATCHED)
 def test_command_on_a_config_without_its_section_exits_1(
-        command, name, drop, section, tmp_path, capsys):
+        command, name, edit, section, tmp_path, capsys):
+    # `edit` names a section to drop, or maps sections to set
     with open(os.path.join(CONFIGS, name + ".json")) as f:
         cfg = json.load(f)
-    cfg.pop(drop, None)
+    if isinstance(edit, dict):
+        cfg.update(edit)
+    else:
+        cfg.pop(edit, None)
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path, cfg),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(section) in err
+    if isinstance(edit, dict):      # a recipe of the kind the command refuses
+        assert err.startswith(f"config error at {section}: ")
+    else:                           # a missing section
+        assert err.startswith("error: ") and repr(section) in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -7,8 +7,9 @@ import pytest
 
 from oracles import (fd_bracket, fill_and_scratch_apply, stepping_oracle,
                      term_by_term_rhs, textbook_rk4)
-from wignerlab import (GaussianMeasure, HamiltonianSymbol, make_phase_space,
-                       moyal, pure_density, wigner_from_density)
+from wignerlab import (GaussianMeasure, HamiltonianSymbol, engine,
+                       make_phase_space, moyal, pure_density,
+                       wigner_from_density)
 from wignerlab.errors import (DomainOverflow, EscapeDetected, InvalidDensity,
                               OrderOverflow, SnapshotMismatch, SpecMismatch,
                               UnstableStep)
@@ -295,6 +296,11 @@ def _kernel_case(case, lab64):
     if case == "coupled_d2":
         return MoyalGenerator(sym, spec, truncation=K)._plan, W.values, \
             False, 1
+    if case == "blocked_eta_d2":
+        # the zero-order product, then one-axis terms whose axis-0 and axis-3
+        # products exceed engine._ROWS, so they are bound as row blocks
+        return MoyalGenerator(sym, spec, truncation=K).eta_plan(), W.values, \
+            True, 1
     # q1 q2 p1 p2: third-order terms on three axes, two head products each
     sym = HamiltonianSymbol(sym.terms + (((1, 1), (1, 1), 0.1),), d=2)
     return MoyalGenerator(sym, spec, truncation=2)._plan, W.values, False, 3
@@ -302,7 +308,7 @@ def _kernel_case(case, lab64):
 
 @pytest.mark.parametrize("case", ["harmonic", "quartic", "eta", "fd4",
                                   "coupled_d2", "mixed", "mixed_eta",
-                                  "mixed_d2"])
+                                  "mixed_d2", "blocked_eta_d2"])
 def test_apply_is_bitwise_the_fill_and_scratch_kernel(case, lab64):
     # the first term written into out and then += 0.0 is bitwise the sum
     # from out.fill(0.0); stale out and scratch buffers (-0.0 and NaN) are
@@ -316,6 +322,19 @@ def test_apply_is_bitwise_the_fill_and_scratch_kernel(case, lab64):
     assert plan.apply(values, out, scratch) is out
     assert out.tobytes() == expected.tobytes()
     assert plan.apply(values).tobytes() == expected.tobytes()
+
+
+def test_bind_cuts_a_long_product_into_row_blocks(lab64):
+    # at d = 2, n = 32 the axis-0 product has 32**3 columns and the axis-3
+    # product 32**3 rows: one GEMM per block of engine._ROWS, and one for
+    # each product on the axes between
+    plan, values, _, _ = _kernel_case("blocked_eta_d2", lab64)
+    calls = plan.bind(values, np.empty(values.shape),
+                      [np.empty(values.shape)])
+    assert {ax for _, ax, _, _ in plan.terms} == {0, 1, 2, 3}
+    blocks = [32 ** 3 // engine._ROWS if ax in (0, 3) else 1
+              for _, ax, _, _ in plan.terms]
+    assert sum(f is np.matmul for f, _ in calls) == sum(blocks) > len(blocks)
 
 
 @pytest.mark.parametrize("route", ["wigner", "eta"])
@@ -488,6 +507,28 @@ def test_escape_detection():
         evolve(W0, gen, run)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"dt": math.nan}, "dt must be finite"),
+    ({"dt": math.inf}, "dt must be finite"),
+    ({"dt": 0.0}, "dt must be finite and positive"),
+    ({"dt": -1e-3}, "dt must be finite and positive"),
+    ({"t_end": math.nan}, "t_end must be finite"),
+    ({"t_end": math.inf}, "t_end must be finite"),
+    ({"t_end": -1.0}, "t_end must be finite and >= 0"),
+    ({"stride": 2.5}, "stride must be an integer"),
+    ({"stride": True}, "stride must be an integer"),
+    ({"stride": 0}, "stride must be an integer >= 1"),
+], ids=["dt_nan", "dt_inf", "dt_zero", "dt_negative", "t_end_nan",
+        "t_end_inf", "t_end_negative", "stride_float", "stride_bool",
+        "stride_zero"])
+def test_evolution_run_rejects_a_bad_value(kwargs, message):
+    # each fails where the run is described, not later in snapshot_times
+    # (a raw ValueError, OverflowError or TypeError) or never (t_end < 0
+    # gave one snapshot at t = 0)
+    with pytest.raises(UnstableStep, match=message):
+        EvolutionRun(**{"dt": 1e-3, "t_end": 0.1, "stride": 10, **kwargs})
+
+
 def test_snapshot_times_and_immutability(lab64):
     W0 = wigner_from_density(pure_density(ground_state(lab64)))
     gen = MoyalGenerator(OSC, lab64, truncation=1)
@@ -560,10 +601,9 @@ def test_evolve_is_bitwise_the_textbook_rk4(case, lab64, lab_quartic):
 def test_evolve_rejects_another_phase_space_before_stepping(lab64, role,
                                                            monkeypatch):
     def no_step(*args, **kwargs):
-        raise AssertionError("a right-hand side was evaluated")
+        raise AssertionError("a stage program was bound")
 
-    monkeypatch.setattr(moyal, "moyal_rhs", no_step)
-    monkeypatch.setattr(moyal, "eta_moyal_rhs", no_step)
+    monkeypatch.setattr(moyal.BracketPlan, "bind", no_step)
     other = make_phase_space(1, 64, 8.0, [[1.0]])
     gen = MoyalGenerator(OSC, other, truncation=1)
     if role == "wigner":
@@ -591,10 +631,9 @@ def _start_field(lab64, role):
 def test_evolve_rejects_a_non_finite_field_before_stepping(lab64, role, bad,
                                                           monkeypatch):
     def no_step(*args, **kwargs):
-        raise AssertionError("a right-hand side was evaluated")
+        raise AssertionError("a stage program was bound")
 
-    monkeypatch.setattr(moyal, "moyal_rhs", no_step)
-    monkeypatch.setattr(moyal, "eta_moyal_rhs", no_step)
+    monkeypatch.setattr(moyal.BracketPlan, "bind", no_step)
     f = _start_field(lab64, role)
     values = f.values.copy()
     values[20, 41] = bad
@@ -604,21 +643,32 @@ def test_evolve_rejects_a_non_finite_field_before_stepping(lab64, role, bad,
         evolve(field0, gen, EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
 
 
+def _after_every_stage(monkeypatch, make_call):
+    """Append the call make_call(out) returns to every stage program that
+    BracketPlan.bind makes, so it runs once after each right-hand side that
+    evolve evaluates."""
+    bind = moyal.BracketPlan.bind
+
+    def bound(plan, values, out, scratch):
+        return bind(plan, values, out, scratch) + ((make_call(out), ()),)
+
+    monkeypatch.setattr(moyal.BracketPlan, "bind", bound)
+
+
 @pytest.mark.parametrize("role", ["wigner", "eta"])
 def test_evolve_fails_closed_when_the_field_turns_nan(lab64, role,
                                                      monkeypatch):
     # a NaN drift fails `not drift <= bound`; `drift > bound` let it through
-    name = "moyal_rhs" if role == "wigner" else "eta_moyal_rhs"
-    rhs, calls = getattr(moyal, name), []
+    calls = []
 
-    def poisoned(field, gen, **kwargs):
-        got = rhs(field, gen, **kwargs)
-        calls.append(None)
-        if len(calls) == 9:                 # the third step's first stage
-            got[30, 30] = np.nan
-        return got
+    def poison(out):
+        def call():
+            calls.append(None)
+            if len(calls) == 9:             # the third step's first stage
+                out[30, 30] = np.nan
+        return call
 
-    monkeypatch.setattr(moyal, name, poisoned)
+    _after_every_stage(monkeypatch, poison)
     gen = MoyalGenerator(OSC, lab64, truncation=1)
     with pytest.raises(UnstableStep) as err:
         evolve(_start_field(lab64, role), gen,
@@ -630,26 +680,23 @@ def test_evolve_fails_closed_when_the_field_turns_nan(lab64, role,
 @pytest.mark.parametrize("role,sym", [("wigner", OSC), ("eta", OSC),
                                       ("wigner", FREE)])
 def test_evolve_allocates_no_field_per_step(lab64, role, sym, monkeypatch):
-    # the memory held between two right-hand-side calls never rises by a
+    # the memory held between two right-hand sides never rises by a
     # field-sized temporary, and the run's peak stays within its buffers,
     # its snapshot copies and one field; FREE's energy is a function of p
     # alone
-    name = "moyal_rhs" if role == "wigner" else "eta_moyal_rhs"
-    rhs = getattr(moyal, name)
     # calls, the largest rise between two calls after the first, the peak;
     # kept in one preallocated array so the probe itself holds no memory
     stats = np.zeros(3, dtype=np.int64)
 
-    def probe(*args, **kwargs):
+    def probe():
         current, peak = tracemalloc.get_traced_memory()
         if stats[0]:
             stats[1] = max(stats[1], peak - current)
         stats[0] += 1
         stats[2] = max(stats[2], peak)
         tracemalloc.reset_peak()
-        return rhs(*args, **kwargs)
 
-    monkeypatch.setattr(moyal, name, probe)
+    _after_every_stage(monkeypatch, lambda out: probe)
     field0 = _start_field(lab64, role)
     gen = MoyalGenerator(sym, lab64, truncation=1)
     plan = gen._plan if role == "wigner" else gen.eta_plan()
