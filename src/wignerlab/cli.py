@@ -58,7 +58,6 @@ def build_parser():
 
 
 def _run_verify(cfg_text, level, out_dir):
-    serialize.make_out_dir(out_dir)
     results = verify.run_suite(level)
     lines = []
     ok = True
@@ -120,21 +119,24 @@ def _run(args):
     out_dir = args.out or (cfg.output["directory"] if cfg else "out")
 
     try:
+        if args.command != "verify":
+            handler, sections, product = COMMANDS[args.command]
+            for section in sections:
+                if section not in cfg.raw:
+                    raise SpecMismatch(
+                        f"{args.command} needs the {section!r} section")
+            kind = cfg.initial_state["type"]
+            if (kind == "product") != product:
+                want = "a 'product'" if product else "a single-system"
+                return _config_errors([("initial_state.type",
+                                        f"{args.command} takes {want} "
+                                        f"recipe, not {kind!r}")])
+        serialize.make_out_dir(out_dir)
         if args.command == "verify":
             level = args.level or (cfg.verify_level if cfg else "quick")
             return _run_verify(cfg_text, level, out_dir)
-        handler, sections, product = COMMANDS[args.command]
-        for section in sections:
-            if section not in cfg.raw:
-                raise SpecMismatch(
-                    f"{args.command} needs the {section!r} section")
-        kind = cfg.initial_state["type"]
-        if (kind == "product") != product:
-            want = "a 'product'" if product else "a single-system"
-            return _config_errors([("initial_state.type",
-                                    f"{args.command} takes {want} recipe, "
-                                    f"not {kind!r}")])
-        failures = handler(cfg, out_dir)
+        # looked up when the command runs, so a rebound runner is the one run
+        failures = getattr(runners, handler.__name__)(cfg, out_dir)
         serialize.write_manifest(out_dir, cfg_text, args.command, DEFAULT_TOL)
     except WignerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

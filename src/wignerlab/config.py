@@ -15,6 +15,7 @@ from .errors import (BadGridSize, BadSchedule, InsufficientDomain,
                      SchemaViolation, UnknownVersion, WignerLabError)
 from .hilbert import LevelSpace
 from .lattice import make_phase_space
+from .moyal import MAX_BRACKET_ORDER
 from .tolerances import DEFAULT_TOL
 from .weyl import HamiltonianSymbol
 
@@ -245,6 +246,10 @@ def _check_run(section, violations):
         x = _integer(run[key])
         if x is None or x < 1:
             violations.append((f"run.{key}", "must be an integer >= 1"))
+        elif key == "truncation_k" and 2 * x - 1 > MAX_BRACKET_ORDER:
+            violations.append((f"run.{key}", "must be at most "
+                               f"{(MAX_BRACKET_ORDER + 1) // 2} (bracket "
+                               f"order {MAX_BRACKET_ORDER})"))
     if run["derivative_scheme"] not in ("spectral", "finite_difference_4th"):
         violations.append(("run.derivative_scheme", "unknown scheme"))
     if not isinstance(run["enforce_cfl"], bool):

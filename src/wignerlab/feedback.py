@@ -318,7 +318,6 @@ class ScenarioResult:
     plant_states: list
     plant_wigner: list          # list of (t, PhaseSpaceField) or empty
     square_residuals: np.ndarray  # reduction commuting-square cross-check, empty when skipped
-    verdict: object
 
 
 def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
@@ -369,7 +368,7 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
             wigners.append((t, WP))
             squares.append(reduction_square(Tt, plant, WP))
     return ScenarioResult(times, np.asarray(purity), np.asarray(energy),
-                          states, wigners, np.asarray(squares), None)
+                          states, wigners, np.asarray(squares))
 
 
 def check_run_cap(layout):
@@ -396,7 +395,7 @@ def _run_classical(layout, symbol, T0, run, h_plant):
         purity.append(purity_estimate(Wred))
     times = np.asarray([t for t, _ in res.snapshots])
     return ScenarioResult(times, np.asarray(purity), np.asarray([]),
-                          [], wigners, np.asarray([]), None)
+                          [], wigners, np.asarray([]))
 
 
 def _merged_spec(layout):

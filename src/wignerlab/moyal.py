@@ -12,10 +12,12 @@ eta-density form acts on Phi through the Leibniz rule with Wick-formula
 derivatives of the Gaussian reference measure, never dividing by the density.
 
 The bracket sum has one kernel, BracketPlan.bind: the flat list of GEMM and
-ufunc calls that writes the right-hand side over one set of buffers.
-moyal_rhs and eta_moyal_rhs run it once per call. One evolution run owns its
-buffers, binds the plan's two stage programs on them once, and runs each RK4
-step as one precomputed call list; snapshots are immutable copies.
+ufunc calls that writes the right-hand side over one set of buffers. A
+generator builds the Wigner or the eta plan of its active segment on first
+use (MoyalGenerator.plan). moyal_rhs and eta_moyal_rhs run it once per call,
+into new arrays. One evolution run owns its buffers, binds the plan's two
+stage programs on them once per segment, and runs each RK4 step as one
+precomputed call list; snapshots are immutable copies.
 """
 
 import itertools
@@ -216,14 +218,14 @@ class BracketPlan:
     mixed order applies one matrix per axis it differentiates. A last-axis
     matrix is stored in Fortran order, so the M.T that the GEMM multiplies
     the rows by is C-contiguous. Each term keeps its last (axis, matrix)
-    apart, the step that writes into `out` or a scratch buffer. `buffers`
+    apart, the step that writes into the output or a scratch buffer. `buffers`
     counts the field-sized scratch buffers the plan works in: one for the
     terms, plus one or two for mixed-order heads. On a grid of at most
     FULL_WEIGHT_POINTS points the weights are stored at the field's full
     shape.
 
     `bind` is the one kernel: it lists every call of the sum over one set of
-    buffers, and `apply` runs that list once.
+    buffers, and `apply` runs that list once over new ones.
     """
 
     def __init__(self, weights, spec, scheme=SPECTRAL):
@@ -301,17 +303,14 @@ class BracketPlan:
         view = self._views[axis]
         return gemm_calls(M, src.reshape(view), dst.reshape(view))
 
-    def apply(self, values, out=None, scratch=None):
-        """The right-hand side of a float array `values`, written into `out`.
+    def apply(self, values):
+        """The right-hand side of a float array `values`, as a new array.
 
-        `out` and `scratch` are bind's; `out` is allocated when None, and
-        `scratch` when None or shorter than `buffers`. A non-contiguous
-        `values` is read through a contiguous copy. The bound calls run once.
+        A non-contiguous `values` is read through a contiguous copy. The
+        bound calls run once, over buffers allocated here.
         """
-        if out is None:
-            out = np.empty(values.shape)
-        if scratch is None or len(scratch) < self.buffers:
-            scratch = [np.empty(values.shape) for _ in range(self.buffers)]
+        out = np.empty(values.shape)
+        scratch = [np.empty(values.shape) for _ in range(self.buffers)]
         for f, args in self.bind(np.ascontiguousarray(values), out, scratch):
             f(*args)
         return out
@@ -324,8 +323,8 @@ class MoyalGenerator:
     K counts the odd-order terms (term j uses bracket order 2j-1). For a
     polynomial symbol of degree deg, orders above deg vanish identically and
     the stored derivative fields are pruned to the exactly nonzero ones.
-    Every (re)build of the fields also builds the Wigner-route bracket plan;
-    the eta-route plan is built from the same fields on first use.
+    The bracket plan of each route is built from the active fields on first
+    use (`plan`) and dropped when they are rebuilt.
     """
 
     symbol: object
@@ -351,11 +350,7 @@ class MoyalGenerator:
         # contiguous (copied only from a broadcast view), so evolve's energy
         # diagnostic multiplies without a broadcast buffer
         self._energy = np.ascontiguousarray(sym.evaluate_phase_grid(self.spec))
-        weights = {}
-        for k, m, c, hf in self._bracket_terms():
-            _accumulate(weights, k + m, c * hf)
-        self._plan = BracketPlan(weights, self.spec, self.scheme)
-        self._eta_plan = None
+        self._plans = {}
         self._terms = terms
 
     def _bracket_terms(self):
@@ -367,16 +362,22 @@ class MoyalGenerator:
                 if hf is not None:
                     yield k, m, coef * mult * sign, hf
 
-    def eta_plan(self):
-        """Bracket plan on Phi: the Leibniz rule over Phi g with Wick fields.
+    def plan(self, role):
+        """The bracket plan of the active fields for a WIGNER field, else for
+        an eta field, built on first use.
 
-        d_q^k d_p^m (Phi g) / g = sum over sub-indices (bk, bm) of
-        C(k, bk) C(m, bm) D^(bk, bm) Phi * w(k - bk, m - bm), so each term
-        adds its Wick-weighted H-field into the weight of order (bk, bm).
+        On a Wigner field each term weights the order k + m by its H-field.
+        On Phi the Leibniz rule d_q^k d_p^m (Phi g) / g = sum over sub-indices
+        (bk, bm) of C(k, bk) C(m, bm) D^(bk, bm) Phi * w(k - bk, m - bm)
+        adds each term's Wick-weighted H-field into the weight of (bk, bm).
         """
-        if self._eta_plan is None:
+        eta = role != WIGNER
+        if eta not in self._plans:
             weights = {}
             for k, m, c, hf in self._bracket_terms():
+                if not eta:
+                    _accumulate(weights, k + m, c * hf)
+                    continue
                 for bk in _sub_multi(k):
                     for bm in _sub_multi(m):
                         cmul = 1
@@ -386,8 +387,8 @@ class MoyalGenerator:
                         rest_p = tuple(a - b for a, b in zip(m, bm))
                         _accumulate(weights, bk + bm, (c * cmul)
                                     * self._wick_field(rest_q, rest_p) * hf)
-            self._eta_plan = BracketPlan(weights, self.spec, self.scheme)
-        return self._eta_plan
+            self._plans[eta] = BracketPlan(weights, self.spec, self.scheme)
+        return self._plans[eta]
 
     def _wick_field(self, dq, dp):
         """Field w with d_q^dq d_p^dp g = g w for the spec's mu x nu density g."""
@@ -421,15 +422,19 @@ class MoyalGenerator:
         if terms != self._terms:
             self._rebuild(terms)
 
-    def gradient_max(self):
-        """max over the grid of |grad H| (used by the CFL guard)."""
+    def gradient_max(self, terms):
+        """max over the grid of |grad H| for one segment's terms (the CFL
+        guard); the active fields are read, any other segment's first-order
+        fields are built apart and the active ones kept."""
+        fields = self._fields if terms == self._terms else _derivative_fields(
+            self.symbol.segment(terms), self.spec, (1,))
         d = self.spec.d
         zero = (0,) * d
         grad_sq = 0.0
         for ax in range(d):
             e = tuple(1 if i == ax else 0 for i in range(d))
             for key in ((zero, e), (e, zero)):      # d_q H, then d_p H
-                f = self._fields.get(key)
+                f = fields.get(key)
                 if f is not None:
                     grad_sq = grad_sq + f ** 2
         return math.sqrt(float(np.max(grad_sq)))
@@ -488,41 +493,30 @@ def _grid_values(field, gen, measure):
     return values
 
 
-def _like(field, rhs, out):
-    """rhs as a field like `field` when that is a PhaseSpaceField.
-
-    Fields are read-only, so a caller's `out` buffer is copied into the
-    field rather than frozen.
-    """
+def _rhs(field, gen, role, measure):
+    """The plan of `role` applied to a field or array on gen's grid: a new
+    field like a PhaseSpaceField input, else a new array."""
+    rhs = gen.plan(role).apply(_grid_values(field, gen, measure))
     if not isinstance(field, PhaseSpaceField):
         return rhs
-    return PhaseSpaceField(rhs if out is None else rhs.copy(), field.role,
-                           field.space, field.measure, field.tol)
+    return PhaseSpaceField(rhs, field.role, field.space, field.measure,
+                           field.tol)
 
 
-def moyal_rhs(W, gen, out=None, scratch=None):
-    """Truncated sine-series right-hand side on a Wigner-density field.
-
-    With `out` (a float array of the grid's shape that does not overlap W)
-    the values are written there, and an array input returns `out` itself.
-    `scratch` is a list of the plan's work buffers (BracketPlan.apply),
-    owned by the caller and reused across calls.
-    """
-    values = _grid_values(W, gen, LEBESGUE)
-    return _like(W, gen._plan.apply(values, out, scratch), out)
+def moyal_rhs(W, gen):
+    """Truncated sine-series right-hand side on a Wigner-density field."""
+    return _rhs(W, gen, WIGNER, LEBESGUE)
 
 
-def eta_moyal_rhs(phi, gen, out=None, scratch=None):
+def eta_moyal_rhs(phi, gen):
     """Sine-series action on an eta density through the Leibniz/Wick route.
 
     Expands every derivative of Phi * g by the Leibniz rule, replacing
     derivatives of the Gaussian reference density by Wick polynomials, and
     never multiplies or divides by the density itself. Equals
-    eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic. `out`
-    and `scratch` work as in moyal_rhs.
+    eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic.
     """
-    values = _grid_values(phi, gen, "mu_nu")
-    return _like(phi, gen.eta_plan().apply(values, out, scratch), out)
+    return _rhs(phi, gen, ETA, "mu_nu")
 
 
 def _sub_multi(alpha):
@@ -657,11 +651,7 @@ def evolve(field0, gen, run):
     # the terms of each later interval, by its start
     starts = {start: terms for start, _, terms in intervals[1:]}
 
-    # reversed, so that the guard leaves the first segment's fields built
-    grad = 0.0
-    for _, _, terms in reversed(intervals):
-        gen.select(terms)
-        grad = max(grad, gen.gradient_max())
+    grad = max(0.0, *(gen.gradient_max(terms) for _, _, terms in intervals))
     limit = gen.min_spacing() / (4.0 * max(grad, 1e-300))
     if run.dt > limit:
         msg = (f"dt = {run.dt:g} exceeds the CFL guard {limit:g} "
@@ -670,6 +660,8 @@ def evolve(field0, gen, run):
             raise UnstableStep(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
+    # the run starts on the first interval's fields
+    gen.select(intervals[0][2])
     ring = _boundary_ring(field0.values.shape)
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w", "purity_est")}
     t_col, mass, l2, energy, min_w, purity = diags.values()
@@ -685,12 +677,12 @@ def evolve(field0, gen, run):
     scratch = []
     edge = np.empty(ring.size)
     # the plan's two bound stage programs, and one RK4 call list per step
-    # length; both bound again after a breakpoint rebuilds the plan
+    # length; both bound again after a breakpoint rebuilds the fields
     programs = []
     step_calls = {}
 
     def bind():
-        plan = gen._plan if role == WIGNER else gen.eta_plan()
+        plan = gen.plan(role)
         scratch.extend(np.empty_like(values)
                        for _ in range(plan.buffers - len(scratch)))
         programs[:] = (plan.bind(values, acc, scratch),

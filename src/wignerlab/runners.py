@@ -1,4 +1,6 @@
-"""Command implementations shared by the CLI: build, run, persist."""
+"""Command implementations shared by the CLI: build, run, persist.
+
+Each cmd_* writes into an output directory that the caller has made."""
 
 import math
 import os
@@ -81,7 +83,6 @@ def assemble_layout(cfg):
 
 def cmd_transform(cfg, out_dir):
     """State -> Wigner and eta snapshots, marginals, scalar diagnostics."""
-    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     spec = cfg.phase_space
     T = build_state(cfg.initial_state, spec, rng)
@@ -121,7 +122,6 @@ def _make_run(cfg):
 
 
 def cmd_evolve(cfg, out_dir):
-    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     spec = cfg.phase_space
     T0 = build_state(cfg.initial_state, spec, rng)
@@ -149,7 +149,6 @@ def cmd_evolve(cfg, out_dir):
 
 
 def cmd_oracle(cfg, out_dir):
-    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     spec = cfg.phase_space
     T0 = build_state(cfg.initial_state, spec, rng)
@@ -172,7 +171,6 @@ def cmd_oracle(cfg, out_dir):
 
 def cmd_compare(cfg, out_dir):
     """Twin run: Moyal vs density-operator oracle, machine-readable report."""
-    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     T0 = build_state(cfg.initial_state, cfg.phase_space, rng)
     errors, _ = check_oracle_agreement(
@@ -191,7 +189,6 @@ def cmd_compare(cfg, out_dir):
 
 
 def cmd_feedback(cfg, out_dir):
-    serialize.make_out_dir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     layout, hp, hc, K = assemble_layout(cfg)
     H = build_general_hamiltonian(hp, hc, K, layout)

@@ -145,6 +145,22 @@ def test_malformed_value_exits_1_with_its_path(tmp_path, capsys):
     assert not (tmp_path / "m1").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_truncation_above_the_cap_is_a_config_error(command, harmonic_cfg,
+                                                    tmp_path, capsys):
+    # K = 5 would reach bracket order 9: a config error at its path before
+    # any output, not a run-time error after the directory is made
+    with open(harmonic_cfg) as f:
+        cfg = json.load(f)
+    cfg["run"]["truncation_k"] = 5
+    out = tmp_path / "k5"
+    assert main([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error at run.truncation_k: "
+                                       "must be at most 4 (bracket order 7)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", [c for c in MALFORMED
                                   if c.startswith("schedule_")])
 def test_malformed_schedule_is_a_config_error(case, tmp_path, capsys):

@@ -231,6 +231,7 @@ MALFORMED = {
     "dt_string": ("run.dt", "x", "run.dt"),
     "stride_fraction": ("run.stride", 0.5, "run.stride"),
     "truncation_null": ("run.truncation_k", None, "run.truncation_k"),
+    "truncation_above_cap": ("run.truncation_k", 5, "run.truncation_k"),
     "enforce_cfl_string": ("run.enforce_cfl", "yes", "run.enforce_cfl"),
     "run_scalar": ("run", 3, "run"),
     "half_width_overflow": ("phase_space.half_width", 10 ** 400,
@@ -273,6 +274,14 @@ def test_malformed_values_are_schema_violations(case):
     with pytest.raises(SchemaViolation) as err:
         parse_config(json.dumps(raw))
     assert path in [p for p, _ in err.value.violations]
+
+
+def test_truncation_at_the_bracket_cap_parses():
+    # K terms reach bracket order 2K - 1: K = 4 is order 7, the last one
+    # (K = 5 is a MALFORMED case)
+    raw = _harmonic()
+    raw["run"]["truncation_k"] = 4
+    assert parse_config(json.dumps(raw)).run["truncation_k"] == 4
 
 
 def test_non_finite_numbers_are_rejected():

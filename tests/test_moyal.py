@@ -24,8 +24,8 @@ from wignerlab.verify import (OSC, QUARTIC, check_oracle_agreement,
                               check_quadratic_exactness, check_wick,
                               worst_error)
 from wignerlab.weyl import weyl_quantize
-from wignerlab.wigner import (PhaseSpaceField, eta_density, eta_to_wigner,
-                              total_variation)
+from wignerlab.wigner import (ETA, WIGNER, PhaseSpaceField, eta_density,
+                              eta_to_wigner, total_variation)
 
 FREE = HamiltonianSymbol((((0,), (2,), 0.5),), d=1)
 
@@ -227,43 +227,44 @@ def _field_with_exact_zeros(lab64):
     return values
 
 
-@pytest.mark.parametrize("route", ["wigner", "eta"])
-def test_rhs_out_is_the_allocating_result(lab64, route):
-    # the eta plan carries a zero-order term, the Wigner plan does not; a
-    # stale out buffer (-0.0 and NaN) must be overwritten everywhere
-    rhs = moyal_rhs if route == "wigner" else eta_moyal_rhs
-    gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
-    values = _field_with_exact_zeros(lab64)
-    expected = rhs(values, gen)
-    assert (expected == 0.0).sum() > 0
-    out = np.full_like(values, -0.0)
-    out[::3] = np.nan
-    got = rhs(values, gen, out=out)
-    assert got is out
-    assert got.tobytes() == expected.tobytes()
+def _stale(shape, count):
+    """`count` buffers of -0.0 with every third value NaN, as a bound
+    program finds them after another run."""
+    out = np.full(shape, -0.0)
+    out.reshape(-1)[::3] = np.nan
+    return [out.copy() for _ in range(count)]
+
+
+def _run_bound(plan, values, out, scratch):
+    for f, args in plan.bind(values, out, scratch):
+        f(*args)
+    return out
 
 
 @pytest.mark.parametrize("buffer", ["out", "scratch"])
 def test_rhs_refuses_a_buffer_it_cannot_write_through(lab64, buffer):
     # the products write through reshaped views, which a transposed buffer
     # cannot give: it must raise, not leave the result in a lost copy
-    gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
+    plan = MoyalGenerator(QUARTIC, lab64, truncation=2).plan(WIGNER)
     values = _field_with_exact_zeros(lab64)
+    out, *scratch = _stale(values.shape, 1 + plan.buffers)
     bad = np.empty_like(values).T
-    kwargs = ({"out": bad} if buffer == "out" else
-              {"scratch": [bad] * gen._plan.buffers})
+    if buffer == "out":
+        out = bad
+    else:
+        scratch = [bad] * plan.buffers
     with pytest.raises(ValueError):
-        moyal_rhs(values, gen, **kwargs)
+        plan.bind(values, out, scratch)
 
 
 def test_wigner_rhs_sum_starts_from_positive_zero(lab64):
     # with no zero-order term the sum starts from +0.0, so a term that is
     # -0.0 never survives as -0.0 (0.0 + -0.0 = +0.0)
-    gen = MoyalGenerator(OSC, lab64, truncation=1)
-    assert gen._plan.zero is None
+    plan = MoyalGenerator(OSC, lab64, truncation=1).plan(WIGNER)
+    assert plan.zero is None
     values = _field_with_exact_zeros(lab64)
-    out = np.full_like(values, -0.0)
-    got = moyal_rhs(values, gen, out=out)
+    out, *scratch = _stale(values.shape, 1 + plan.buffers)
+    got = _run_bound(plan, values, out, scratch)
     zeros = got == 0.0
     assert zeros.sum() > 0
     assert not np.signbit(got[zeros]).any()
@@ -276,34 +277,36 @@ def _kernel_case(case, lab64):
     # q^2 p^2 makes the third-order terms mixed: one head product each
     mixed = HamiltonianSymbol(OSC.terms + (((2,), (2,), 0.1),), d=1)
     if case == "harmonic":
-        return MoyalGenerator(OSC, lab64, truncation=1)._plan, values, False, 1
-    if case == "quartic":
-        return MoyalGenerator(QUARTIC, lab64, truncation=2)._plan, values, \
+        return MoyalGenerator(OSC, lab64, truncation=1).plan(WIGNER), values, \
             False, 1
+    if case == "quartic":
+        return MoyalGenerator(QUARTIC, lab64, truncation=2).plan(WIGNER), \
+            values, False, 1
     if case == "eta":
         gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
-        return gen.eta_plan(), values, True, 1
+        return gen.plan(ETA), values, True, 1
     if case == "fd4":
         gen = MoyalGenerator(OSC, lab64, truncation=1, scheme=FD4)
-        return gen._plan, values, False, 1
+        return gen.plan(WIGNER), values, False, 1
     if case == "mixed":
-        return MoyalGenerator(mixed, lab64, truncation=2)._plan, values, \
-            False, 2
+        return MoyalGenerator(mixed, lab64, truncation=2).plan(WIGNER), \
+            values, False, 2
     if case == "mixed_eta":
         gen = MoyalGenerator(mixed, lab64, truncation=2)
-        return gen.eta_plan(), values, True, 2
+        return gen.plan(ETA), values, True, 2
     sym, K, spec, W = _plan_case("coupled_d2", lab64)
     if case == "coupled_d2":
-        return MoyalGenerator(sym, spec, truncation=K)._plan, W.values, \
-            False, 1
+        return MoyalGenerator(sym, spec, truncation=K).plan(WIGNER), \
+            W.values, False, 1
     if case == "blocked_eta_d2":
         # the zero-order product, then one-axis terms whose axis-0 and axis-3
         # products exceed engine._ROWS, so they are bound as row blocks
-        return MoyalGenerator(sym, spec, truncation=K).eta_plan(), W.values, \
+        return MoyalGenerator(sym, spec, truncation=K).plan(ETA), W.values, \
             True, 1
     # q1 q2 p1 p2: third-order terms on three axes, two head products each
     sym = HamiltonianSymbol(sym.terms + (((1, 1), (1, 1), 0.1),), d=2)
-    return MoyalGenerator(sym, spec, truncation=2)._plan, W.values, False, 3
+    return MoyalGenerator(sym, spec, truncation=2).plan(WIGNER), W.values, \
+        False, 3
 
 
 @pytest.mark.parametrize("case", ["harmonic", "quartic", "eta", "fd4",
@@ -311,15 +314,13 @@ def _kernel_case(case, lab64):
                                   "mixed_d2", "blocked_eta_d2"])
 def test_apply_is_bitwise_the_fill_and_scratch_kernel(case, lab64):
     # the first term written into out and then += 0.0 is bitwise the sum
-    # from out.fill(0.0); stale out and scratch buffers (-0.0 and NaN) are
-    # overwritten everywhere
+    # from out.fill(0.0); the bound program overwrites stale out and scratch
+    # buffers (-0.0 and NaN) everywhere
     plan, values, zero_order, buffers = _kernel_case(case, lab64)
     assert (plan.zero is not None, plan.buffers) == (zero_order, buffers)
     expected = fill_and_scratch_apply(plan, values, np.empty(values.shape))
-    out = np.full(values.shape, -0.0)
-    out.reshape(-1)[::3] = np.nan
-    scratch = [out.copy() for _ in range(plan.buffers)]
-    assert plan.apply(values, out, scratch) is out
+    out, *scratch = _stale(values.shape, 1 + plan.buffers)
+    _run_bound(plan, values, out, scratch)
     assert out.tobytes() == expected.tobytes()
     assert plan.apply(values).tobytes() == expected.tobytes()
 
@@ -338,20 +339,17 @@ def test_bind_cuts_a_long_product_into_row_blocks(lab64):
 
 
 @pytest.mark.parametrize("route", ["wigner", "eta"])
-def test_rhs_out_with_a_field_returns_a_field(lab64, route):
+def test_rhs_of_a_field_returns_a_field(lab64, route):
+    # a field like the input, over the values the array input gives
     if route == "wigner":
         f, rhs = analytic_gaussian_wigner(lab64, 1.0, 0.4), moyal_rhs
     else:
         f, rhs = analytic_gaussian_eta(lab64, 1.0, 0.4), eta_moyal_rhs
     gen = MoyalGenerator(QUARTIC, lab64, truncation=2)
-    out = np.empty((64, 64))
-    got = rhs(f, gen, out=out)
+    got = rhs(f, gen)
     assert isinstance(got, PhaseSpaceField)
     assert (got.role, got.space, got.measure) == (f.role, f.space, f.measure)
-    assert got.values.tobytes() == out.tobytes() \
-        == rhs(f, gen).values.tobytes()
-    out[0, 0] = 1.0                     # the caller's buffer stays writable
-    assert got.values[0, 0] != 1.0
+    assert got.values.tobytes() == rhs(f.values, gen).tobytes()
 
 
 # --- eta-density route ----------------------------------------------------------
@@ -597,6 +595,51 @@ def test_evolve_is_bitwise_the_textbook_rk4(case, lab64, lab_quartic):
         assert res.diagnostics[k].tobytes() == col.tobytes(), k
 
 
+@pytest.mark.parametrize("case, role, plans", [("eta", ETA, 1),
+                                                ("quench", WIGNER, 2),
+                                                ("quench", ETA, 2)],
+                         ids=["eta", "quench_wigner", "quench_eta"])
+def test_evolve_builds_one_plan_per_segment_it_runs(case, role, plans, lab64,
+                                                    monkeypatch):
+    # only its field's route, once for each segment the run steps through;
+    # the CFL guard builds none
+    built = []
+    init = moyal.BracketPlan.__init__
+
+    def counted(plan, *args, **kwargs):
+        built.append(plan)
+        init(plan, *args, **kwargs)
+
+    monkeypatch.setattr(moyal.BracketPlan, "__init__", counted)
+    field0, make_gen, run = _rk4_case(case, lab64, None)
+    if role == ETA:
+        field0 = analytic_gaussian_eta(lab64, 1.5, 0.2)
+    evolve(field0, make_gen(), run)
+    assert len(built) == plans
+
+
+@pytest.mark.parametrize("sampled", [False, True],
+                         ids=["polynomial", "sampled"])
+def test_gradient_max_of_another_segment_keeps_the_active_one(lab64, sampled):
+    # the limit of a segment that is not active is bitwise the one read
+    # after selecting it, and the active fields and plans stay as they are
+    bump = None
+    if sampled:
+        q, p = lab64.grid.phase_mesh()
+        bump = 0.2 * np.exp(-((q - 0.5) ** 2 + p ** 2) / 3.0) * np.ones((64, 64))
+    sym = HamiltonianSymbol(schedule=((0.0, FREE.terms),
+                                      (0.0105, QUARTIC.terms)),
+                            sampled=bump, d=1)
+    gen = MoyalGenerator(sym, lab64, truncation=2)
+    fields, plan = gen._fields, gen.plan(WIGNER)
+    got = gen.gradient_max(QUARTIC.terms)
+    assert gen._fields is fields and gen.plan(WIGNER) is plan
+    ref = MoyalGenerator(sym, lab64, truncation=2)
+    ref.select(QUARTIC.terms)
+    assert got == ref.gradient_max(QUARTIC.terms)
+    assert got > gen.gradient_max(FREE.terms)
+
+
 @pytest.mark.parametrize("role", ["wigner", "eta", "measure"])
 def test_evolve_rejects_another_phase_space_before_stepping(lab64, role,
                                                            monkeypatch):
@@ -699,7 +742,7 @@ def test_evolve_allocates_no_field_per_step(lab64, role, sym, monkeypatch):
     _after_every_stage(monkeypatch, lambda out: probe)
     field0 = _start_field(lab64, role)
     gen = MoyalGenerator(sym, lab64, truncation=1)
-    plan = gen._plan if role == "wigner" else gen.eta_plan()
+    plan = gen.plan(field0.role)
     run = EvolutionRun(dt=1e-3, t_end=0.05, stride=10)
     nbytes = field0.values.nbytes
     tracemalloc.start()
