@@ -11,7 +11,6 @@ so verdicts are invariant under K -> alpha K + c I with alpha > 0.
 """
 
 import math
-import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,27 +74,34 @@ class SubsystemLayout(CompositeSystem):
         return None
 
 
-# id(view) -> (weak reference to the view, defect bound, peak bound) of each
-# operator `assemble` made; an entry leaves with its view
-_CHECKED = {}
+class _Checked(np.ndarray):
+    """The read-only view `assemble` returns, carrying its check record.
+
+    `record` is (defect bound, peak) on that view only: every array numpy
+    derives from it (a view, slice, transpose, copy, ufunc result or
+    unpickled copy) starts with None, so it takes the full pass.
+    """
+
+    def __array_finalize__(self, obj):
+        self.record = None
 
 
 def _hermitian_record(m, what, tol=DEFAULT_TOL):
     """(m as a complex array, (defect, peak)), or raise unless m is finite
     and Hermitian.
 
-    An operator made by `assemble` (`_registered`) whose defect bound is at
-    most tol.hermiticity is returned with its record and not read again:
+    An operator made by `assemble` keeps its record while it and its base
+    stay read-only; when the defect bound is at most tol.hermiticity, it is
+    returned as a plain ndarray view with that record and not read again:
     that is the full check's own bound at peak <= 1, so nothing it would
-    reject passes. Every other array, a copy or slice of a registered one
-    included, takes the full tiled pass. Its comparisons fail closed: a NaN
-    or infinite entry is rejected, never waved through by a comparison that
-    is False on NaN.
+    reject passes. Every other array takes the full tiled pass. Its
+    comparisons fail closed: a NaN or infinite entry is rejected, never
+    waved through by a comparison that is False on NaN.
     """
-    entry = _CHECKED.get(id(m))
-    if (entry is not None and entry[0]() is m and not m.flags.writeable
-            and not m.base.flags.writeable and entry[1] <= tol.hermiticity):
-        return m, entry[1:]
+    if (isinstance(m, _Checked) and m.record is not None
+            and not m.flags.writeable and not m.base.flags.writeable
+            and m.record[0] <= tol.hermiticity):
+        return m.view(np.ndarray), m.record
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"{what} is not a square matrix")
@@ -110,30 +116,6 @@ def _hermitian_record(m, what, tol=DEFAULT_TOL):
 def _check_hermitian(m, what, tol=DEFAULT_TOL):
     """m as a complex array, checked by `_hermitian_record`."""
     return _hermitian_record(m, what, tol)[0]
-
-
-def _registered(out, records):
-    """A read-only view of `assemble`'s output `out`, recorded as checked.
-
-    `records` holds the (defect, peak) of each of the k checked operators
-    added into `out`. Embedding copies entries, so op (x) I has op's defect
-    and peak. Each entry of the sum adds up k terms, and its real and
-    imaginary parts each err by at most (k - 1) eps sum(peak); counted on
-    m[i, j] and m[j, i], with the rounding of the inputs' own defects, the
-    defect of `out` stays below sum(defect) + 4 k eps sum(peak). `out` is
-    frozen and reachable only as the view's base; the view cannot be made
-    writable while it is, and `_hermitian_record` ignores the record of a
-    view whose base has been made writable again.
-    """
-    k = len(records)
-    peak = sum(p for _, p in records)
-    bound = sum(d for d, _ in records) + 4 * k * np.finfo(float).eps * peak
-    out.flags.writeable = False
-    view = out.view()
-    key = id(view)
-    gone = weakref.ref(view, lambda _: _CHECKED.pop(key, None))
-    _CHECKED[key] = (gone, bound, peak)
-    return view
 
 
 def _add_embedded(out, op, on_labels, system):
@@ -166,7 +148,10 @@ def assemble(terms, system):
     given. Each op is checked (`_hermitian_record`) and added as
     op (x) I_rest (`_add_embedded`), in the order of `terms`, into one zeroed
     D x D array; a term on every label in system order adds op itself.
-    Returns a read-only view recorded as checked (`_registered`).
+    The sum is frozen and returned as a read-only `_Checked` view with
+    record (bound, sum(peak)) over the k terms' (defect, peak): its defect
+    stays below bound = sum(defect) + 4 k eps sum(peak) (math-notes § Check
+    record).
     """
     D = system.dim
     out = np.zeros((D, D), dtype=complex)
@@ -176,7 +161,13 @@ def assemble(terms, system):
         op, record = _hermitian_record(op, f"term on {labels}")
         _add_embedded(out, op, labels, system)
         records.append(record)
-    return _registered(out, records)
+    k = len(records)
+    peak = sum(p for _, p in records)
+    bound = sum(d for d, _ in records) + 4 * k * np.finfo(float).eps * peak
+    out.flags.writeable = False
+    view = out.view(_Checked)
+    view.record = (bound, peak)
+    return view
 
 
 def embed_operator(op, on_labels, layout):

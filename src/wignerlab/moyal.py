@@ -363,19 +363,18 @@ class MoyalGenerator:
                     yield k, m, coef * mult * sign, hf
 
     def plan(self, role):
-        """The bracket plan of the active fields for a WIGNER field, else for
-        an eta field, built on first use.
+        """The bracket plan of the active fields for a WIGNER or an ETA
+        field, built on first use.
 
         On a Wigner field each term weights the order k + m by its H-field.
         On Phi the Leibniz rule d_q^k d_p^m (Phi g) / g = sum over sub-indices
         (bk, bm) of C(k, bk) C(m, bm) D^(bk, bm) Phi * w(k - bk, m - bm)
         adds each term's Wick-weighted H-field into the weight of (bk, bm).
         """
-        eta = role != WIGNER
-        if eta not in self._plans:
+        if role not in self._plans:
             weights = {}
             for k, m, c, hf in self._bracket_terms():
-                if not eta:
+                if role == WIGNER:
                     _accumulate(weights, k + m, c * hf)
                     continue
                 for bk in _sub_multi(k):
@@ -387,8 +386,8 @@ class MoyalGenerator:
                         rest_p = tuple(a - b for a, b in zip(m, bm))
                         _accumulate(weights, bk + bm, (c * cmul)
                                     * self._wick_field(rest_q, rest_p) * hf)
-            self._plans[eta] = BracketPlan(weights, self.spec, self.scheme)
-        return self._plans[eta]
+            self._plans[role] = BracketPlan(weights, self.spec, self.scheme)
+        return self._plans[role]
 
     def _wick_field(self, dq, dp):
         """Field w with d_q^dq d_p^dp g = g w for the spec's mu x nu density g."""
@@ -476,8 +475,12 @@ def poisson_power(psi, symbol, n, spec=None, scheme=SPECTRAL):
     return out
 
 
-def _grid_values(field, gen, measure):
-    """Values of a field on the generator's grid, else SpecMismatch."""
+def _grid_values(field, gen, role):
+    """Values of a `role` field on the generator's grid, else SpecMismatch."""
+    measure = {WIGNER: LEBESGUE, ETA: "mu_nu"}.get(role)
+    if measure is None:
+        raise SpecMismatch(f"the bracket acts on wigner and eta fields, not "
+                           f"{role!r}")
     spec = gen.spec
     if isinstance(field, PhaseSpaceField):
         if field.space is not spec and field.space != spec:
@@ -493,10 +496,10 @@ def _grid_values(field, gen, measure):
     return values
 
 
-def _rhs(field, gen, role, measure):
+def _rhs(field, gen, role):
     """The plan of `role` applied to a field or array on gen's grid: a new
     field like a PhaseSpaceField input, else a new array."""
-    rhs = gen.plan(role).apply(_grid_values(field, gen, measure))
+    rhs = gen.plan(role).apply(_grid_values(field, gen, role))
     if not isinstance(field, PhaseSpaceField):
         return rhs
     return PhaseSpaceField(rhs, field.role, field.space, field.measure,
@@ -505,7 +508,7 @@ def _rhs(field, gen, role, measure):
 
 def moyal_rhs(W, gen):
     """Truncated sine-series right-hand side on a Wigner-density field."""
-    return _rhs(W, gen, WIGNER, LEBESGUE)
+    return _rhs(W, gen, WIGNER)
 
 
 def eta_moyal_rhs(phi, gen):
@@ -516,7 +519,7 @@ def eta_moyal_rhs(phi, gen):
     never multiplies or divides by the density itself. Equals
     eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic.
     """
-    return _rhs(phi, gen, ETA, "mu_nu")
+    return _rhs(phi, gen, ETA)
 
 
 def _sub_multi(alpha):
@@ -631,12 +634,12 @@ def evolve(field0, gen, run):
     reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
     on per-step mass drift and EscapeDetected on boundary mass, a NaN drift
     or boundary mass included. Raises SpecMismatch, before the first step,
-    when field0 lives on another phase space than the generator or carries
-    another measure than its role's, and InvalidDensity when it holds a NaN
-    or infinite value.
+    when field0's role is neither WIGNER nor ETA, or it lives on another
+    phase space than the generator or carries another measure than its
+    role's, and InvalidDensity when it holds a NaN or infinite value.
     """
     role = field0.role
-    _grid_values(field0, gen, LEBESGUE if role == WIGNER else "mu_nu")
+    _grid_values(field0, gen, role)
     # min and max carry any NaN or infinity, with no field-sized temporary
     v = field0.values
     if not (np.isfinite(v.min()) and np.isfinite(v.max())):

@@ -1,8 +1,13 @@
+import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_config import MALFORMED, set_at
@@ -477,3 +482,51 @@ def test_seed_override_controls_random_recipes(tmp_path):
     b2 = pathlib.Path(outs[2], "wigner.bin").read_bytes()
     assert b0 == b1
     assert b0 != b2
+
+
+DIFF_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / \
+    "diff_outputs.py"
+
+
+def _in_git_checkout():
+    try:
+        return subprocess.run(["git", "rev-parse", "--verify", "HEAD"],
+                              cwd=DIFF_OUTPUTS.parent, capture_output=True
+                              ).returncode == 0
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
+def test_diff_outputs_finds_the_working_tree_as_head():
+    proc = subprocess.run(
+        [sys.executable, str(DIFF_OUTPUTS), "--base", "HEAD", "--config",
+         "feedback_levels.json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "feedback-feedback_levels: identical (exit 0, 3 files)",
+        "all 1 output trees identical"]
+
+
+def test_diff_outputs_counts_the_values_that_differ(tmp_path):
+    spec = importlib.util.spec_from_file_location("diff_outputs",
+                                                  DIFF_OUTPUTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side, last, name in ((a, 1.0, "x"), (b, 1.0 + 2.0 ** -52, "y")):
+        side.mkdir()
+        (side / "f.bin").write_bytes(np.array([0.5, 2.0, last]).tobytes())
+        (side / "f.json").write_text('{"dtype": "<f8"}')
+        (side / "s.csv").write_text(f"t,x\n0,{last!r}\n")
+        (side / "h.csv").write_text(f"t,{name}\n0,1\n")
+    assert tool.compare_file(a / "f.json", b / "f.json") is None
+    assert tool.compare_file(a / "f.bin", b / "f.bin") == (
+        "1 of 3 values differ, largest |d| 2.22e-16, "
+        "largest relative d 2.22e-16")
+    assert tool.compare_file(a / "s.csv", b / "s.csv") == (
+        "1 of 2 values differ, largest |d| 2.22e-16, "
+        "largest relative d 2.22e-16")
+    assert tool.compare_file(a / "h.csv", b / "h.csv") == \
+        "differs outside its numbers"

@@ -3,9 +3,9 @@ the fail-closed hermiticity rule and its check record, and products mapped
 factor by factor."""
 
 import dataclasses
-import gc
 import itertools
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -297,7 +297,8 @@ def test_builder_made_operators_are_not_checked_again(passes):
 
 def test_copies_slices_and_unfit_bounds_are_checked(passes):
     layout, H, T0, run = level_scenario()
-    for other in (H.copy(), H[:, :], np.array(H)):
+    for other in (H.copy(), H[:, :], np.array(H), H.T.conj().T, H * 1,
+                  H.view(), pickle.loads(pickle.dumps(H))):
         passes.clear()
         run_scenario(layout, other, T0, run)
         assert passes == [(9, 9)]
@@ -308,7 +309,7 @@ def test_copies_slices_and_unfit_bounds_are_checked(passes):
     assert passes == [(9, 9)]
     # peaks of 1e6 put the rounding term above tol.hermiticity
     layout, H, T0, run = level_scenario(scale=1e6)
-    assert feedback._CHECKED[id(H)][1] > feedback.DEFAULT_TOL.hermiticity
+    assert H.record[0] > feedback.DEFAULT_TOL.hermiticity
     passes.clear()
     run_scenario(layout, H, T0, run)
     assert passes == [(9, 9)]
@@ -325,13 +326,15 @@ def test_spoiled_copies_of_builder_made_operators_raise(bad):
         classify_coupling(spoilt, layout)
 
 
-def test_check_record_leaves_with_its_operator():
+def test_check_record_lives_on_the_assembled_view_only():
     H = level_scenario()[1]
-    key = id(H)
-    assert key in feedback._CHECKED
-    del H
-    gc.collect()
-    assert key not in feedback._CHECKED
+    bound, peak = H.record
+    assert 0 <= bound <= feedback.DEFAULT_TOL.hermiticity and peak > 0
+    assert H.view().record is None
+    # what the checked path hands on is a plain array, never the subclass
+    plain, record = feedback._hermitian_record(H, "H")
+    assert type(plain) is np.ndarray and record == H.record
+    assert np.shares_memory(plain, H) and not plain.flags.writeable
 
 
 def test_feedback_command_checks_no_operator_twice(tmp_path, passes):

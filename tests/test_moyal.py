@@ -24,8 +24,8 @@ from wignerlab.verify import (OSC, QUARTIC, check_oracle_agreement,
                               check_quadratic_exactness, check_wick,
                               worst_error)
 from wignerlab.weyl import weyl_quantize
-from wignerlab.wigner import (ETA, WIGNER, PhaseSpaceField, eta_density,
-                              eta_to_wigner, total_variation)
+from wignerlab.wigner import (ETA, SYMBOL, WIGNER, PhaseSpaceField,
+                              eta_density, eta_to_wigner, total_variation)
 
 FREE = HamiltonianSymbol((((0,), (2,), 0.5),), d=1)
 
@@ -661,6 +661,22 @@ def test_evolve_rejects_another_phase_space_before_stepping(lab64, role,
         field0 = PhaseSpaceField(W.values, W.role, lab64, "mu_nu", W.tol)
     with pytest.raises(SpecMismatch):
         evolve(field0, gen, EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
+
+
+@pytest.mark.parametrize("role", ["no_such_role", SYMBOL],
+                         ids=["unknown", "symbol"])
+def test_evolve_takes_only_wigner_and_eta_fields(lab64, role, monkeypatch):
+    # a field of another role on mu x nu is a library error before any
+    # bracket plan is built, not a raw numpy casting error at the first step
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a bracket plan was built")
+
+    monkeypatch.setattr(MoyalGenerator, "plan", no_plan)
+    eta = analytic_gaussian_eta(lab64, 1.0, 0.3)
+    field0 = PhaseSpaceField(eta.values, role, lab64, "mu_nu", eta.tol)
+    with pytest.raises(SpecMismatch, match=repr(role)):
+        evolve(field0, MoyalGenerator(OSC, lab64, truncation=1),
+               EvolutionRun(dt=1e-3, t_end=0.01, stride=5))
 
 
 def _start_field(lab64, role):
