@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (BadGridSize, BadSchedule, InsufficientDomain,
                      NonPositiveCovariance, NonSymmetricCovariance,
                      SchemaViolation, UnknownVersion, WignerLabError)
+from .feedback import SubsystemLayout, check_run_cap
 from .hilbert import LevelSpace
 from .lattice import make_phase_space
 from .moyal import MAX_BRACKET_ORDER
@@ -45,6 +46,7 @@ class ScenarioConfig:
     raw: dict
     phase_space: object = None          # PhaseSpaceSpec for single-system runs
     layout_factors: dict = None         # role -> space, for feedback runs
+    layout: object = None               # SubsystemLayout of those factors
     hamiltonian: object = None          # HamiltonianSymbol (single-system)
     factor_hamiltonians: dict = None    # role -> HamiltonianSymbol
     couplings: list = None              # list of (labels, {label: symbol})
@@ -314,9 +316,15 @@ def parse_config(text, tol=DEFAULT_TOL):
                 space = _build_factor(section, f"layout.{role}", violations, tol)
                 if space is not None:
                     cfg.layout_factors[role] = space
-            for need in ("P1", "C1"):
-                if need not in lay:
-                    violations.append((f"layout.{need}", "required role missing"))
+            missing = [need for need in ("P1", "C1") if need not in lay]
+            for need in missing:
+                violations.append((f"layout.{need}", "required role missing"))
+            if not missing and len(cfg.layout_factors) == len(lay):
+                try:
+                    cfg.layout = SubsystemLayout(cfg.layout_factors)
+                    check_run_cap(cfg.layout)
+                except WignerLabError as exc:
+                    violations.append(("layout", str(exc)))
 
     ham = _object(raw.get("hamiltonian", {}), "hamiltonian", violations)
     if has_ps:

@@ -13,18 +13,19 @@ derivatives of the Gaussian reference measure, never dividing by the density.
 
 The bracket sum has one kernel, BracketPlan.bind: the flat list of GEMM and
 ufunc calls that writes the right-hand side over one set of buffers. A
-generator builds the Wigner or the eta plan of its active segment on first
-use (MoyalGenerator.plan). moyal_rhs and eta_moyal_rhs run it once per call,
-into new arrays. One evolution run owns its buffers, binds the plan's two
-stage programs on them once per segment, and runs each RK4 step as one
-precomputed call list; snapshots are immutable copies.
+generator holds the fields of the segment acting at t = 0 and builds its
+Wigner or eta plan on first use (MoyalGenerator.plan); moyal_rhs and
+eta_moyal_rhs run it once per call, into new arrays. One evolution run owns
+its buffers, steps each later segment with a generator of its own
+(MoyalGenerator.for_segment), binds the plan's two stage programs once per
+segment, and runs each RK4 step as one precomputed call list.
 """
 
 import itertools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from math import comb, factorial
 
 import numpy as np
@@ -318,13 +319,15 @@ class BracketPlan:
 
 @dataclass
 class MoyalGenerator:
-    """Evolution generator: a symbol, a truncation count, precomputed fields.
+    """Evolution generator: a symbol, a truncation count, and the fields of
+    the schedule segment that acts at t = 0.
 
     K counts the odd-order terms (term j uses bracket order 2j-1). For a
-    polynomial symbol of degree deg, orders above deg vanish identically and
-    the stored derivative fields are pruned to the exactly nonzero ones.
-    The bracket plan of each route is built from the active fields on first
-    use (`plan`) and dropped when they are rebuilt.
+    polynomial segment of degree deg, K is capped at its last nonzero order
+    and the derivative fields are pruned to the exactly nonzero ones. The
+    fields and the energy field `energy` are built once and never change;
+    the bracket plan of each route is built from them on first use (`plan`).
+    A later segment steps with a generator of its own (`for_segment`).
     """
 
     symbol: object
@@ -332,8 +335,6 @@ class MoyalGenerator:
     truncation: int = 3
     scheme: str = SPECTRAL
     tol: object = DEFAULT_TOL
-    _fields: dict = dc_field(default_factory=dict, repr=False)
-    _wick: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -341,17 +342,21 @@ class MoyalGenerator:
         if 2 * self.truncation - 1 > MAX_BRACKET_ORDER:
             raise OrderOverflow(
                 f"bracket order {2 * self.truncation - 1} exceeds {MAX_BRACKET_ORDER}")
-        self._rebuild(self.symbol.terms_at(0.0))
-
-    def _rebuild(self, terms):
-        sym = self.symbol.segment(terms)
-        orders = [2 * j - 1 for j in range(1, self.effective_truncation(sym) + 1)]
-        self._fields = _derivative_fields(sym, self.spec, orders)
+        sym = self.symbol.segment(self.symbol.terms_at(0.0))
+        K = self.truncation if sym.sampled is not None else min(
+            self.truncation, max(1, (sym.degree + 1) // 2))
+        self._fields = _derivative_fields(
+            sym, self.spec, [2 * j - 1 for j in range(1, K + 1)])
         # contiguous (copied only from a broadcast view), so evolve's energy
         # diagnostic multiplies without a broadcast buffer
-        self._energy = np.ascontiguousarray(sym.evaluate_phase_grid(self.spec))
+        self.energy = np.ascontiguousarray(sym.evaluate_phase_grid(self.spec))
         self._plans = {}
-        self._terms = terms
+        self._wick = {}
+
+    def for_segment(self, terms):
+        """A generator of one segment's `terms` and this one's sampled part,
+        truncation, scheme and tolerances."""
+        return replace(self, symbol=self.symbol.segment(terms))
 
     def _bracket_terms(self):
         """(k, m, coefficient * multiplicity * sign, H-field) per nonzero term."""
@@ -363,8 +368,7 @@ class MoyalGenerator:
                     yield k, m, coef * mult * sign, hf
 
     def plan(self, role):
-        """The bracket plan of the active fields for a WIGNER or an ETA
-        field, built on first use.
+        """The bracket plan for a WIGNER or an ETA field, built on first use.
 
         On a Wigner field each term weights the order k + m by its H-field.
         On Phi the Leibniz rule d_q^k d_p^m (Phi g) / g = sum over sub-indices
@@ -405,42 +409,21 @@ class MoyalGenerator:
                 _poly_eval(poly, spec.grid.phase_mesh()), float)
         return self._wick[key]
 
-    def effective_truncation(self, sym):
-        """K capped at the last nonzero order of `sym` (a segment's symbol)."""
-        if sym.sampled is not None:
-            return self.truncation
-        deg = sym.degree
-        return min(self.truncation, max(1, (deg + 1) // 2))
 
-    def energy_field(self):
-        """H of the active schedule segment on the phase grid."""
-        return self._energy
-
-    def select(self, terms):
-        """Rebuild the fields for one segment's terms, unless they are active."""
-        if terms != self._terms:
-            self._rebuild(terms)
-
-    def gradient_max(self, terms):
-        """max over the grid of |grad H| for one segment's terms (the CFL
-        guard); the active fields are read, any other segment's first-order
-        fields are built apart and the active ones kept."""
-        fields = self._fields if terms == self._terms else _derivative_fields(
-            self.symbol.segment(terms), self.spec, (1,))
-        d = self.spec.d
-        zero = (0,) * d
-        grad_sq = 0.0
-        for ax in range(d):
-            e = tuple(1 if i == ax else 0 for i in range(d))
-            for key in ((zero, e), (e, zero)):      # d_q H, then d_p H
-                f = fields.get(key)
-                if f is not None:
-                    grad_sq = grad_sq + f ** 2
-        return math.sqrt(float(np.max(grad_sq)))
-
-    def min_spacing(self):
-        q, p, h, dp = axis_coords(self.spec.n_per_axis, self.spec.half_width)
-        return min(h, dp)
+def gradient_max(symbol, spec):
+    """max over the grid of |grad H| for one segment's symbol (the CFL
+    guard), read from its first-order derivative fields alone."""
+    fields = _derivative_fields(symbol, spec, (1,))
+    d = spec.d
+    zero = (0,) * d
+    grad_sq = 0.0
+    for ax in range(d):
+        e = tuple(1 if i == ax else 0 for i in range(d))
+        for key in ((zero, e), (e, zero)):      # d_q H, then d_p H
+            f = fields.get(key)
+            if f is not None:
+                grad_sq = grad_sq + f ** 2
+    return math.sqrt(float(np.max(grad_sq)))
 
 
 def poisson_power(psi, symbol, n, spec=None, scheme=SPECTRAL):
@@ -507,12 +490,14 @@ def _rhs(field, gen, role):
 
 
 def moyal_rhs(W, gen):
-    """Truncated sine-series right-hand side on a Wigner-density field."""
+    """Truncated sine-series right-hand side on a Wigner-density field, with
+    the generator's t = 0 segment (gen.for_segment for a later one)."""
     return _rhs(W, gen, WIGNER)
 
 
 def eta_moyal_rhs(phi, gen):
-    """Sine-series action on an eta density through the Leibniz/Wick route.
+    """Sine-series action on an eta density through the Leibniz/Wick route,
+    with the generator's t = 0 segment.
 
     Expands every derivative of Phi * g by the Leibniz rule, replacing
     derivatives of the Gaussian reference density by Wick polynomials, and
@@ -627,9 +612,10 @@ def evolve(field0, gen, run):
 
     Snapshots are immutable copies taken at run.snapshot_times(), every
     `stride` steps and at t_end. The steps land exactly on every snapshot time
-    and on the start of every later interval of HamiltonianSymbol.intervals,
-    which rebuilds the fields (a fractional step closes a gap off the dt
-    lattice), and t is set to that event time on arrival. Raises
+    and on the start of every later interval of HamiltonianSymbol.intervals
+    (a fractional step closes a gap off the dt lattice), and t is set to that
+    event time on arrival. Each later interval steps with
+    gen.for_segment(its terms); `gen` is left as it was. Raises
     UnstableStep when dt exceeds the CFL guard of any interval the run
     reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
     on per-step mass drift and EscapeDetected on boundary mass, a NaN drift
@@ -654,8 +640,9 @@ def evolve(field0, gen, run):
     # the terms of each later interval, by its start
     starts = {start: terms for start, _, terms in intervals[1:]}
 
-    grad = max(0.0, *(gen.gradient_max(terms) for _, _, terms in intervals))
-    limit = gen.min_spacing() / (4.0 * max(grad, 1e-300))
+    grad = max(0.0, *(gradient_max(gen.symbol.segment(terms), gen.spec)
+                      for _, _, terms in intervals))
+    limit = min(_spacings(gen.spec)) / (4.0 * max(grad, 1e-300))
     if run.dt > limit:
         msg = (f"dt = {run.dt:g} exceeds the CFL guard {limit:g} "
                f"(= min spacing / (4 max|grad H|))")
@@ -663,13 +650,11 @@ def evolve(field0, gen, run):
             raise UnstableStep(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
-    # the run starts on the first interval's fields
-    gen.select(intervals[0][2])
     ring = _boundary_ring(field0.values.shape)
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w", "purity_est")}
     t_col, mass, l2, energy, min_w, purity = diags.values()
     snapshots = []
-    hfield = gen.energy_field()
+    hfield = gen.energy
     purity_scale = (2 * math.pi) ** len(field0.axes)
     total, least = np.add.reduce, np.minimum.reduce
 
@@ -680,12 +665,12 @@ def evolve(field0, gen, run):
     scratch = []
     edge = np.empty(ring.size)
     # the plan's two bound stage programs, and one RK4 call list per step
-    # length; both bound again after a breakpoint rebuilds the fields
+    # length; both bound again at the start of each later segment
     programs = []
     step_calls = {}
 
-    def bind():
-        plan = gen.plan(role)
+    def bind(segment):
+        plan = segment.plan(role)
         scratch.extend(np.empty_like(values)
                        for _ in range(plan.buffers - len(scratch)))
         programs[:] = (plan.bind(values, acc, scratch),
@@ -719,7 +704,7 @@ def evolve(field0, gen, run):
             raise EscapeDetected(
                 f"boundary mass {boundary:.3e} at t={t:g}", diagnostics=diags)
 
-    bind()
+    bind(gen)
     t = 0.0
     record(0.0, values)
     snapshots.append((0.0, field0))
@@ -743,9 +728,9 @@ def evolve(field0, gen, run):
             w = record(t, values)
             check(t, w)
         if target in starts:
-            gen.select(starts[target])
-            hfield = gen.energy_field()
-            bind()
+            segment = gen.for_segment(starts[target])
+            hfield = segment.energy
+            bind(segment)
         if target in times:
             snapshots.append((t, PhaseSpaceField(values.copy(), role, spec,
                                                  field0.measure, tol)))

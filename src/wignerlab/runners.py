@@ -9,8 +9,8 @@ import numpy as np
 
 from . import serialize
 from .errors import SpecMismatch
-from .feedback import (SubsystemLayout, assemble, build_general_hamiltonian,
-                       check_run_cap, classify_coupling, run_scenario)
+from .feedback import (assemble, build_general_hamiltonian, classify_coupling,
+                       run_scenario)
 from .hilbert import (DensityOperator, LEBESGUE, LevelSpace, pure_density,
                       tensor_many)
 from .moyal import EvolutionRun, MoyalGenerator, evolve, von_neumann_oracle
@@ -61,8 +61,7 @@ def build_composite_state(recipe, system, rng):
 
 
 def assemble_layout(cfg):
-    layout = SubsystemLayout(dict(cfg.layout_factors))
-    check_run_cap(layout)     # before any D x D operator is built
+    layout = cfg.layout     # checked against the run cap by parse_config
 
     def block(labels):
         """Sum of the factor Hamiltonians on `labels`, each embedded."""

@@ -55,10 +55,19 @@ def ground_state(spec):
     return StateVector(_normalize(psi.ravel(), spec), LEBESGUE, spec, spec.tol)
 
 
+def _displacement(spec, x):
+    """One displacement per axis: a number is the same on every axis, and a
+    vector of another length than d raises SpecMismatch."""
+    x = np.asarray(x, float)
+    if x.ndim and x.shape != (spec.d,):
+        raise SpecMismatch(f"displacement {x.tolist()} has {x.size} "
+                           f"component(s), not d = {spec.d}")
+    return np.broadcast_to(x, (spec.d,))
+
+
 def displaced_state(spec, dq, dp):
-    """Vacuum displaced to <q> = dq, <p> = dp."""
-    dq = np.atleast_1d(np.asarray(dq, float))
-    dp = np.atleast_1d(np.asarray(dp, float))
+    """Vacuum displaced to <q> = dq, <p> = dp (a number: on every axis)."""
+    dq, dp = _displacement(spec, dq), _displacement(spec, dp)
     mesh = spec.grid.position_mesh()
     quad = 0.0
     phase = 0.0
@@ -148,8 +157,7 @@ def level_thermal(space, beta):
 
 def analytic_gaussian_wigner(spec, dq=0.0, dp=0.0):
     """W of a displaced vacuum: pi^-d exp(-|q - dq|^2 - |p - dp|^2)."""
-    dq = np.atleast_1d(np.asarray(dq, float))
-    dp = np.atleast_1d(np.asarray(dp, float))
+    dq, dp = _displacement(spec, dq), _displacement(spec, dp)
     mesh = spec.grid.phase_mesh()
     quad = 0.0
     for ax in range(spec.d):
@@ -167,8 +175,7 @@ def analytic_gaussian_eta(spec, dq=0.0, dp=0.0):
     """
     if not np.allclose(spec.covariance, np.eye(spec.d)):
         raise SpecMismatch("analytic eta field assumes identity covariance")
-    dq = np.atleast_1d(np.asarray(dq, float))
-    dp = np.atleast_1d(np.asarray(dp, float))
+    dq, dp = _displacement(spec, dq), _displacement(spec, dp)
     mesh = spec.grid.phase_mesh()
     quad = 0.0
     for ax in range(spec.d):

@@ -129,7 +129,6 @@ def textbook_rk4(field0, gen, run):
     times = run.snapshot_times()
     intervals = gen.symbol.intervals(times[-1])
     starts = {start: terms for start, _, terms in intervals[1:]}
-    gen.select(intervals[0][2])
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w",
                              "purity_est")}
 
@@ -138,7 +137,7 @@ def textbook_rk4(field0, gen, run):
         diags["t"].append(t)
         diags["mass"].append(float(w.sum() * cell))
         diags["l2"].append(float(math.sqrt((w ** 2).sum() * cell)))
-        diags["energy"].append(float((gen.energy_field() * w).sum() * cell))
+        diags["energy"].append(float((gen.energy * w).sum() * cell))
         diags["min_w"].append(float(w.min()))
         diags["purity_est"].append(
             float((2 * math.pi) ** d * (w ** 2).sum() * cell))
@@ -163,7 +162,7 @@ def textbook_rk4(field0, gen, run):
                 t = target
             record(t, values)
         if target in starts:
-            gen.select(starts[target])
+            gen = gen.for_segment(starts[target])
         if target in times:
             snapshots.append((t, values.copy()))
     return snapshots, {k: np.asarray(v) for k, v in diags.items()}

@@ -45,6 +45,25 @@ def harmonic_cfg(tmp_path):
     return _write(tmp_path, cfg)
 
 
+@pytest.mark.parametrize("recipe", [{"type": "displaced", "dq": 1.0},
+                                    {"type": "displaced"}],
+                         ids=["dq", "vacuum"])
+def test_transform_builds_a_displaced_state_at_d2(recipe, tmp_path, capsys):
+    # a number displaces every axis; not under --strict, since this grid's
+    # imaginary residue, 3.6e-7, is above the default policy's 1e-8
+    path = _write(tmp_path, {
+        "version": "1",
+        "phase_space": {"d": 2, "n_per_axis": 32, "half_width": 5.5,
+                        "covariance": [[0.5, 0.0], [0.0, 0.5]]},
+        "initial_state": recipe, "output": {"formats": []}})
+    out = tmp_path / "t2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["transform", "--config", path, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "wigner.bin").exists()
+
+
 def test_transform_command(harmonic_cfg, tmp_path):
     out = str(tmp_path / "t1")
     rc = main(["transform", "--config", harmonic_cfg, "--out", out])
@@ -327,6 +346,7 @@ def test_feedback_over_run_cap_builds_nothing(tmp_path, capsys, monkeypatch):
     rc = main(["feedback", "--config", path, "--out", str(tmp_path / "f3")])
     assert rc == 1
     assert "exceeds run cap 4096" in capsys.readouterr().err
+    assert not (tmp_path / "f3").exists()
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -379,8 +399,8 @@ def test_command_on_a_config_without_its_section_exits_1(
     assert not out.exists()
 
 
-# layout inputs that parse but would fail only once output exists: (config,
-# where, value, the path the config error names)
+# layout faults, each a config error before any output: (config, where,
+# value, the path the config error names)
 LAYOUT_FAULTS = {
     "repeated_coupling_factor": (
         "feedback_levels", "hamiltonian.couplings.0.factors", ["P1", "P1"],
@@ -398,6 +418,13 @@ LAYOUT_FAULTS = {
     "single_recipe_on_a_layout": (
         "feedback_grid", "initial_state", {"type": "ground"},
         "initial_state.type"),
+    "unknown_role": (
+        "feedback_levels", "layout.X1", {"kind": "levels", "dim": 4},
+        "layout"),
+    "over_run_cap": (
+        "feedback_levels", "layout",
+        {r: {"kind": "levels", "dim": 9} for r in ("P1", "P2", "C1", "C2")},
+        "layout"),
 }
 
 

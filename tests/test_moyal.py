@@ -14,7 +14,8 @@ from wignerlab.errors import (DomainOverflow, EscapeDetected, InvalidDensity,
                               OrderOverflow, SnapshotMismatch, SpecMismatch,
                               UnstableStep)
 from wignerlab.moyal import (FD4, EvolutionRun, MoyalGenerator, evolve,
-                             gaussian_measure_derivative, moyal_rhs,
+                             gaussian_measure_derivative, gradient_max,
+                             moyal_rhs,
                              pair_snapshots, poisson_power, eta_moyal_rhs,
                              sine_coefficient, von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, analytic_gaussian_wigner,
@@ -569,7 +570,7 @@ def _rk4_case(case, lab64, lab_quartic):
         return W, lambda: MoyalGenerator(OSC, lab64, truncation=1, scheme=FD4), \
             EvolutionRun(dt=1e-3, t_end=0.03, stride=10)
     if case == "quench":
-        # the plan is rebuilt at the off-lattice breakpoint mid-run
+        # the later segment's plan is built at the off-lattice breakpoint
         sym = HamiltonianSymbol(schedule=((0.0, FREE.terms),
                                           (0.0105, OSC.terms)), d=1)
         return W, lambda: MoyalGenerator(sym, lab64, truncation=2), \
@@ -620,9 +621,10 @@ def test_evolve_builds_one_plan_per_segment_it_runs(case, role, plans, lab64,
 
 @pytest.mark.parametrize("sampled", [False, True],
                          ids=["polynomial", "sampled"])
-def test_gradient_max_of_another_segment_keeps_the_active_one(lab64, sampled):
-    # the limit of a segment that is not active is bitwise the one read
-    # after selecting it, and the active fields and plans stay as they are
+def test_gradient_max_of_a_later_segment_leaves_the_generator(lab64, sampled):
+    # the limit of a later segment is bitwise the one read from the first-
+    # order fields of that segment's own generator, and the generator keeps
+    # its fields and plan
     bump = None
     if sampled:
         q, p = lab64.grid.phase_mesh()
@@ -632,12 +634,24 @@ def test_gradient_max_of_another_segment_keeps_the_active_one(lab64, sampled):
                             sampled=bump, d=1)
     gen = MoyalGenerator(sym, lab64, truncation=2)
     fields, plan = gen._fields, gen.plan(WIGNER)
-    got = gen.gradient_max(QUARTIC.terms)
+    got = gradient_max(sym.segment(QUARTIC.terms), lab64)
+    later = gen.for_segment(QUARTIC.terms)._fields
+    dq, dp = later[(0,), (1,)], later[(1,), (0,)]
+    assert got == math.sqrt(float(np.max(dq ** 2 + dp ** 2)))
     assert gen._fields is fields and gen.plan(WIGNER) is plan
-    ref = MoyalGenerator(sym, lab64, truncation=2)
-    ref.select(QUARTIC.terms)
-    assert got == ref.gradient_max(QUARTIC.terms)
-    assert got > gen.gradient_max(FREE.terms)
+    assert got > gradient_max(sym.segment(FREE.terms), lab64)
+
+
+def test_rhs_is_the_same_before_and_after_a_scheduled_run(lab64):
+    # a run that steps into a later segment leaves the generator acting with
+    # its t = 0 segment
+    sym = HamiltonianSymbol(schedule=((0.0, FREE.terms), (0.05, OSC.terms)),
+                            d=1)
+    gen = MoyalGenerator(sym, lab64, truncation=1)
+    W = wigner_from_density(pure_density(displaced_state(lab64, 1.5, 0.0)))
+    before = moyal_rhs(W, gen).values
+    evolve(W, gen, EvolutionRun(dt=1e-3, t_end=0.1, stride=50))
+    assert moyal_rhs(W, gen).values.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("role", ["wigner", "eta", "measure"])

@@ -16,7 +16,8 @@ from wignerlab import (DensityOperator, HamiltonianSymbol, expectation,
 from wignerlab import engine
 from wignerlab.engine import density_to_wigner, wigner_to_density
 from wignerlab.errors import (GridMismatch, InvalidDensity, NonPositiveOperator,
-                              NotNormalized, UnderflowRegion, UnknownSubsystem)
+                              NotNormalized, SpecMismatch, UnderflowRegion,
+                              UnknownSubsystem)
 from wignerlab.hilbert import LEBESGUE, CompositeSystem, lowest_eigenvalue
 from wignerlab.states import (analytic_gaussian_wigner, cat_state,
                               displaced_state, ground_state, random_mixed)
@@ -39,6 +40,20 @@ def test_displaced_state_closed_form(lab64):
     W = wigner_from_density(T)
     expected = analytic_gaussian_wigner(lab64, 2.0, 1.0)
     assert np.abs(W.values - expected.values).max() < 1e-8
+
+
+def test_displaced_state_at_d2_is_the_product_of_two_d1_states():
+    # a number is the same displacement on every axis, a vector of another
+    # length than d a library error
+    spec2 = make_phase_space(2, 32, 5.5, 0.5 * np.eye(2))
+    one = displaced_state(make_phase_space(1, 32, 5.5, [[0.5]]), 1.0, -0.3)
+    psi = displaced_state(spec2, 1.0, -0.3)
+    assert np.abs(psi.values - np.kron(one.values, one.values)).max() < 1e-14
+    assert (analytic_gaussian_wigner(spec2, 1.0).values.tobytes()
+            == analytic_gaussian_wigner(spec2, [1.0, 1.0]).values.tobytes())
+    for make in (displaced_state, analytic_gaussian_wigner):
+        with pytest.raises(SpecMismatch, match="not d = 2"):
+            make(spec2, [1.0, 0.0, 2.0], 0.0)
 
 
 def test_cat_state_negativity(lab_cat):
