@@ -7,10 +7,13 @@
 
 Each revision is extracted with `git archive` into a temporary directory (no
 worktree is made and nothing is written under .git); the head defaults to
-the working tree. Both trees run the head's configs: every (command, config)
-pair that the head's `cli.COMMANDS` admits (for an older CLI without it,
+the working tree. The runs are every (command, config) pair that the head's
+`cli.COMMANDS` admits on the head's configs (for an older CLI without it,
 every command on every config), plus `verify --level full`; with --config,
-only the named configs' pairs and no verify. Each run is a fresh process
+only the named configs' pairs and no verify. Each tree runs its own copy of
+a config, the file of the same name in its `configs/`, so a changed config
+shows as a difference, and a config that only one tree has is reported as
+such. Each run is a fresh process
 with its own tree's `src` on PYTHONPATH, one BLAS thread unless
 OMP_NUM_THREADS / OPENBLAS_NUM_THREADS say otherwise, and no bytecode
 written. The runs' exit codes and file lists are compared. The numbers of a
@@ -128,12 +131,16 @@ def files(root):
                   if p.is_file())
 
 
-def compare_run(trees, work, name, args):
-    """Run one CLI command on both trees; the lines that say what differs."""
+def compare_run(trees, work, name, args, config=None):
+    """Run one CLI command on both trees, each on its own copy of `config`
+    (a file name in its configs/) if one is given; the lines that say what
+    differs."""
     outs, codes = [], []
     for side, tree in trees.items():
         out = work / side / name
-        proc = python(tree, ["-c", RUN_CLI, *args, "--out", str(out)], work)
+        own = ["--config", str(tree / "configs" / config)] if config else []
+        proc = python(tree, ["-c", RUN_CLI, *args, *own, "--out", str(out)],
+                      work)
         outs.append(out)
         codes.append(proc.returncode)
     lines = []
@@ -156,14 +163,14 @@ def main():
     ap.add_argument("--base", required=True, help="base revision")
     ap.add_argument("--head", help="head revision (default: the working tree)")
     ap.add_argument("--config", action="append",
-                    help="run only this config of the head's configs/, "
-                         "by file name, and not verify (repeatable)")
+                    help="run only this config, by file name in each "
+                         "tree's configs/, and not verify (repeatable)")
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="diff_outputs-") as tmp:
         work = Path(tmp)
         try:
-            base = extract(args.base, work / "base", ["src"])
+            base = extract(args.base, work / "base", ["src", "configs"])
             head = ROOT if args.head is None else \
                 extract(args.head, work / "head", ["src", "configs"])
         except subprocess.CalledProcessError as exc:
@@ -175,29 +182,40 @@ def main():
                     (tree / "src").resolve())):
                 sys.exit(f"error: the {side} runs do not import wignerlab "
                          f"from that tree's src ({where or 'import failed'})")
-        names = args.config or sorted(
-            p.name for p in (head / "configs").glob("*.json"))
-        configs = [str(head / "configs" / Path(n).name) for n in names]
+        names = [Path(n).name for n in args.config] if args.config else \
+            sorted({p.name for tree in trees.values()
+                    for p in (tree / "configs").glob("*.json")})
+        # a config that only one tree has is a difference, and is not run
+        alone = {}
+        for n in names:
+            have = [side for side, tree in trees.items()
+                    if (tree / "configs" / n).is_file()]
+            if len(have) == 1:
+                alone[n] = have[0]
+        configs = [str(head / "configs" / n) for n in names if n not in alone]
         listed = python(head, ["-c", LIST_PAIRS, *configs], work)
         if listed.returncode:
             sys.exit(f"error: cannot list the head's commands:\n"
                      f"{listed.stderr.decode()}")
-        runs = [(f"{cmd}-{Path(cfg).stem}", [cmd, "--config", cfg])
+        runs = [(f"{cmd}-{Path(cfg).stem}", [cmd], Path(cfg).name)
                 for cmd, cfg in json.loads(listed.stdout)]
         if not args.config:
-            runs.append(("verify-full", ["verify", "--level", "full"]))
+            runs.append(("verify-full", ["verify", "--level", "full"], None))
         print(f"base {args.base}, head {args.head or 'working tree'}: "
               f"{len(runs)} runs")
+        for n, side in alone.items():
+            print(f"configs/{n}: only in the {side} tree")
         differing = 0
-        for name, run in runs:
-            code, count, lines = compare_run(trees, work, name, run)
+        for name, run, config in runs:
+            code, count, lines = compare_run(trees, work, name, run, config)
             print(f"{name}: {'differs' if lines else 'identical'} "
                   f"(exit {code}, {count} files)")
             for line in lines:
                 print(f"  {line}")
             differing += bool(lines)
-    if differing:
-        print(f"{differing} of {len(runs)} runs differ")
+    if differing or alone:
+        print(f"{differing} of {len(runs)} runs differ"
+              + (f", {len(alone)} configs in one tree only" if alone else ""))
         return 1
     print(f"all {len(runs)} output trees identical")
     return 0

@@ -20,9 +20,8 @@ from .wigner import (PhaseSpaceField, eta_density, eta_to_wigner,
                      reduce_eta, reduce_wigner, symplectic_fourier,
                      total_variation, weyl_samples_field, wigner_from_density,
                      wigner_from_weyl_function)
-from .moyal import (EvolutionRun, MoyalGenerator, evolve,
-                    gaussian_measure_derivative, moyal_rhs, poisson_power,
-                    eta_moyal_rhs, von_neumann_oracle)
+from .moyal import (EvolutionRun, MoyalGenerator, evolve, moyal_rhs,
+                    poisson_power, eta_moyal_rhs, von_neumann_oracle)
 from .feedback import (FeedbackVerdict, RefinedParts, SubsystemLayout,
                        assemble, build_feedback_hamiltonian,
                        build_general_hamiltonian, build_refined_hamiltonian,

@@ -16,6 +16,7 @@ import warnings
 from . import runners, serialize, verify
 from .config import parse_config
 from .errors import SchemaViolation, SpecMismatch, WignerLabError
+from .moyal import check_cfl
 from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -131,6 +132,12 @@ def _run(args):
                 return _config_errors([("initial_state.type",
                                         f"{args.command} takes {want} "
                                         f"recipe, not {kind!r}")])
+            # evolve's CFL guard, before any output; the warning that
+            # enforce_cfl = false asks for stays with evolve
+            if args.command in ("evolve", "compare") and \
+                    cfg.run["enforce_cfl"]:
+                check_cfl(cfg.hamiltonian, cfg.phase_space,
+                          runners._make_run(cfg))
         serialize.make_out_dir(out_dir)
         if args.command == "verify":
             level = args.level or (cfg.verify_level if cfg else "quick")

@@ -188,8 +188,9 @@ RECIPE_COUNTS = ("rank", "max_quanta")
 
 
 def _check_state(section, path, violations, factors=None,
-                 kinds=STATE_KINDS):
-    """Check a recipe; `factors` maps each layout role to its space."""
+                 kinds=STATE_KINDS, space=None):
+    """Check a recipe on `space`; `factors` maps each layout role to its
+    space."""
     if not isinstance(section, dict) or "type" not in section:
         violations.append((path, "initial_state needs a 'type'"))
         return None
@@ -216,6 +217,9 @@ def _check_state(section, path, violations, factors=None,
         violations.append((f"{path}.beta", "thermal recipe needs beta"))
     if kind == "cat" and section.get("parity", "even") not in ("even", "odd"):
         violations.append((f"{path}.parity", "must be 'even' or 'odd'"))
+    if kind == "cat" and getattr(space, "d", 1) != 1:
+        violations.append((f"{path}.type", "cat states are built on one "
+                           f"degree of freedom, not d = {space.d}"))
     if kind == "product":
         recipes = section.get("factors")
         if not isinstance(recipes, dict):
@@ -231,9 +235,11 @@ def _check_state(section, path, violations, factors=None,
                     violations.append((f"{path}.factors",
                                        f"missing recipe for {lab!r}"))
         for lab, sub in recipes.items():
-            level = isinstance((factors or {}).get(lab), LevelSpace)
+            factor = (factors or {}).get(lab)
+            level = isinstance(factor, LevelSpace)
             _check_state(sub, f"{path}.factors.{lab}", violations,
-                         kinds=LEVEL_RECIPES if level else FACTOR_RECIPES)
+                         kinds=LEVEL_RECIPES if level else FACTOR_RECIPES,
+                         space=factor)
     return section
 
 
@@ -417,7 +423,7 @@ def parse_config(text, tol=DEFAULT_TOL):
                  else FACTOR_RECIPES if has_ps else ("product",))
         cfg.initial_state = _check_state(raw["initial_state"], "initial_state",
                                          violations, cfg.layout_factors or None,
-                                         kinds)
+                                         kinds, cfg.phase_space)
     cfg.run = _check_run(raw.get("run", {}), violations)
     cfg.output = _check_output(raw.get("output", {}), violations)
     seed = _integer(raw.get("seed", 0))

@@ -338,7 +338,7 @@ def run_scenario(layout, hamiltonian, T0, run, h_plant=None,
             raise SpecMismatch(
                 "classical feedback mode needs grid factors with total d <= 2 "
                 "and a Hamiltonian symbol")
-        return _run_classical(layout, hamiltonian_symbol, T0, run, h_plant)
+        return _run_classical(layout, hamiltonian_symbol, T0, run)
 
     if T0.rep != LEBESGUE:
         raise WrongRepresentation(
@@ -369,7 +369,7 @@ def check_run_cap(layout):
             f"composite dimension {layout.dim} exceeds run cap {RUN_DIM_CAP}")
 
 
-def _run_classical(layout, symbol, T0, run, h_plant):
+def _run_classical(layout, symbol, T0, run):
     """Classical-feedback mode: Liouville flow of the composite Wigner field."""
     system = layout.system()
     W0 = wigner_from_density(T0)

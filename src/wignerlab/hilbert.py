@@ -658,23 +658,12 @@ class IntegralKernel:
         if phi.rep != GAUSSIAN:
             raise WrongRepresentation("kernels act on gaussian-representation states")
         spec = self.space
-        Q = _quarter_form(spec)
+        Q = 0.25 * spec.mu.quadratic(spec.grid.position_mesh()).ravel()
         cell = spec.grid.position_cell
         g = spec.mu_density_grid().ravel()
         if self.kind == RHO1:
             return np.exp(Q) * (self.values @ (np.exp(Q) * phi.values * g * cell))
         return np.exp(Q) * (self.values @ (np.exp(-Q) * phi.values * cell))
-
-
-def _quarter_form(spec):
-    """(1/4) <B^-1 q, q> on the position grid, flattened."""
-    mesh = spec.grid.position_mesh()
-    prec = spec.mu.precision
-    quad = 0.0
-    for i in range(spec.d):
-        for j in range(spec.d):
-            quad = quad + prec[i, j] * mesh[i] * mesh[j]
-    return 0.25 * np.broadcast_to(quad, (spec.n_per_axis,) * spec.d).ravel()
 
 
 def kernel_of(T, kind=RHO1):

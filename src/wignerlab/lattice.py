@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import _frozen, axis_coords
 from .errors import (BadGridSize, InsufficientDomain, NonPositiveCovariance,
-                     NonSymmetricCovariance)
+                     NonSymmetricCovariance, OrderOverflow)
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -85,18 +85,64 @@ class GaussianMeasure:
         log_norm = -0.5 * (B.shape[0] * math.log(2 * math.pi) + logdet)
         return cls(B.shape[0], _frozen(B), _frozen(prec), log_norm)
 
-    def density(self, point):
-        """Normalized Gaussian density at one point (shape (dim,))."""
-        x = np.asarray(point, dtype=float)
-        return math.exp(self.log_norm - 0.5 * float(x @ self.precision @ x))
-
-    def density_mesh(self, mesh):
-        """Density over broadcastable coordinate arrays (one per dimension)."""
+    def quadratic(self, x):
+        """sum_ij P_ij x_i x_j with P = B^-1, at a point or over broadcastable
+        coordinate arrays (one per dimension)."""
         quad = 0.0
         for i in range(self.dim):
             for j in range(self.dim):
-                quad = quad + self.precision[i, j] * mesh[i] * mesh[j]
-        return np.exp(self.log_norm - 0.5 * quad)
+                quad = quad + self.precision[i, j] * x[i] * x[j]
+        return quad
+
+    def density(self, point):
+        """Normalized Gaussian density at one point (shape (dim,))."""
+        x = np.asarray(point, dtype=float)
+        return math.exp(self.log_norm - 0.5 * float(self.quadratic(x)))
+
+    def density_mesh(self, mesh):
+        """Density over broadcastable coordinate arrays (one per dimension)."""
+        return np.exp(self.log_norm - 0.5 * self.quadratic(mesh))
+
+    def wick(self, directions, x):
+        """The field w with D_{h1..hk} g = g w for this density g, at a point
+        or over broadcastable coordinate arrays, for any order k.
+
+        Isserlis' pairing recursion over index subsets S of the directions:
+        w(S) = a_i w(S - i) + sum_{j in S - i} c_ij w(S - i - j), i the first
+        index of S, with a_i = -<P h_i, x> and c_ij = -<P h_i, h_j>. Each a_i
+        adds its nonzero terms -(P h_i)_m x_m onto 0.0 in axis order.
+        """
+        hs = [np.asarray(h, dtype=float) for h in directions]
+        ph = [self.precision @ h for h in hs]
+        a = []
+        for v in ph:
+            lin = 0.0
+            for m in np.flatnonzero(v):
+                lin = lin + -v[m] * x[m]
+            a.append(lin)
+        memo = {(): 1.0}
+
+        def w(S):
+            if S not in memo:
+                i, rest = S[0], S[1:]
+                out = a[i] * w(rest)
+                for pos, j in enumerate(rest):
+                    c = -float(ph[i] @ hs[j])
+                    out = out + c * w(rest[:pos] + rest[pos + 1:])
+                memo[S] = out
+            return memo[S]
+
+        return w(tuple(range(len(hs))))
+
+    def derivative(self, directions, point):
+        """k-th directional derivative of the density at a point: density
+        times the Wick field; k is capped at 4."""
+        directions = list(directions)
+        if len(directions) > 4:
+            raise OrderOverflow(f"directional order {len(directions)} "
+                                "exceeds 4")
+        x = np.asarray(point, dtype=float)
+        return self.density(x) * self.wick(directions, x)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .engine import (SpectralDifferentiator, axis_coords, derivative_matrix,
 from .errors import (EscapeDetected, InvalidDensity, OrderOverflow,
                      SnapshotMismatch, SpecMismatch, UnstableStep)
 from .hilbert import LEBESGUE, _lebesgue, propagate
-from .tolerances import DEFAULT_TOL
 from .wigner import ETA, SYMBOL, WIGNER, PhaseSpaceField
 from .weyl import weyl_quantize
 
@@ -48,83 +47,6 @@ FULL_WEIGHT_POINTS = 1 << 16
 
 SPECTRAL = "spectral"
 FD4 = "finite_difference_4th"
-
-
-# --- Wick polynomial engine --------------------------------------------------
-
-def _poly_mul_linear(poly, linear):
-    """Multiply a coefficient-dict polynomial by sum_i linear[i] x_i."""
-    out = {}
-    for alpha, c in poly.items():
-        for i, li in enumerate(linear):
-            if li == 0.0:
-                continue
-            beta = list(alpha)
-            beta[i] += 1
-            beta = tuple(beta)
-            out[beta] = out.get(beta, 0.0) + c * li
-    return out
-
-
-def _poly_dir_derivative(poly, direction):
-    out = {}
-    for alpha, c in poly.items():
-        for i, hi in enumerate(direction):
-            if hi == 0.0 or alpha[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] -= 1
-            beta = tuple(beta)
-            out[beta] = out.get(beta, 0.0) + c * alpha[i] * hi
-    return out
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + v
-    return out
-
-
-def wick_polynomial(precision, directions):
-    """Polynomial w with D_{h1..hk} g = g * w for the Gaussian density g.
-
-    Built by the recursion w' = -<P h, x> w + D_h w, the derivative version
-    of the Wick formulas (first order: -<B^-1 h, x>; second order adds the
-    constant -<B^-1 h1, h2>).
-    """
-    dim = precision.shape[0]
-    w = {(0,) * dim: 1.0}
-    for h in directions:
-        ph = precision @ np.asarray(h, dtype=float)
-        w = _poly_add(_poly_mul_linear(w, -ph), _poly_dir_derivative(w, h))
-    return w
-
-
-def _poly_eval(poly, x):
-    """A coefficient-dict polynomial at x: a point, or one broadcastable
-    coordinate mesh per variable."""
-    out = 0.0
-    for alpha, c in poly.items():
-        term = c
-        for xi, ai in zip(x, alpha):
-            if ai:
-                term = term * xi ** ai
-        out = out + term
-    return out
-
-
-def gaussian_measure_derivative(measure, directions, point):
-    """k-th directional derivative of the Gaussian density at a point.
-
-    Returns density(point) times the Wick polynomial value; k is capped at 4.
-    """
-    directions = list(directions)
-    if len(directions) > 4:
-        raise OrderOverflow(f"directional order {len(directions)} exceeds 4")
-    x = np.asarray(point, dtype=float)
-    w = wick_polynomial(measure.precision, directions)
-    return measure.density(x) * _poly_eval(w, x)
 
 
 # --- bracket contractions -----------------------------------------------------
@@ -334,7 +256,6 @@ class MoyalGenerator:
     spec: object
     truncation: int = 3
     scheme: str = SPECTRAL
-    tol: object = DEFAULT_TOL
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -355,7 +276,7 @@ class MoyalGenerator:
 
     def for_segment(self, terms):
         """A generator of one segment's `terms` and this one's sampled part,
-        truncation, scheme and tolerances."""
+        truncation and scheme."""
         return replace(self, symbol=self.symbol.segment(terms))
 
     def _bracket_terms(self):
@@ -398,15 +319,11 @@ class MoyalGenerator:
         key = (dq, dp)
         if key not in self._wick:
             spec = self.spec
-            d = spec.d
-            directions = []
-            for ax, count in enumerate(dq + dp):
-                e = [0.0] * (2 * d)
-                e[ax] = 1.0
-                directions.extend([e] * count)
-            poly = wick_polynomial(spec.mu_nu.precision, directions)
+            axes = np.eye(2 * spec.d)
+            directions = [axes[ax] for ax, count in enumerate(dq + dp)
+                          for _ in range(count)]
             self._wick[key] = np.asarray(
-                _poly_eval(poly, spec.grid.phase_mesh()), float)
+                spec.mu_nu.wick(directions, spec.grid.phase_mesh()), float)
         return self._wick[key]
 
 
@@ -424,6 +341,22 @@ def gradient_max(symbol, spec):
             if f is not None:
                 grad_sq = grad_sq + f ** 2
     return math.sqrt(float(np.max(grad_sq)))
+
+
+def check_cfl(symbol, spec, run):
+    """Raise UnstableStep when run.dt exceeds the CFL guard
+    min spacing / (4 max|grad H|), the largest gradient_max over the
+    intervals a run to its last snapshot time reaches; a RuntimeWarning
+    under enforce_cfl=False."""
+    grad = max(0.0, *(gradient_max(symbol.segment(terms), spec) for _, _, terms
+                      in symbol.intervals(run.snapshot_times()[-1])))
+    limit = min(_spacings(spec)) / (4.0 * max(grad, 1e-300))
+    if run.dt > limit:
+        msg = (f"dt = {run.dt:g} exceeds the CFL guard {limit:g} "
+               f"(= min spacing / (4 max|grad H|))")
+        if run.enforce_cfl:
+            raise UnstableStep(msg)
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
 
 def poisson_power(psi, symbol, n, spec=None, scheme=SPECTRAL):
@@ -500,7 +433,8 @@ def eta_moyal_rhs(phi, gen):
     with the generator's t = 0 segment.
 
     Expands every derivative of Phi * g by the Leibniz rule, replacing
-    derivatives of the Gaussian reference density by Wick polynomials, and
+    derivatives of the Gaussian reference density by its Wick fields
+    (GaussianMeasure.wick), and
     never multiplies or divides by the density itself. Equals
     eta_density(moyal_rhs(eta_to_wigner(Phi))) in exact arithmetic.
     """
@@ -617,7 +551,7 @@ def evolve(field0, gen, run):
     event time on arrival. Each later interval steps with
     gen.for_segment(its terms); `gen` is left as it was. Raises
     UnstableStep when dt exceeds the CFL guard of any interval the run
-    reaches (a warning under enforce_cfl=False). Aborts with UnstableStep
+    reaches (check_cfl; a warning under enforce_cfl=False). Aborts with UnstableStep
     on per-step mass drift and EscapeDetected on boundary mass, a NaN drift
     or boundary mass included. Raises SpecMismatch, before the first step,
     when field0's role is neither WIGNER nor ETA, or it lives on another
@@ -636,19 +570,10 @@ def evolve(field0, gen, run):
     cell = field0.cell_volume()
     g = field0.reference_density() if role == ETA else None
     times = run.snapshot_times()
-    intervals = gen.symbol.intervals(times[-1])
     # the terms of each later interval, by its start
-    starts = {start: terms for start, _, terms in intervals[1:]}
-
-    grad = max(0.0, *(gradient_max(gen.symbol.segment(terms), gen.spec)
-                      for _, _, terms in intervals))
-    limit = min(_spacings(gen.spec)) / (4.0 * max(grad, 1e-300))
-    if run.dt > limit:
-        msg = (f"dt = {run.dt:g} exceeds the CFL guard {limit:g} "
-               f"(= min spacing / (4 max|grad H|))")
-        if run.enforce_cfl:
-            raise UnstableStep(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    starts = {start: terms
+              for start, _, terms in gen.symbol.intervals(times[-1])[1:]}
+    check_cfl(gen.symbol, gen.spec, run)
 
     ring = _boundary_ring(field0.values.shape)
     diags = {k: [] for k in ("t", "mass", "l2", "energy", "min_w", "purity_est")}

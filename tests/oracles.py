@@ -16,7 +16,7 @@ from wignerlab.feedback import FEEDBACK, GENERAL, NO_FEEDBACK, FeedbackVerdict
 from wignerlab.hilbert import (LEBESGUE, DensityOperator, _lebesgue,
                                exact_propagate, space_dim)
 from wignerlab.moyal import (FD4, bracket_pairs, eta_moyal_rhs, moyal_rhs,
-                             sine_coefficient, wick_polynomial)
+                             sine_coefficient)
 from wignerlab.states import oscillator_basis
 from wignerlab.tolerances import DEFAULT_TOL
 from wignerlab.weyl import HamiltonianSymbol, weyl_quantize
@@ -60,6 +60,38 @@ def fd_bracket(psi_fun, h_fun, n, d, points, eps=0.015):
     return np.asarray(out)
 
 
+def wick_polynomial(precision, directions):
+    """Coefficient dict {powers: c} of the polynomial w with
+    D_{h1..hk} g = g w for the Gaussian density g of precision P.
+
+    Built by the recursion w' = -<P h, x> w + D_h w, one direction at a time
+    (first order: -<P h, x>; second order adds the constant -<P h1, h2>),
+    not by the pairing sum that GaussianMeasure.wick evaluates.
+    """
+    dim = precision.shape[0]
+    w = {(0,) * dim: 1.0}
+    for h in directions:
+        h = np.asarray(h, dtype=float)
+        ph = precision @ h
+        out = {}
+        for alpha, c in w.items():
+            for i in range(dim):
+                up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                out[up] = out.get(up, 0.0) - c * ph[i]
+                if alpha[i]:
+                    down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                    out[down] = out.get(down, 0.0) + c * alpha[i] * h[i]
+        w = out
+    return w
+
+
+def poly_eval(poly, x):
+    """A coefficient-dict polynomial at a point, or over one broadcastable
+    coordinate array per variable."""
+    return sum(c * math.prod(xi ** a for xi, a in zip(x, alpha))
+               for alpha, c in poly.items())
+
+
 def term_by_term_rhs(values, gen, eta=False):
     """The Moyal right-hand side one bracket term at a time.
 
@@ -67,7 +99,8 @@ def term_by_term_rhs(values, gen, eta=False):
     (SpectralDifferentiator), summed term by term; on the finite-difference
     scheme each derivative is fd4_by_rolls, axis by axis. With eta=True every
     derivative of Phi g / g is expanded by the Leibniz rule with Wick fields
-    evaluated from their polynomials. No bracket plan is involved.
+    evaluated from their polynomials (wick_polynomial). No bracket plan is
+    involved.
     """
     spec = gen.spec
     d = spec.d
@@ -89,9 +122,8 @@ def term_by_term_rhs(values, gen, eta=False):
         directions = []
         for ax, count in enumerate(rest):
             directions += [list(np.eye(2 * d)[ax])] * count
-        poly = wick_polynomial(spec.mu_nu.precision, directions)
-        return sum(c * math.prod(x ** a for x, a in zip(mesh, alpha))
-                   for alpha, c in poly.items())
+        return poly_eval(wick_polynomial(spec.mu_nu.precision, directions),
+                         mesh)
 
     out = np.zeros(np.shape(values))
     for j in range(1, gen.truncation + 1):

@@ -148,6 +148,36 @@ def test_strict_warning_exit_code(tmp_path, capsys):
     assert warnings.filters == filters      # --strict does not leak
 
 
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_cfl_violation_exits_1_before_any_output(command, tmp_path, capsys):
+    # H = p^2/2 + q^4/4 on the shipped harmonic box at dt = 0.5: evolve's
+    # CFL guard, reported before the output directory is made
+    with open(os.path.join(CONFIGS, "harmonic.json")) as f:
+        cfg = json.load(f)
+    cfg["hamiltonian"]["terms"] = [
+        {"powers_q": [0], "powers_p": [2], "coeff": 0.5},
+        {"powers_q": [4], "powers_p": [0], "coeff": 0.25}]
+    cfg["run"]["dt"] = 0.5
+    out = tmp_path / "cfl"
+    assert main([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: dt = 0.5 exceeds the CFL guard 7.81211e-05 (")
+    assert not out.exists()
+
+
+def test_cat_on_a_d2_grid_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, {
+        "version": "1",
+        "phase_space": {"d": 2, "n_per_axis": 32, "half_width": 5.5,
+                        "covariance": [[0.5, 0.0], [0.0, 0.5]]},
+        "initial_state": {"type": "cat"}})
+    out = tmp_path / "cat"
+    assert main(["transform", "--config", path, "--out", str(out)]) == 1
+    assert "config error at initial_state.type: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(tmp_path):
     cfg = json.loads(HARMONIC_JSON)
     cfg["phase_space"]["covariance"] = [[-1.0]]
@@ -536,11 +566,35 @@ def test_diff_outputs_finds_the_working_tree_as_head():
         "all 1 output trees identical"]
 
 
-def test_diff_outputs_counts_the_values_that_differ(tmp_path):
+def _diff_tool():
     spec = importlib.util.spec_from_file_location("diff_outputs",
                                                   DIFF_OUTPUTS)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_diff_outputs_runs_each_tree_on_its_own_config(tmp_path):
+    # two trees on this src whose copies of one config declare another dq
+    trees = {}
+    for side, dq in (("base", 1.0), ("head", 1.5)):
+        tree = tmp_path / side
+        (tree / "configs").mkdir(parents=True)
+        (tree / "src").symlink_to(DIFF_OUTPUTS.parents[1] / "src")
+        cfg = json.loads(HARMONIC_JSON)
+        cfg["phase_space"].update(n_per_axis=64, half_width=10.0)
+        cfg["initial_state"]["dq"] = dq
+        (tree / "configs" / "h.json").write_text(json.dumps(cfg))
+        trees[side] = tree
+    code, count, lines = _diff_tool().compare_run(
+        trees, tmp_path, "transform-h", ["transform"], "h.json")
+    assert code == 0 and count > 0
+    assert any(line.startswith("wigner.bin: ") and "values differ" in line
+               for line in lines), lines
+
+
+def test_diff_outputs_counts_the_values_that_differ(tmp_path):
+    tool = _diff_tool()
     a, b = tmp_path / "a", tmp_path / "b"
     for side, last, name in ((a, 1.0, "x"), (b, 1.0 + 2.0 ** -52, "y")):
         side.mkdir()

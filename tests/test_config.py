@@ -162,6 +162,25 @@ def test_product_state_requires_every_factor():
     assert any("C1" in reason for _, reason in err.value.violations)
 
 
+def test_cat_needs_a_one_dimensional_grid():
+    # at the recipe's type, on a phase space and on a product's grid factor
+    d2 = {"d": 2, "n_per_axis": 32, "half_width": 5.5,
+          "covariance": [[0.5, 0.0], [0.0, 0.5]]}
+    single = {"version": "1", "phase_space": d2,
+              "initial_state": {"type": "cat"}}
+    product = {"version": "1",
+               "layout": {"P1": d2, "C1": {"kind": "levels", "dim": 2}},
+               "initial_state": {"type": "product", "factors": {
+                   "P1": {"type": "cat"}, "C1": {"type": "ground"}}}}
+    for raw, path in ((single, "initial_state.type"),
+                      (product, "initial_state.factors.P1.type")):
+        with pytest.raises(SchemaViolation) as err:
+            parse_config(json.dumps(raw))
+        assert [p for p, _ in err.value.violations] == [path]
+    single["phase_space"] = MINIMAL["phase_space"]
+    assert parse_config(json.dumps(single)).initial_state["type"] == "cat"
+
+
 @pytest.mark.parametrize("kind", config.FACTOR_RECIPES)
 def test_level_recipes_are_what_a_level_factor_builds(kind):
     # config's list of level recipes against the state builder's

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import poly_eval, wick_polynomial
 from wignerlab import GaussianMeasure, make_phase_space
 from wignerlab.engine import fourier_matrix
 from wignerlab.errors import (BadGridSize, InsufficientDomain,
                               NonPositiveCovariance, NonSymmetricCovariance)
+from wignerlab.tolerances import TolerancePolicy
 
 
 def test_standard_normal_density_at_origin(lab64):
@@ -199,3 +201,64 @@ def test_threads_share_equal_read_only_grids():
     assert len(got) == 6
     assert all(not g.flags.writeable and np.array_equal(g, want) for g in got)
     assert spec.mu_nu_density_grid() is spec.mu_nu_density_grid()
+
+
+# --- Wick fields: the pairing recursion against the polynomial oracle --------
+
+# an n = 32 box holds both unit-scale tails only above the strict default
+WIDE = TolerancePolicy(domain_tail_mass=1e-9)
+
+
+def _random_spd(rng, dim):
+    A = rng.normal(size=(dim, dim))
+    return A @ A.T + 0.5 * dim * np.eye(dim)
+
+
+def _assert_matches_polynomial(mu, directions, x):
+    # relative to the sum of the terms' magnitudes, the scale of the
+    # polynomial's own rounding
+    poly = wick_polynomial(mu.precision, directions)
+    want = poly_eval(poly, x)
+    scale = poly_eval({a: abs(c) for a, c in poly.items()},
+                      [np.abs(xi) for xi in x])
+    assert np.all(np.abs(mu.wick(directions, x) - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_wick_matches_the_polynomial_oracle_at_points(dim):
+    rng = np.random.default_rng(dim)
+    for order in range(8):
+        for _ in range(4):
+            mu = GaussianMeasure.from_covariance(_random_spd(rng, dim))
+            _assert_matches_polynomial(mu, rng.normal(size=(order, dim)),
+                                       rng.uniform(-2, 2, size=dim))
+
+
+def test_wick_matches_the_polynomial_oracle_on_a_correlated_mesh():
+    spec = make_phase_space(2, 32, 7.2, [[1.0, 0.2], [0.2, 0.8]], WIDE)
+    mesh = spec.grid.phase_mesh()
+    axes = np.eye(4)
+    rng = np.random.default_rng(4)
+    for order in range(5):
+        for _ in range(2):
+            _assert_matches_polynomial(
+                spec.mu_nu, axes[rng.integers(0, 4, size=order)], mesh)
+
+
+@pytest.mark.parametrize("cov", [[[1.0]], [[1.0, 0.2], [0.2, 0.8]]],
+                         ids=["d1", "d2_correlated"])
+def test_one_direction_wick_field_is_the_linear_form_summed_onto_zero(cov):
+    # bitwise: each nonzero -(P h)_m x_m added onto +0.0 in axis order, so
+    # every zero of the field, the origin's included, is +0.0
+    d = len(cov)
+    spec = make_phase_space(d, 32, 7.2, cov, WIDE)
+    mesh = spec.grid.phase_mesh()
+    for h in np.eye(2 * d):
+        want = 0.0
+        for m, coef in enumerate(-(spec.mu_nu.precision @ h)):
+            if coef != 0.0:
+                want = want + coef * mesh[m]
+        got = spec.mu_nu.wick([h], mesh)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.signbit(got[got == 0.0]).any()

@@ -14,10 +14,9 @@ from wignerlab.errors import (DomainOverflow, EscapeDetected, InvalidDensity,
                               OrderOverflow, SnapshotMismatch, SpecMismatch,
                               UnstableStep)
 from wignerlab.moyal import (FD4, EvolutionRun, MoyalGenerator, evolve,
-                             gaussian_measure_derivative, gradient_max,
-                             moyal_rhs,
-                             pair_snapshots, poisson_power, eta_moyal_rhs,
-                             sine_coefficient, von_neumann_oracle)
+                             gradient_max, moyal_rhs, pair_snapshots,
+                             poisson_power, eta_moyal_rhs, sine_coefficient,
+                             von_neumann_oracle)
 from wignerlab.states import (analytic_gaussian_eta, analytic_gaussian_wigner,
                               cat_state, displaced_state, ground_state)
 from wignerlab.tolerances import TolerancePolicy
@@ -409,25 +408,25 @@ def test_eta_rhs_rejects_other_grid_or_measure(lab64, lab32):
 
 def test_wick_first_order_closed_form():
     mu = GaussianMeasure.from_covariance([[1.0]])
-    got = gaussian_measure_derivative(mu, [[1.0]], [0.7])
+    got = mu.derivative([[1.0]], [0.7])
     assert got == pytest.approx(-0.7 * mu.density([0.7]), abs=1e-14)
 
 
 def test_wick_second_order_closed_form():
     mu = GaussianMeasure.from_covariance([[1.0]])
-    got = gaussian_measure_derivative(mu, [[1.0], [1.0]], [0.0])
+    got = mu.derivative([[1.0], [1.0]], [0.0])
     assert got == pytest.approx(-mu.density([0.0]), abs=1e-14)
 
 
 def test_wick_zero_direction():
     mu = GaussianMeasure.from_covariance([[2.0]])
-    assert gaussian_measure_derivative(mu, [[0.0]], [0.4]) == 0.0
+    assert mu.derivative([[0.0]], [0.4]) == 0.0
 
 
 def test_wick_order_cap():
     mu = GaussianMeasure.from_covariance([[1.0]])
     with pytest.raises(OrderOverflow):
-        gaussian_measure_derivative(mu, [[1.0]] * 5, [0.0])
+        mu.derivative([[1.0]] * 5, [0.0])
 
 
 def test_wick_matches_finite_differences(rng):
